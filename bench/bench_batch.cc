@@ -1,9 +1,9 @@
-// B1 — Batched transfer path.
+// B1 — Run transfer path.
 //
 // The queue-less pub-sub core pays one virtual call, one subscription loop,
-// and one watermark merge per element on the per-element path. The batched
-// path (`TransferBatch`/`ReceiveBatch`/`PortBatch`) amortizes all three
-// over a run of elements. This bench sweeps the source batch size over
+// and one watermark merge per element on the per-element path. The run
+// path (`TransferRun`/`ReceiveRun`/`PortRun`) amortizes all three over a
+// columnar run of elements. This bench sweeps the source batch size over
 // {1, 8, 64, 512}; batch = 1 is the legacy per-element path and must match
 // its throughput within noise, larger batches quantify the amortization.
 //
@@ -12,7 +12,7 @@
 //
 // Harnesses:
 //  * filter -> map -> union -> buffer over 100k-element int streams (the
-//    operators with dedicated batch kernels plus the batched buffer drain);
+//    operators with columnar kernels plus the buffer's train drain);
 //  * the traffic workload: generator source -> HOV filter -> time window,
 //    one simulated hour of loop-detector readings;
 //  * the same int chain across a ConcurrentBuffer under the

@@ -113,7 +113,7 @@ void BM_ConcurrentQueuedChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kElements);
 }
 
-// Direct chain with the source emitting `TransferBatch` runs: batch = 1 is
+// Direct chain with the source emitting `TransferRun` runs: batch = 1 is
 // the per-element pub-sub path measured above, batch = 64 amortizes the
 // per-element virtual call + watermark merge — the before/after number for
 // the paper's overhead-reduction claim in one binary.

@@ -2,10 +2,8 @@
 #define PIPES_ALGEBRA_COALESCE_H_
 
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/core/pipe.h"
 
@@ -33,7 +31,7 @@ class Coalesce : public UnaryPipe<T, T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = UnaryPipe<T, T>::Describe();
     d.op = "coalesce";
-    d.has_batch_kernel = true;
+    d.has_columnar_kernel = true;
     // Merging abutting equal-payload intervals can extend validity without
     // static bound.
     d.dataflow.extends_validity = true;
@@ -42,37 +40,22 @@ class Coalesce : public UnaryPipe<T, T> {
 
  protected:
   void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    if (held_.has_value()) {
-      if (held_->payload == e.payload && e.start() <= held_->end() &&
-          e.end() >= held_->start()) {
-        held_->interval.end = std::max(held_->end(), e.end());
-        ++merged_;
-        return;
-      }
-      this->Transfer(*held_);
-    }
+    if (MergeIntoHeld(e.payload, e.start(), e.end())) return;
+    if (held_.has_value()) this->Transfer(*held_);
     held_ = e;
   }
 
-  /// Batch kernel: runs the merge loop over the whole batch against the
-  /// held element and emits every released element as one downstream batch
+  /// Columnar kernel: runs the merge loop over the whole run against the
+  /// held element and emits every released element as one downstream run
   /// (released elements leave in arrival order, which is start order).
-  void PortBatch(int /*port_id*/,
-                 std::span<const StreamElement<T>> batch) override {
-    out_.clear();
-    for (const StreamElement<T>& e : batch) {
-      if (held_.has_value()) {
-        if (held_->payload == e.payload && e.start() <= held_->end() &&
-            e.end() >= held_->start()) {
-          held_->interval.end = std::max(held_->end(), e.end());
-          ++merged_;
-          continue;
-        }
-        out_.push_back(*held_);
-      }
-      held_ = e;
+  void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
+    run_out_.clear();
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      if (MergeIntoHeld(run.payloads[i], run.starts[i], run.ends[i])) continue;
+      if (held_.has_value()) run_out_.Append(*held_);
+      held_ = run.ElementAt(i);
     }
-    this->TransferBatch(out_);
+    this->TransferRun(std::move(run_out_));
   }
 
   void PortProgress(int /*port_id*/, Timestamp watermark) override {
@@ -100,9 +83,21 @@ class Coalesce : public UnaryPipe<T, T> {
   }
 
  private:
+  /// Extends the held element by [start, end) if the payloads are equal and
+  /// the intervals abut or overlap; returns whether it merged.
+  bool MergeIntoHeld(const T& payload, Timestamp start, Timestamp end) {
+    if (!held_.has_value() || !(held_->payload == payload) ||
+        start > held_->end() || end < held_->start()) {
+      return false;
+    }
+    held_->interval.end = std::max(held_->end(), end);
+    ++merged_;
+    return true;
+  }
+
   std::optional<StreamElement<T>> held_;
   std::uint64_t merged_ = 0;
-  std::vector<StreamElement<T>> out_;
+  ColumnarRun<T> run_out_;
 };
 
 }  // namespace pipes::algebra

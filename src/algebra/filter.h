@@ -1,10 +1,8 @@
 #ifndef PIPES_ALGEBRA_FILTER_H_
 #define PIPES_ALGEBRA_FILTER_H_
 
-#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/core/pipe.h"
 
@@ -27,7 +25,6 @@ class Filter : public UnaryPipe<T, T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = UnaryPipe<T, T>::Describe();
     d.op = "filter";
-    d.has_batch_kernel = true;
     d.has_columnar_kernel = true;
     return d;
   }
@@ -37,17 +34,6 @@ class Filter : public UnaryPipe<T, T> {
     if (pred_(e.payload)) {
       this->Transfer(e);
     }
-  }
-
-  /// Batch kernel: evaluate the predicate in a tight loop, forward the
-  /// survivors as one downstream batch (order is inherited from the input).
-  void PortBatch(int /*port_id*/,
-                 std::span<const StreamElement<T>> batch) override {
-    out_.clear();
-    for (const StreamElement<T>& e : batch) {
-      if (pred_(e.payload)) out_.push_back(e);
-    }
-    this->TransferBatch(out_);
   }
 
   /// Columnar kernel: the predicate runs over the payload column alone
@@ -70,7 +56,6 @@ class Filter : public UnaryPipe<T, T> {
 
  private:
   Pred pred_;
-  std::vector<StreamElement<T>> out_;
   ColumnarRun<T> run_out_;
 };
 

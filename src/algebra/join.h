@@ -180,13 +180,11 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
   /// then bulk-insert it and flush once. Probing everything before inserting
   /// is equivalent to the per-element interleave — a run's elements go into
   /// their *own* side's area, which its probes never touch. Under an active
-  /// memory limit the kernels fall back to the per-element path so shedding
-  /// decisions (which depend on the interleave) are bit-identical.
+  /// memory limit the kernels fall back to the default row-by-row path so
+  /// shedding decisions (which depend on the interleave) are bit-identical.
   void OnRunLeft(const ColumnarRun<L>& run) override {
     if (ShedActive()) {
-      for (std::size_t i = 0; i < run.size(); ++i) {
-        OnElementLeft(run.ElementAt(i));
-      }
+      BinaryPipe<L, R, Out>::OnRunLeft(run);
       return;
     }
     right_sa_.QueryRun(run, [&](std::size_t i, const StreamElement<R>& r) {
@@ -203,9 +201,7 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
 
   void OnRunRight(const ColumnarRun<R>& run) override {
     if (ShedActive()) {
-      for (std::size_t i = 0; i < run.size(); ++i) {
-        OnElementRight(run.ElementAt(i));
-      }
+      BinaryPipe<L, R, Out>::OnRunRight(run);
       return;
     }
     left_sa_.QueryRun(run, [&](std::size_t i, const StreamElement<L>& l) {

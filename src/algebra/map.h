@@ -1,10 +1,8 @@
 #ifndef PIPES_ALGEBRA_MAP_H_
 #define PIPES_ALGEBRA_MAP_H_
 
-#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/core/pipe.h"
 
@@ -24,7 +22,6 @@ class Map : public UnaryPipe<In, Out> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = UnaryPipe<In, Out>::Describe();
     d.op = "map";
-    d.has_batch_kernel = true;
     d.has_columnar_kernel = true;
     return d;
   }
@@ -32,18 +29,6 @@ class Map : public UnaryPipe<In, Out> {
  protected:
   void PortElement(int /*port_id*/, const StreamElement<In>& e) override {
     this->Transfer(StreamElement<Out>(fn_(e.payload), e.interval));
-  }
-
-  /// Batch kernel: transform payloads in a tight loop, forward one output
-  /// batch (intervals pass through, so order is inherited from the input).
-  void PortBatch(int /*port_id*/,
-                 std::span<const StreamElement<In>> batch) override {
-    out_.clear();
-    out_.reserve(batch.size());
-    for (const StreamElement<In>& e : batch) {
-      out_.emplace_back(fn_(e.payload), e.interval);
-    }
-    this->TransferBatch(out_);
   }
 
   /// Columnar kernel: both timestamp columns are bulk-copied (memcpy) and
@@ -61,7 +46,6 @@ class Map : public UnaryPipe<In, Out> {
 
  private:
   Fn fn_;
-  std::vector<StreamElement<Out>> out_;
   ColumnarRun<Out> run_out_;
 };
 

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,7 +44,6 @@ class Union : public BinaryPipe<T, T, T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = BinaryPipe<T, T, T>::Describe();
     d.op = "union";
-    d.has_batch_kernel = true;
     d.has_columnar_kernel = true;
     return d;
   }
@@ -54,18 +52,11 @@ class Union : public BinaryPipe<T, T, T> {
   void OnElementLeft(const StreamElement<T>& e) override { Stage(0, e); }
   void OnElementRight(const StreamElement<T>& e) override { Stage(1, e); }
 
-  /// Batch kernels: stage the whole run; the single per-batch progress
-  /// notification that follows does one flush instead of one per element.
-  void OnBatchLeft(std::span<const StreamElement<T>> batch) override {
-    for (const StreamElement<T>& e : batch) Stage(0, e);
-  }
-  void OnBatchRight(std::span<const StreamElement<T>> batch) override {
-    for (const StreamElement<T>& e : batch) Stage(1, e);
-  }
-
   /// Columnar kernels: stage straight from the columns — the common case
   /// (run continues the side's start order) is one bulk append per run with
-  /// no intermediate `StreamElement` materialization.
+  /// no intermediate `StreamElement` materialization — and the single
+  /// per-run progress notification that follows does one flush instead of
+  /// one per element.
   void OnRunLeft(const ColumnarRun<T>& run) override { StageRun(0, run); }
   void OnRunRight(const ColumnarRun<T>& run) override { StageRun(1, run); }
 

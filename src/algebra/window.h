@@ -3,12 +3,10 @@
 
 #include <algorithm>
 #include <deque>
-#include <span>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "src/common/macros.h"
 #include "src/core/ordered_buffer.h"
@@ -47,7 +45,6 @@ class TimeWindow : public UnaryPipe<T, T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = UnaryPipe<T, T>::Describe();
     d.op = "time-window";
-    d.has_batch_kernel = true;
     d.has_columnar_kernel = true;
     d.bounds_validity = true;
     d.dataflow.validity_extent = size_;
@@ -58,18 +55,6 @@ class TimeWindow : public UnaryPipe<T, T> {
   void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
     this->Transfer(
         StreamElement<T>(e.payload, e.start(), e.start() + size_));
-  }
-
-  /// Batch kernel: widen intervals in a tight loop; starts are untouched,
-  /// so the input's order carries over to the output batch.
-  void PortBatch(int /*port_id*/,
-                 std::span<const StreamElement<T>> batch) override {
-    out_.clear();
-    out_.reserve(batch.size());
-    for (const StreamElement<T>& e : batch) {
-      out_.emplace_back(e.payload, e.start(), e.start() + size_);
-    }
-    this->TransferBatch(out_);
   }
 
   /// Columnar kernel: payloads and starts are bulk-copied; only the ends
@@ -88,7 +73,6 @@ class TimeWindow : public UnaryPipe<T, T> {
 
  private:
   Timestamp size_;
-  std::vector<StreamElement<T>> out_;
   ColumnarRun<T> run_out_;
 };
 
@@ -114,7 +98,6 @@ class SlideWindow : public UnaryPipe<T, T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = UnaryPipe<T, T>::Describe();
     d.op = "slide-window";
-    d.has_batch_kernel = true;
     d.has_columnar_kernel = true;
     d.bounds_validity = true;
     // AlignUp(t + size) - AlignUp(t) < size + slide.
@@ -131,22 +114,6 @@ class SlideWindow : public UnaryPipe<T, T> {
     }
     // else: the element falls between grid points entirely — no instant
     // ever observes it. (Cannot happen when size_ >= slide_.)
-  }
-
-  /// Batch kernel. AlignUp is monotone in the start, so aligned starts stay
-  /// non-decreasing and the output batch keeps the ordering invariant.
-  void PortBatch(int /*port_id*/,
-                 std::span<const StreamElement<T>> batch) override {
-    out_.clear();
-    out_.reserve(batch.size());
-    for (const StreamElement<T>& e : batch) {
-      const Timestamp first = AlignUp(e.start());
-      const Timestamp last = AlignUp(e.start() + size_);
-      if (first < last) {
-        out_.emplace_back(e.payload, first, last);
-      }
-    }
-    this->TransferBatch(out_);
   }
 
   /// Columnar kernel: grid-aligns both timestamp columns in one pass.
@@ -173,7 +140,6 @@ class SlideWindow : public UnaryPipe<T, T> {
 
   Timestamp size_;
   Timestamp slide_;
-  std::vector<StreamElement<T>> out_;
   ColumnarRun<T> run_out_;
 };
 
@@ -190,7 +156,6 @@ class UnboundedWindow : public UnaryPipe<T, T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = UnaryPipe<T, T>::Describe();
     d.op = "unbounded-window";
-    d.has_batch_kernel = true;
     d.has_columnar_kernel = true;
     d.unbounded_validity = true;
     return d;
@@ -199,16 +164,6 @@ class UnboundedWindow : public UnaryPipe<T, T> {
  protected:
   void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
     this->Transfer(StreamElement<T>(e.payload, e.start(), kMaxTimestamp));
-  }
-
-  void PortBatch(int /*port_id*/,
-                 std::span<const StreamElement<T>> batch) override {
-    out_.clear();
-    out_.reserve(batch.size());
-    for (const StreamElement<T>& e : batch) {
-      out_.emplace_back(e.payload, e.start(), kMaxTimestamp);
-    }
-    this->TransferBatch(out_);
   }
 
   /// Columnar kernel: copy starts and payloads, fill ends with +inf.
@@ -221,7 +176,6 @@ class UnboundedWindow : public UnaryPipe<T, T> {
   }
 
  private:
-  std::vector<StreamElement<T>> out_;
   ColumnarRun<T> run_out_;
 };
 

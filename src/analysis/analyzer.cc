@@ -420,20 +420,20 @@ void CheckPartitionStages(const GraphModel& m, Linter& lint) {  // P007-P009
 void CheckBatchPathBreaks(const GraphModel& m, Linter& lint) {  // P013
   for (const NodeInfo& info : m.info) {
     if (info.desc.kind != Kind::kOperator) continue;
-    if (info.desc.has_batch_kernel || info.desc.blocking) continue;
-    const auto batched = [&](std::size_t j) {
-      return m.info[j].desc.has_batch_kernel;
+    if (info.desc.has_columnar_kernel || info.desc.blocking) continue;
+    const auto columnar = [&](std::size_t j) {
+      return m.info[j].desc.has_columnar_kernel;
     };
-    const bool batched_up = std::any_of(info.ups.begin(), info.ups.end(),
-                                        batched);
-    const bool batched_down = std::any_of(info.downs.begin(),
-                                          info.downs.end(), batched);
-    if (!batched_up || !batched_down) continue;
+    const bool columnar_up = std::any_of(info.ups.begin(), info.ups.end(),
+                                         columnar);
+    const bool columnar_down = std::any_of(info.downs.begin(),
+                                           info.downs.end(), columnar);
+    if (!columnar_up || !columnar_down) continue;
     lint.Emit("P013", Severity::kNote, info.node, "",
-              "operator sits between batched stages but has no batch "
-              "kernel: upstream trains are replayed element-by-element here "
+              "operator sits between columnar stages but has no columnar "
+              "kernel: upstream runs are replayed element-by-element here "
               "and downstream batching restarts from scratch",
-              "override PortBatch with a batch kernel (DESIGN.md 'Batched "
+              "override PortRun with a columnar kernel (DESIGN.md 'Run "
               "delivery') if this operator is on a hot path");
   }
 }
@@ -660,8 +660,8 @@ const std::vector<RuleInfo>& RuleCatalog() {
        "replica chains share a worker while another worker is idle (lost "
        "parallelism)"},
       {"P013", Severity::kNote,
-       "operator without a batch kernel between batched stages (batching "
-       "benefit lost)"},
+       "operator without a columnar kernel between columnar stages "
+       "(batching benefit lost)"},
       {"P014", Severity::kError,
        "fan-in merging progress from an input that can never advance "
        "(results withheld until end-of-stream)"},

@@ -40,7 +40,7 @@ struct CombineSum {
 };
 
 /// A correct-but-undeclared operator: forwards elements element-by-element
-/// and (deliberately) overrides no batch kernel — the P013 subject.
+/// and (deliberately) overrides no columnar kernel — the P013 subject.
 class PlainRelay : public UnaryPipe<int, int> {
  public:
   explicit PlainRelay(std::string name = "relay")

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <span>
 #include <string>
 #include <utility>
 #include <variant>
@@ -69,7 +68,6 @@ class BasicBuffer : public UnaryPipe<T, T> {
     NodeDescriptor d = UnaryPipe<T, T>::Describe();
     d.kind = NodeDescriptor::Kind::kBuffer;
     d.op = "buffer";
-    d.has_batch_kernel = true;
     d.has_columnar_kernel = true;
     // Queue occupancy depends on scheduling, not on watermark progress.
     d.dataflow.transient_state = true;
@@ -173,22 +171,9 @@ class BasicBuffer : public UnaryPipe<T, T> {
     }
   }
 
-  /// Batched enqueue: the whole upstream batch goes in under one lock
-  /// acquisition (and one shed pass), transposed onto the tail chunk.
-  void PortBatch(int /*port_id*/,
-                 std::span<const StreamElement<T>> batch) override {
-    if (batch.empty()) return;
-    std::lock_guard<Mutex> lock(mu_);
-    last_element_start_ = batch.back().start();
-    TailChunk(batch.front().start()).AppendBatch(batch);
-    elements_ += batch.size();
-    if (capacity_ > 0) {
-      ShedToCapacity();
-    }
-  }
-
-  /// Columnar enqueue: one lock acquisition and three bulk column appends
-  /// for the whole run — the queue stays SoA end to end.
+  /// Columnar enqueue: one lock acquisition (and one shed pass) and three
+  /// bulk column appends for the whole run — the queue stays SoA end to
+  /// end.
   void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
     if (run.empty()) return;
     std::lock_guard<Mutex> lock(mu_);

@@ -2,22 +2,20 @@
 #define PIPES_CORE_COLUMNAR_H_
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "src/common/time.h"
 #include "src/core/element.h"
 
 /// \file
-/// Columnar (structure-of-arrays) runs: the batch representation of the
-/// executor-polled delivery path. A run is a maximal sequence of stream
-/// elements from one producer, ordered by non-decreasing start, carrying no
-/// control signals — the same contract as an AoS `TransferBatch` train, but
-/// with the interval starts, interval ends, and payloads stored in three
-/// contiguous arrays. Batch kernels that only touch one column (a filter
-/// reads payloads, a window rewrites ends) become tight loops over plain
-/// arrays the compiler can vectorize, instead of strided walks over
-/// `StreamElement` records.
+/// Columnar (structure-of-arrays) runs: the one batch representation, on
+/// the direct publish-subscribe path and the executor-polled path alike. A
+/// run is a maximal sequence of stream elements from one producer, ordered
+/// by non-decreasing start, carrying no control signals, with the interval
+/// starts, interval ends, and payloads stored in three contiguous arrays.
+/// Kernels that only touch one column (a filter reads payloads, a window
+/// rewrites ends) become tight loops over plain arrays the compiler can
+/// vectorize, instead of strided walks over `StreamElement` records.
 
 namespace pipes {
 
@@ -57,12 +55,6 @@ struct ColumnarRun {
 
   void Append(StreamElement<T>&& e) {
     Append(std::move(e.payload), e.start(), e.end());
-  }
-
-  /// Transposes an AoS batch onto the end of this run.
-  void AppendBatch(std::span<const StreamElement<T>> batch) {
-    reserve(size() + batch.size());
-    for (const StreamElement<T>& e : batch) Append(e);
   }
 
   /// Bulk append of a whole run — three range inserts, which degrade to
@@ -112,9 +104,8 @@ struct ColumnarRun {
     return StreamElement<T>(payloads[i], starts[i], ends[i]);
   }
 
-  /// Re-materializes the run as AoS elements, appended to `out` — the
-  /// compatibility shim behind the default `PortRun`, so operators without
-  /// a columnar kernel keep their per-element/AoS semantics unchanged.
+  /// Re-materializes the run as AoS elements, appended to `out` — for sinks
+  /// that keep their results as elements (collector, engine result queue).
   void MaterializeTo(std::vector<StreamElement<T>>& out) const {
     out.reserve(out.size() + size());
     for (std::size_t i = 0; i < size(); ++i) {

@@ -53,14 +53,11 @@ struct NodeDescriptor {
   /// (join, aggregate, distinct, difference, intersect, multiway join).
   bool blocking = false;
 
-  /// Overrides the batched delivery path (`PortBatch` kernel, or a source
-  /// emitting `TransferBatch` trains). DESIGN.md "Batched delivery".
-  bool has_batch_kernel = false;
-
-  /// Overrides the columnar delivery path (`PortRun` kernel operating on
-  /// SoA runs, DESIGN.md §4f). Operators without one still run correctly
-  /// under the executor — the default `PortRun` re-materializes — but pay
-  /// one AoS copy per run.
+  /// Overrides the run delivery path (`PortRun` kernel operating on SoA
+  /// runs, or a source emitting `TransferRun`s; DESIGN.md "Run delivery"
+  /// and §4f). Operators without one still run correctly — the default
+  /// `PortRun` hands the rows to `PortElement` one at a time — but their
+  /// output leaves element by element. Lint rule P013 keys off this flag.
   bool has_columnar_kernel = false;
 
   /// Safe to clone into keyed shared-nothing replicas — must agree with

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,7 +26,7 @@ namespace pipes {
 /// With `batch_size` > 1 the source accumulates up to that many elements
 /// per scheduler invocation directly into a columnar scratch run and emits
 /// them with a single consuming `TransferRun` — the batching knob of the
-/// workload generators (DESIGN.md "Batched delivery"). Elements are
+/// workload generators (DESIGN.md "Run delivery"). Elements are
 /// transposed into columns exactly once, at generation time, and under an
 /// executor the scratch run's columns are swapped into the pipe (zero
 /// copies in steady state). The default of 1 keeps the original
@@ -66,7 +65,8 @@ class GeneratorSource : public Source<T> {
     NodeDescriptor d;
     d.kind = NodeDescriptor::Kind::kSource;
     d.op = "generator-source";
-    d.has_batch_kernel = batch_size_ > 1;
+    // Above batch size 1 every poll leaves as one `TransferRun`.
+    d.has_columnar_kernel = batch_size_ > 1;
     // Monotone element starts advance downstream watermarks implicitly.
     d.emits_heartbeats = true;
     d.dataflow = declared_;
@@ -181,8 +181,8 @@ class VectorSource : public GeneratorSource<T> {
   /// the per-element path.
   bool FillRun(ColumnarRun<T>& out, std::size_t want) override {
     const std::size_t take = std::min(want, elements_.size() - next_);
-    out.AppendBatch(
-        std::span<const StreamElement<T>>(elements_.data() + next_, take));
+    out.reserve(out.size() + take);
+    for (std::size_t i = next_; i < next_ + take; ++i) out.Append(elements_[i]);
     next_ += take;
     return take < want;
   }

@@ -147,13 +147,13 @@ class Node {
   std::uint64_t elements_out() const {
     return elements_out_.load(std::memory_order_relaxed);
   }
-  /// Batched deliveries received on all input ports (`ReceiveBatch` calls;
+  /// Run deliveries received on all input ports (`ReceiveRun` calls;
   /// the per-element path counts none, so batches_in <= elements_in and the
   /// mean input batch length is elements_in / max(1, batches_in)).
   std::uint64_t batches_in() const {
     return batches_in_.load(std::memory_order_relaxed);
   }
-  /// Batched transfers to subscribers (`TransferBatch` calls).
+  /// Run transfers to subscribers (`TransferRun` calls).
   std::uint64_t batches_out() const {
     return batches_out_.load(std::memory_order_relaxed);
   }

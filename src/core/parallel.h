@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -41,9 +40,9 @@
 namespace pipes {
 
 /// Splitter with one input and `num_partitions` keyed outputs. Elements
-/// hash-route by `std::hash` of `key_fn(payload)`; batches route as one
-/// per-partition run each (one `ReceiveBatch` per non-empty partition), so
-/// the batched path stays batched end-to-end through the split.
+/// hash-route by `std::hash` of `key_fn(payload)`; runs route as one
+/// per-partition sub-run each (one `ReceiveRun` per non-empty partition),
+/// so the run path stays columnar end-to-end through the split.
 ///
 /// Downstream ports subscribe to a specific partition via
 /// `AddSubscriber(i, port)`. Per-partition output counts are exposed
@@ -60,7 +59,7 @@ class Partition : public Node, public PortOwner<T> {
         outputs_(num_partitions),
         counts_(std::make_unique<std::atomic<std::uint64_t>[]>(
             num_partitions)),
-        runs_(num_partitions),
+        col_runs_(num_partitions),
         input_(this, this, 0) {
     PIPES_CHECK(num_partitions > 0);
     for (std::size_t i = 0; i < num_partitions; ++i) {
@@ -113,7 +112,6 @@ class Partition : public Node, public PortOwner<T> {
     d.kind = NodeDescriptor::Kind::kPartition;
     d.op = "partition";
     d.port_upstreams = {input_.num_upstreams()};
-    d.has_batch_kernel = true;
     d.has_columnar_kernel = true;
     d.fan_out = outputs_.size();
     d.output_subscribers.resize(outputs_.size());
@@ -138,33 +136,11 @@ class Partition : public Node, public PortOwner<T> {
     }
   }
 
-  /// Routes the batch into per-partition runs and delivers one
-  /// `ReceiveBatch` per non-empty partition. A subsequence of an ordered
-  /// run is ordered, so every sub-run satisfies the batch contract.
-  void PortBatch(int /*port_id*/,
-                 std::span<const StreamElement<T>> batch) override {
-    for (auto& run : runs_) run.clear();
-    for (const StreamElement<T>& e : batch) {
-      runs_[PartitionIndex(e.payload)].push_back(e);
-    }
-    for (std::size_t p = 0; p < outputs_.size(); ++p) {
-      if (runs_[p].empty()) continue;
-      counts_[p].fetch_add(runs_[p].size(), std::memory_order_relaxed);
-      CountOut(runs_[p].size());
-      CountBatchOut();
-      PartitionOutput& out = outputs_[p];
-      out.level = std::max(out.level, runs_[p].back().start());
-      for (const Subscription& s : out.subscriptions) {
-        s.port->ReceiveBatch(s.slot, runs_[p]);
-      }
-    }
-  }
-
   /// Columnar kernel: routes the run into per-partition columnar sub-runs
-  /// and delivers one `ReceiveRun` per non-empty partition, so the columnar
-  /// path stays columnar through the split.
+  /// and delivers one `ReceiveRun` per non-empty partition. A subsequence
+  /// of an ordered run is ordered, so every sub-run satisfies the run
+  /// contract.
   void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
-    if (col_runs_.empty()) col_runs_.resize(outputs_.size());
     for (auto& r : col_runs_) r.clear();
     const std::size_t n = run.size();
     for (std::size_t i = 0; i < n; ++i) {
@@ -225,9 +201,7 @@ class Partition : public Node, public PortOwner<T> {
   /// Routed-element counters, one per partition; atomics because the
   /// snapshot layer reads them while a scheduler thread routes.
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
-  /// PortBatch scratch: per-partition runs of the batch being routed.
-  std::vector<std::vector<StreamElement<T>>> runs_;
-  /// PortRun scratch: per-partition columnar sub-runs (lazily sized).
+  /// PortRun scratch: per-partition columnar sub-runs.
   std::vector<ColumnarRun<T>> col_runs_;
   bool done_ = false;
   InputPort<T> input_;
@@ -270,7 +244,6 @@ class Merge : public Source<T>, public PortOwner<T> {
     for (const auto& port : ports_) {
       d.port_upstreams.push_back(port->num_upstreams());
     }
-    d.has_batch_kernel = true;
     d.has_columnar_kernel = true;
     d.fan_in = ports_.size();
     // Order-restoring staging: occupancy tracks replica scheduling skew,
@@ -284,14 +257,8 @@ class Merge : public Source<T>, public PortOwner<T> {
     staged_.Push(e);
   }
 
-  /// Batch kernel: stage the run; the one progress notification that
-  /// follows the batch does a single flush.
-  void PortBatch(int /*port_id*/,
-                 std::span<const StreamElement<T>> batch) override {
-    for (const StreamElement<T>& e : batch) staged_.Push(e);
-  }
-
-  /// Columnar kernel: stage straight from the columns.
+  /// Columnar kernel: stage straight from the columns; the one progress
+  /// notification that follows the run does a single flush.
   void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
     for (std::size_t i = 0; i < run.size(); ++i) {
       staged_.Push(run.ElementAt(i));

@@ -2,10 +2,8 @@
 #define PIPES_CORE_PIPE_H_
 
 #include <algorithm>
-#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/core/columnar.h"
 #include "src/core/element.h"
@@ -82,25 +80,18 @@ class BinaryDispatch : public PortOwner<L>, public PortOwner<R> {
 
   virtual void OnElementLeft(const StreamElement<L>& element) = 0;
   virtual void OnElementRight(const StreamElement<R>& element) = 0;
-  /// Batched variants; the defaults replay the batch element-by-element, so
-  /// binary operators keep working unmodified on the batched path.
-  virtual void OnBatchLeft(std::span<const StreamElement<L>> batch) {
-    for (const StreamElement<L>& e : batch) OnElementLeft(e);
-  }
-  virtual void OnBatchRight(std::span<const StreamElement<R>> batch) {
-    for (const StreamElement<R>& e : batch) OnElementRight(e);
-  }
-  /// Columnar variants; the defaults re-materialize and replay through the
-  /// AoS batch hooks (same shim as `PortOwner<T>::PortRun`).
+  /// Columnar variants; the defaults hand the rows to the element hooks
+  /// one at a time (same as `PortOwner<T>::PortRun`), so binary operators
+  /// keep working unmodified on the run path.
   virtual void OnRunLeft(const ColumnarRun<L>& run) {
-    std::vector<StreamElement<L>> scratch;
-    run.MaterializeTo(scratch);
-    OnBatchLeft(scratch);
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      OnElementLeft(run.ElementAt(i));
+    }
   }
   virtual void OnRunRight(const ColumnarRun<R>& run) {
-    std::vector<StreamElement<R>> scratch;
-    run.MaterializeTo(scratch);
-    OnBatchRight(scratch);
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      OnElementRight(run.ElementAt(i));
+    }
   }
   virtual void OnProgressSide(int side, Timestamp watermark) = 0;
   virtual void OnDoneSide(int side) = 0;
@@ -111,12 +102,6 @@ class BinaryDispatch : public PortOwner<L>, public PortOwner<R> {
   }
   void PortElement(int /*port_id*/, const StreamElement<R>& e) final {
     OnElementRight(e);
-  }
-  void PortBatch(int /*port_id*/, std::span<const StreamElement<L>> b) final {
-    OnBatchLeft(b);
-  }
-  void PortBatch(int /*port_id*/, std::span<const StreamElement<R>> b) final {
-    OnBatchRight(b);
   }
   void PortRun(int /*port_id*/, const ColumnarRun<L>& run) final {
     OnRunLeft(run);
@@ -139,21 +124,15 @@ class BinaryDispatch<T, T> : public PortOwner<T> {
 
   virtual void OnElementLeft(const StreamElement<T>& element) = 0;
   virtual void OnElementRight(const StreamElement<T>& element) = 0;
-  virtual void OnBatchLeft(std::span<const StreamElement<T>> batch) {
-    for (const StreamElement<T>& e : batch) OnElementLeft(e);
-  }
-  virtual void OnBatchRight(std::span<const StreamElement<T>> batch) {
-    for (const StreamElement<T>& e : batch) OnElementRight(e);
-  }
   virtual void OnRunLeft(const ColumnarRun<T>& run) {
-    std::vector<StreamElement<T>> scratch;
-    run.MaterializeTo(scratch);
-    OnBatchLeft(scratch);
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      OnElementLeft(run.ElementAt(i));
+    }
   }
   virtual void OnRunRight(const ColumnarRun<T>& run) {
-    std::vector<StreamElement<T>> scratch;
-    run.MaterializeTo(scratch);
-    OnBatchRight(scratch);
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      OnElementRight(run.ElementAt(i));
+    }
   }
   virtual void OnProgressSide(int side, Timestamp watermark) = 0;
   virtual void OnDoneSide(int side) = 0;
@@ -164,13 +143,6 @@ class BinaryDispatch<T, T> : public PortOwner<T> {
       OnElementLeft(e);
     } else {
       OnElementRight(e);
-    }
-  }
-  void PortBatch(int port_id, std::span<const StreamElement<T>> b) final {
-    if (port_id == kLeft) {
-      OnBatchLeft(b);
-    } else {
-      OnBatchRight(b);
     }
   }
   void PortRun(int port_id, const ColumnarRun<T>& run) final {

@@ -2,7 +2,6 @@
 #define PIPES_CORE_PIPE_EDGE_H_
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "src/common/macros.h"
@@ -143,10 +142,9 @@ class PipeBase {
 
 /// The typed pipe edge: owns the staged output of one `Source<T>` as an
 /// ordered sequence of columnar runs interleaved with control signals.
-/// Consecutive element transfers coalesce into the tail run (AoS batches
-/// are transposed into columns at staging time, so delivery is always
-/// columnar); heartbeats and done markers keep their position relative to
-/// the element runs they arrived between.
+/// Consecutive element and run transfers coalesce into the tail run, so
+/// delivery is always columnar; heartbeats and done markers keep their
+/// position relative to the element runs they arrived between.
 template <typename T>
 class Pipe final : public PipeBase {
  public:
@@ -160,21 +158,9 @@ class Pipe final : public PipeBase {
     NotifyReady();
   }
 
-  void StageBatch(std::span<const StreamElement<T>> batch) {
-    TailRun().AppendBatch(batch);
-    staged_units_ += batch.size();
-    NotifyReady();
-  }
-
-  void StageRun(const ColumnarRun<T>& run) {
-    TailRun().AppendRun(run);
-    staged_units_ += run.size();
-    NotifyReady();
-  }
-
-  /// Consuming overload: when the tail entry is a fresh (pool-recycled)
-  /// run, the columns are swapped in — zero copy — and the producer gets
-  /// the pooled capacity back in `run` for its next output.
+  /// When the tail entry is a fresh (pool-recycled) run, the columns are
+  /// swapped in — zero copy — and the producer gets the pooled capacity
+  /// back in `run` for its next output.
   void StageRun(ColumnarRun<T>&& run) {
     staged_units_ += run.size();
     TailRun().TakeFrom(run);

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "src/common/macros.h"
@@ -46,29 +45,17 @@ class PortOwner {
   /// `PortProgress` for a cross-upstream ordering guarantee.
   virtual void PortElement(int port_id, const StreamElement<T>& element) = 0;
 
-  /// A batch of elements arrived on port `port_id` — a non-empty run from
-  /// one upstream, ordered by non-decreasing start, carrying no control
-  /// signals. The default delegates to `PortElement` element-by-element, so
-  /// owners that never override this behave exactly as on the per-element
-  /// path; cheap stateless operators override it with a tight kernel that
-  /// forwards one output batch downstream (DESIGN.md "Batched delivery").
-  virtual void PortBatch(int port_id, std::span<const StreamElement<T>> batch) {
-    for (const StreamElement<T>& e : batch) {
-      PortElement(port_id, e);
-    }
-  }
-
-  /// A columnar run arrived on port `port_id` — same contract as
-  /// `PortBatch` (non-empty, one upstream, non-decreasing starts, no
-  /// control signals) in SoA layout. The default re-materializes the run
-  /// and delegates to `PortBatch`, so operators without a columnar kernel
-  /// behave exactly as on the AoS path; the hot stateless operators
-  /// (filter/map/window/union) override it with column-at-a-time kernels
-  /// that forward a columnar run downstream (DESIGN.md §4f).
+  /// A columnar run arrived on port `port_id` — a non-empty run from one
+  /// upstream, ordered by non-decreasing start, carrying no control signals
+  /// (DESIGN.md "Run delivery"). The default hands the rows to `PortElement`
+  /// one at a time, so owners that never override this behave exactly as on
+  /// the per-element path; the hot operators override it with
+  /// column-at-a-time kernels that forward a columnar run downstream
+  /// (DESIGN.md §4f).
   virtual void PortRun(int port_id, const ColumnarRun<T>& run) {
-    std::vector<StreamElement<T>> scratch;
-    run.MaterializeTo(scratch);
-    PortBatch(port_id, scratch);
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      PortElement(port_id, run.ElementAt(i));
+    }
   }
 
   /// The port's merged watermark advanced to `watermark`: no future element
@@ -161,51 +148,17 @@ class InputPort {
     NotifyProgress();
   }
 
-  /// Batched delivery: `batch` is a non-empty run from one upstream,
+  /// Run delivery: `run` is a non-empty columnar run from one upstream,
   /// ordered by non-decreasing start. Order is validated once, and exactly
-  /// one merge + progress notification happens per batch (after the owner
-  /// saw the elements, mirroring the element-then-progress order of
-  /// `Receive`).
+  /// one merge + progress notification happens per run (after the owner saw
+  /// the elements, mirroring the element-then-progress order of `Receive`).
   ///
   /// The slot watermark is raised in two steps: to the *front* start before
   /// delivery (which the front element itself proves) and to the *back*
   /// start only afterwards. Raising to the back up front would let a
-  /// stateful owner that consults `watermark()` while consuming the batch
+  /// stateful owner that consults `watermark()` while consuming the run
   /// (e.g. a join flushing its ordered staging buffer per element) release
-  /// results that later elements of the same batch can still precede.
-  void ReceiveBatch(int slot, std::span<const StreamElement<T>> batch) {
-    if (batch.empty()) return;
-    PIPES_DCHECK(ValidSlot(slot) && slots_[slot].live);
-    Upstream& up = slots_[slot];
-    PIPES_DCHECK(batch.front().start() >= up.watermark ||
-                 up.watermark == kMinTimestamp);
-    PIPES_DCHECK(std::is_sorted(
-        batch.begin(), batch.end(),
-        [](const StreamElement<T>& a, const StreamElement<T>& b) {
-          return a.start() < b.start();
-        }));
-    RaiseSlotWatermark(up, batch.front().start());
-    owner_node_->CountIn(batch.size());
-    owner_node_->CountBatchIn();
-    trace::RecordBatchHops(owner_node_->id(), batch.data(), batch.size(),
-                           trace::Hop::kReceive);
-    if (obs::MetricsEnabled() && --latency_countdown_ == 0) {
-      latency_countdown_ = obs::kLatencySamplePeriod;
-      const std::int64_t t0 = obs::SteadyNowNs();
-      owner_->PortBatch(port_id_, batch);
-      owner_node_->service_histogram().Record(
-          static_cast<std::uint64_t>(obs::SteadyNowNs() - t0));
-    } else {
-      owner_->PortBatch(port_id_, batch);
-    }
-    RaiseSlotWatermark(up, batch.back().start());
-    NotifyProgress();
-  }
-
-  /// Columnar delivery: `ReceiveBatch` for a SoA run. Identical
-  /// bookkeeping — order validated once, slot watermark raised to the front
-  /// start before delivery and to the back start only after (see
-  /// `ReceiveBatch` on why), one merge + progress notification per run.
+  /// results that later elements of the same run can still precede.
   void ReceiveRun(int slot, const ColumnarRun<T>& run) {
     if (run.empty()) return;
     PIPES_DCHECK(ValidSlot(slot) && slots_[slot].live);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,7 +64,6 @@ class CollectorSink : public Sink<T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = Sink<T>::Describe();
     d.op = "collector-sink";
-    d.has_batch_kernel = true;
     d.has_columnar_kernel = true;
     return d;
   }
@@ -73,11 +71,6 @@ class CollectorSink : public Sink<T> {
  protected:
   void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
     elements_.push_back(e);
-  }
-
-  void PortBatch(int /*port_id*/,
-                 std::span<const StreamElement<T>> batch) override {
-    elements_.insert(elements_.end(), batch.begin(), batch.end());
   }
 
   void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
@@ -101,7 +94,6 @@ class CountingSink : public Sink<T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = Sink<T>::Describe();
     d.op = "counting-sink";
-    d.has_batch_kernel = true;
     d.has_columnar_kernel = true;
     return d;
   }
@@ -111,14 +103,6 @@ class CountingSink : public Sink<T> {
     ++count_;
     // Defeat dead-code elimination of the whole upstream pipeline.
     checksum_ ^= static_cast<std::uint64_t>(e.start());
-  }
-
-  void PortBatch(int /*port_id*/,
-                 std::span<const StreamElement<T>> batch) override {
-    count_ += batch.size();
-    for (const StreamElement<T>& e : batch) {
-      checksum_ ^= static_cast<std::uint64_t>(e.start());
-    }
   }
 
   /// Columnar kernel: one pass over the starts column alone.

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -129,64 +128,35 @@ class Source : public Node {
     }
   }
 
-  /// Delivers a whole run of elements to all subscribers in one call.
-  /// `batch` must be ordered by non-decreasing start and must not start
-  /// before anything already transferred; control signals never ride inside
-  /// a batch (use TransferHeartbeat / TransferDone). Bookkeeping
-  /// (`last_start_`, counters) updates once per batch, and each subscriber
-  /// pays one virtual dispatch + one watermark merge instead of one per
-  /// element. `TransferBatch` on a single-element span is semantically
-  /// identical to `Transfer`.
-  void TransferBatch(std::span<const Element> batch) {
-    if (batch.empty()) return;
-    PIPES_DCHECK(!done_);
-    PIPES_DCHECK(batch.front().start() >= last_start_ ||
-                 last_start_ == kMinTimestamp);
-    PIPES_DCHECK(std::is_sorted(batch.begin(), batch.end(),
-                                [](const Element& a, const Element& b) {
-                                  return a.start() < b.start();
-                                }));
-    last_start_ = std::max(last_start_, batch.back().start());
-    CountOut(batch.size());
-    this->CountBatchOut();
-    this->AdvanceProgress(last_start_);
-    trace::RecordBatchHops(this->id(), batch.data(), batch.size(),
-                           trace::Hop::kEmit);
-    if (stage_ != nullptr) {
-      stage_->StageBatch(batch);
-      return;
-    }
-    for (const Subscription& s : subscriptions_) {
-      s.port->ReceiveBatch(s.slot, batch);
-    }
-  }
-
-  /// `TransferBatch` for a columnar run: same ordering contract and
-  /// bookkeeping, but the elements stay in SoA layout end to end —
-  /// subscribers receive it through `ReceiveRun`/`PortRun`, so two columnar
+  /// Delivers a whole columnar run to all subscribers in one call. `run`
+  /// must be ordered by non-decreasing start and must not start before
+  /// anything already transferred; control signals never ride inside a run
+  /// (use TransferHeartbeat / TransferDone). Bookkeeping (`last_start_`,
+  /// counters) updates once per run, and each subscriber pays one virtual
+  /// dispatch + one watermark merge instead of one per element; two columnar
   /// kernels compose without ever materializing `StreamElement`s between
   /// them.
-  void TransferRun(const ColumnarRun<T>& run) {
-    if (run.empty()) return;
-    BookkeepRunTransfer(run);
-    if (stage_ != nullptr) {
-      stage_->StageRun(run);
-      return;
-    }
-    for (const Subscription& s : subscriptions_) {
-      s.port->ReceiveRun(s.slot, run);
-    }
-  }
-
-  /// Consuming `TransferRun`: under an executor the columns are swapped
-  /// into the pipe's staged entry instead of copied, and `run` comes back
-  /// cleared with recycled capacity — so an operator that keeps one scratch
-  /// run and hands it off every flush stages with zero copies and zero
-  /// allocations in steady state. On the direct path `run` is left intact
-  /// (treat it as unspecified and `clear()` before reuse either way).
+  ///
+  /// Under an executor the columns are swapped into the pipe's staged entry
+  /// instead of copied, and `run` comes back cleared with recycled capacity
+  /// — so an operator that keeps one scratch run and hands it off every
+  /// flush stages with zero copies and zero allocations in steady state. On
+  /// the direct path `run` is left intact (treat it as unspecified and
+  /// `clear()` before reuse either way).
   void TransferRun(ColumnarRun<T>&& run) {
     if (run.empty()) return;
-    BookkeepRunTransfer(run);
+    PIPES_DCHECK(!done_);
+    PIPES_DCHECK(run.starts.front() >= last_start_ ||
+                 last_start_ == kMinTimestamp);
+    PIPES_DCHECK(std::is_sorted(run.starts.begin(), run.starts.end()));
+    PIPES_DCHECK(run.ends.size() == run.starts.size() &&
+                 run.payloads.size() == run.starts.size());
+    last_start_ = std::max(last_start_, run.starts.back());
+    CountOut(run.size());
+    this->CountBatchOut();
+    this->AdvanceProgress(last_start_);
+    trace::RecordRunHops(this->id(), run.starts.data(), run.size(),
+                         trace::Hop::kEmit);
     if (stage_ != nullptr) {
       stage_->StageRun(std::move(run));
       return;
@@ -231,23 +201,6 @@ class Source : public Node {
  private:
   template <typename U>
   friend class Pipe;
-
-  /// The shared order-check/bookkeeping block of both `TransferRun`
-  /// overloads (`run` is non-empty here).
-  void BookkeepRunTransfer(const ColumnarRun<T>& run) {
-    PIPES_DCHECK(!done_);
-    PIPES_DCHECK(run.starts.front() >= last_start_ ||
-                 last_start_ == kMinTimestamp);
-    PIPES_DCHECK(std::is_sorted(run.starts.begin(), run.starts.end()));
-    PIPES_DCHECK(run.ends.size() == run.starts.size() &&
-                 run.payloads.size() == run.starts.size());
-    last_start_ = std::max(last_start_, run.starts.back());
-    CountOut(run.size());
-    this->CountBatchOut();
-    this->AdvanceProgress(last_start_);
-    trace::RecordRunHops(this->id(), run.starts.data(), run.size(),
-                         trace::Hop::kEmit);
-  }
 
   // --- Staged delivery (called from Pipe<T>::Deliver) -----------------------
   // Bookkeeping already happened at staging time; these only run the

@@ -173,24 +173,8 @@ inline void RecordHop(std::uint64_t node_id, Timestamp element_start,
   GlobalRing().Record(node_id, element_start, hop);
 }
 
-/// Batch variant: scans the batch for sampled starts only when tracing is
-/// enabled; one relaxed load when off.
-template <typename Element>
-inline void RecordBatchHops(std::uint64_t node_id,
-                            const Element* elements, std::size_t n,
-                            Hop hop) {
-  if (!Enabled()) return;
-  const auto mask = static_cast<std::uint64_t>(SamplePeriod()) - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    if ((static_cast<std::uint64_t>(elements[i].start()) & mask) == 0) {
-      GlobalRing().Record(node_id, elements[i].start(), hop);
-    }
-  }
-}
-
-/// Columnar variant: like `RecordBatchHops` but over a contiguous column of
-/// interval starts (the SoA run layout has no elements to take `.start()`
-/// of). One relaxed load when tracing is off.
+/// Run variant: scans a contiguous column of interval starts for sampled
+/// elements only when tracing is enabled; one relaxed load when off.
 inline void RecordRunHops(std::uint64_t node_id, const Timestamp* starts,
                           std::size_t n, Hop hop) {
   if (!Enabled()) return;

@@ -1,6 +1,7 @@
 #include "src/cql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace pipes::cql {
 
@@ -64,12 +65,16 @@ Result<std::vector<Token>> Tokenize(const std::string& input) {
         }
       }
       token.text = input.substr(i, j - i);
-      if (is_double) {
-        token.kind = TokenKind::kDouble;
-        token.double_value = std::stod(token.text);
-      } else {
-        token.kind = TokenKind::kInt;
-        token.int_value = std::stoll(token.text);
+      token.kind = is_double ? TokenKind::kDouble : TokenKind::kInt;
+      const char* first = input.data() + i;
+      const char* last = input.data() + j;
+      const std::from_chars_result parsed =
+          is_double ? std::from_chars(first, last, token.double_value)
+                    : std::from_chars(first, last, token.int_value);
+      if (parsed.ec != std::errc()) {
+        return Status::ParseError("numeric literal " + token.text +
+                                  " out of range at offset " +
+                                  std::to_string(i));
       }
       i = j;
     } else if (c == '\'') {

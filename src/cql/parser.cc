@@ -1,5 +1,6 @@
 #include "src/cql/parser.h"
 
+#include <limits>
 #include <utility>
 
 #include "src/cql/lexer.h"
@@ -271,6 +272,9 @@ class Parser {
       Advance();
     } else {
       return Error("expected time unit");
+    }
+    if (value > std::numeric_limits<Timestamp>::max() / multiplier) {
+      return Error("duration out of range");
     }
     return Timestamp{value * multiplier};
   }

@@ -40,18 +40,12 @@ class Engine::ResultSink : public Sink<relational::Tuple> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = Sink::Describe();
     d.op = "engine-result-sink";
-    d.has_batch_kernel = true;
     d.has_columnar_kernel = true;
     return d;
   }
 
  protected:
   void PortElement(int /*port_id*/, const Element& e) override { Deliver(e); }
-
-  void PortBatch(int /*port_id*/,
-                 std::span<const Element> batch) override {
-    for (const Element& e : batch) Deliver(e);
-  }
 
   void PortRun(int /*port_id*/,
                const ColumnarRun<relational::Tuple>& run) override {
@@ -60,9 +54,7 @@ class Engine::ResultSink : public Sink<relational::Tuple> {
       run.MaterializeTo(queue_);
       return;
     }
-    std::vector<Element> scratch;
-    run.MaterializeTo(scratch);
-    for (const Element& e : scratch) Deliver(e);
+    for (std::size_t i = 0; i < run.size(); ++i) Deliver(run.ElementAt(i));
   }
 
  private:
@@ -178,6 +170,7 @@ Status Engine::PushLocked(InletSource* inlet,
         "': " + std::to_string(element.start()) + " < " +
         std::to_string(inlet->last_start()));
   }
+  EnsureExecutorLocked();
   inlet->Push(element);
   return Status::OK();
 }
@@ -200,6 +193,7 @@ Status StreamWriter::Heartbeat(Timestamp t) {
     return Status::FailedPrecondition("stream '" + inlet_->name() +
                                       "' is closed");
   }
+  engine_->EnsureExecutorLocked();
   inlet_->Heartbeat(t);
   return Status::OK();
 }
@@ -208,6 +202,7 @@ Status StreamWriter::Close() {
   if (engine_ == nullptr) return Status::FailedPrecondition("empty writer");
   std::lock_guard<std::mutex> lock(engine_->mu_);
   PIPES_RETURN_IF_ERROR(engine_->InletStatusLocked(inlet_));
+  engine_->EnsureExecutorLocked();
   inlet_->Close();
   return Status::OK();
 }

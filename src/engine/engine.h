@@ -46,6 +46,8 @@
 /// executor destructor drains ready pipes without polling sources), so
 /// registering or cancelling a query never quiesces the rest of the graph —
 /// in-flight elements of other queries keep flowing on the next pump.
+/// Writers resume the executor before they publish, so a pushed element is
+/// always staged and delivered by `Pump`, never inside `Push`.
 
 namespace pipes::engine {
 

@@ -114,9 +114,33 @@ PhysicalBuilder::PhysicalBuilder(QueryGraph* graph,
   PIPES_CHECK(graph != nullptr && catalog != nullptr);
 }
 
+namespace {
+
+/// Rejects window parameters no window operator accepts — non-positive
+/// RANGE, SLIDE or ROWS — anywhere in `plan`, so a bad plan fails before
+/// the first of its operators joins the graph.
+Status ValidateWindows(const LogicalPlan& plan) {
+  for (const LogicalPlan& child : plan->children) {
+    PIPES_RETURN_IF_ERROR(ValidateWindows(child));
+  }
+  if (plan->kind != LogicalOp::Kind::kStreamScan) return Status::OK();
+  const WindowSpec& w = plan->window;
+  const bool positive =
+      (w.kind != WindowKind::kRange || w.range > 0) &&
+      (w.kind != WindowKind::kRangeSlide || (w.range > 0 && w.slide > 0)) &&
+      (w.kind != WindowKind::kRows || w.rows > 0);
+  if (positive) return Status::OK();
+  return Status::InvalidArgument("window [" + w.ToString() + "] on stream '" +
+                                 plan->stream_name +
+                                 "' needs positive RANGE, SLIDE and ROWS");
+}
+
+}  // namespace
+
 Result<Source<Tuple>*> PhysicalBuilder::Build(
     const LogicalPlan& plan, SubplanMap* registry, BuildStats* stats,
     std::vector<std::string>* used_postorder) {
+  PIPES_RETURN_IF_ERROR(ValidateWindows(plan));
   BuildStats local_stats;
   SubplanMap local_registry;
   std::set<std::string> used_set;

@@ -28,7 +28,7 @@ namespace pipes::workloads {
 
 /// Wraps a `NexmarkGenerator` into an active source of point elements.
 /// `batch_size` > 1 makes the source emit that many events per
-/// `TransferBatch` — the batching knob for the auction workload.
+/// `TransferRun` — the batching knob for the auction workload.
 FunctionSource<NexmarkEvent>& AddNexmarkSource(QueryGraph& graph,
                                                NexmarkOptions options,
                                                std::size_t batch_size = 1);

@@ -1,6 +1,7 @@
 #ifndef PIPES_WORKLOADS_TRAFFIC_QUERIES_H_
 #define PIPES_WORKLOADS_TRAFFIC_QUERIES_H_
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -63,6 +64,7 @@ class SustainedConditionDetector
   NodeDescriptor Describe() const override {
     NodeDescriptor d = UnaryPipe<In, Alarm>::Describe();
     d.op = "sustained-condition";
+    d.has_columnar_kernel = true;
     // At most one Run entry per key, one key per input element; at most
     // one alarm per run.
     d.dataflow.state_bytes_per_element = sizeof(Key) + 64 + 32;
@@ -71,26 +73,20 @@ class SustainedConditionDetector
 
  protected:
   void PortElement(int /*port_id*/, const StreamElement<In>& e) override {
-    const Key key = key_fn_(e.payload);
-    Run& run = runs_[key];
-    if (!pred_(e.payload)) {
-      run.active = false;
-      return;
+    if (std::optional<Alarm> alarm = Observe(e.payload, e.start(), e.end())) {
+      this->Transfer(StreamElement<Alarm>(*alarm, e.interval));
     }
-    if (!run.active || e.start() > run.end) {
-      // Gap (or first observation): a new run starts.
-      run.active = true;
-      run.alarmed = false;
-      run.start = e.start();
-      run.end = e.end();
-    } else {
-      run.end = std::max(run.end, e.end());
+  }
+
+  /// Columnar kernel: the alarms a run raises leave as one output run.
+  void PortRun(int /*port_id*/, const ColumnarRun<In>& run) override {
+    alarms_.clear();
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      std::optional<Alarm> alarm =
+          Observe(run.payloads[i], run.starts[i], run.ends[i]);
+      if (alarm) alarms_.Append(*alarm, run.starts[i], run.ends[i]);
     }
-    if (!run.alarmed && run.end - run.start >= min_duration_) {
-      run.alarmed = true;
-      this->Transfer(StreamElement<Alarm>(
-          Alarm{key, run.start, run.end - run.start}, e.interval));
-    }
+    this->TransferRun(std::move(alarms_));
   }
 
  private:
@@ -101,15 +97,41 @@ class SustainedConditionDetector
     Timestamp end = 0;
   };
 
+  /// Folds one element into its key's run; returns the alarm it raises.
+  std::optional<Alarm> Observe(const In& payload, Timestamp start,
+                               Timestamp end) {
+    const Key key = key_fn_(payload);
+    Run& run = runs_[key];
+    if (!pred_(payload)) {
+      run.active = false;
+      return std::nullopt;
+    }
+    if (!run.active || start > run.end) {
+      // Gap (or first observation): a new run starts.
+      run.active = true;
+      run.alarmed = false;
+      run.start = start;
+      run.end = end;
+    } else {
+      run.end = std::max(run.end, end);
+    }
+    if (run.alarmed || run.end - run.start < min_duration_) {
+      return std::nullopt;
+    }
+    run.alarmed = true;
+    return Alarm{key, run.start, run.end - run.start};
+  }
+
   KeyFn key_fn_;
   Pred pred_;
   Timestamp min_duration_;
   std::unordered_map<Key, Run> runs_;
+  ColumnarRun<Alarm> alarms_;
 };
 
 /// Wraps a `TrafficGenerator` into an active source of point elements
 /// (validity [timestamp, timestamp+1)). `batch_size` > 1 makes the source
-/// emit that many readings per `TransferBatch` — the batching knob for the
+/// emit that many readings per `TransferRun` — the batching knob for the
 /// traffic workload.
 FunctionSource<TrafficReading>& AddTrafficSource(QueryGraph& graph,
                                                  TrafficOptions options,

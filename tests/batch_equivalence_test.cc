@@ -1,25 +1,27 @@
-// Property tests for the batched transfer path: a graph run with
-// `TransferBatch` (source batch sizes > 1) must be indistinguishable at the
-// sink from the same graph run per-element — the same elements in the same
-// order, the same done signal, and the same final watermark. Progress
-// notifications may be coarser (one merge per batch instead of one per
+// Run-size x train-size equivalence: a graph whose sources emit columnar
+// runs (`TransferRun`, source batch sizes > 1) must be indistinguishable at
+// the sink from the same graph run per-element — the same elements in the
+// same order, the same done signal, and the same final watermark. Progress
+// notifications may be coarser (one merge per run instead of one per
 // element) but must be a monotone subsequence of the per-element sequence:
-// batching may skip intermediate watermarks, never invent or reorder them.
+// runs may skip intermediate watermarks, never invent or reorder them.
+// Each seed picks its own scheduler train size, so the sweep covers run
+// sizes {2, 7, 32, 512} against eight train sizes between 1 and 14.
 //
-// Chains cover the operators with dedicated batch kernels (filter, map,
-// union, windows, coalesce), the default replay path (join, count window),
-// and a mixed-path graph (batched source -> non-overriding operator ->
-// buffer), per DESIGN.md "Batched delivery".
+// Chains cover the operators with columnar kernels (filter, map, union,
+// windows, coalesce, buffer), the join's per-row fallback, and a mixed-path
+// graph (run source -> element-only count window -> buffer), per DESIGN.md
+// "Run delivery".
 //
 // Every chain additionally runs under the `PipeExecutor` (DESIGN.md §4f),
-// where transfers stage columnar runs into pipe edges and the columnar
-// kernels carry the data: the executor run must produce the same element
-// multiset, done state, and final watermark as the per-element reference —
-// the columnar ≡ per-element kernel-equivalence check.
+// where transfers stage columnar runs into pipe edges: the executor run
+// must produce the same element multiset, done state, and final watermark
+// as the per-element reference.
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -75,17 +77,18 @@ class ProbeSink : public Sink<int> {
 };
 
 /// Builds a graph around pre-built input streams and returns what the probe
-/// saw. The builder wires sources (created with `batch_size`) to the probe.
+/// saw. The build function wires sources (created with `run_size`) to the
+/// probe.
 using BuildFn = std::function<void(
     QueryGraph&, const std::vector<std::vector<StreamElement<int>>>&,
-    std::size_t batch_size, ProbeSink&)>;
+    std::size_t run_size, ProbeSink&)>;
 
 Observation RunGraph(const std::vector<std::vector<StreamElement<int>>>& inputs,
-                std::size_t batch_size, std::size_t train_size,
+                std::size_t run_size, std::size_t train_size,
                 const BuildFn& build) {
   QueryGraph graph;
   auto& probe = graph.Add<ProbeSink>();
-  build(graph, inputs, batch_size, probe);
+  build(graph, inputs, run_size, probe);
   scheduler::RoundRobinStrategy strategy;
   scheduler::SingleThreadScheduler driver(graph, strategy, train_size);
   driver.RunToCompletion();
@@ -102,10 +105,10 @@ Observation RunGraph(const std::vector<std::vector<StreamElement<int>>>& inputs,
 /// through the columnar kernels.
 Observation RunGraphOnExecutor(
     const std::vector<std::vector<StreamElement<int>>>& inputs,
-    std::size_t batch_size, std::size_t train_size, const BuildFn& build) {
+    std::size_t run_size, std::size_t train_size, const BuildFn& build) {
   QueryGraph graph;
   auto& probe = graph.Add<ProbeSink>();
-  build(graph, inputs, batch_size, probe);
+  build(graph, inputs, run_size, probe);
   scheduler::RoundRobinStrategy strategy;
   scheduler::PipeExecutor executor(graph, strategy, train_size);
   executor.RunToCompletion();
@@ -137,57 +140,55 @@ bool IsSubsequence(const std::vector<Timestamp>& sub,
 }
 
 /// Whether the stricter progress check applies. Downstream of a `Buffer`
-/// the batch = 1 reference is itself re-batched by the train drain, and the
+/// the run size 1 reference is itself re-batched by the train drain, and the
 /// train boundaries shift with the number of queued heartbeat entries — so
 /// only direct (buffer-free) paths guarantee the subsequence relation.
 enum class ProgressCheck { kSubsequenceOfReference, kMonotoneOnly };
 
-/// Core assertion: for every batch size, the run is element-for-element
-/// identical to the per-element (batch = 1) run and finishes with the same
-/// done/watermark state. Progress values are always sorted; on buffer-free
-/// paths they must additionally be a subsequence of the per-element run's
-/// progress values (batching samples the same watermark trajectory at
-/// coarser points — it may skip values, never invent or reorder them).
-void ExpectBatchedEqualsPerElement(
+/// Core assertion: for every run size, the graph is element-for-element
+/// identical to the per-element (run size 1) graph and finishes with the
+/// same done/watermark state. Progress values are always sorted; on
+/// buffer-free paths they must additionally be a subsequence of the
+/// per-element progress values (runs sample the same watermark trajectory
+/// at coarser points — they may skip values, never invent or reorder them).
+void ExpectRunsEqualPerElement(
     const std::vector<std::vector<StreamElement<int>>>& inputs,
     std::size_t train_size, const BuildFn& build,
     ProgressCheck progress_check = ProgressCheck::kSubsequenceOfReference) {
-  const Observation reference = RunGraph(inputs, /*batch_size=*/1, train_size,
-                                    build);
+  const Observation reference = RunGraph(inputs, /*run_size=*/1, train_size,
+                                         build);
   EXPECT_TRUE(reference.done);
-  for (std::size_t batch_size : {2u, 7u, 32u, 512u}) {
-    SCOPED_TRACE("batch_size=" + std::to_string(batch_size) +
+  for (std::size_t run_size : {2u, 7u, 32u, 512u}) {
+    SCOPED_TRACE("run_size=" + std::to_string(run_size) +
                  " train_size=" + std::to_string(train_size));
-    const Observation batched = RunGraph(inputs, batch_size, train_size, build);
-    EXPECT_EQ(batched.elements, reference.elements);
-    EXPECT_EQ(batched.done, reference.done);
-    EXPECT_EQ(batched.final_watermark, reference.final_watermark);
-    EXPECT_TRUE(std::is_sorted(batched.progress.begin(),
-                               batched.progress.end()));
+    const Observation runs = RunGraph(inputs, run_size, train_size, build);
+    EXPECT_EQ(runs.elements, reference.elements);
+    EXPECT_EQ(runs.done, reference.done);
+    EXPECT_EQ(runs.final_watermark, reference.final_watermark);
+    EXPECT_TRUE(std::is_sorted(runs.progress.begin(), runs.progress.end()));
     if (progress_check == ProgressCheck::kSubsequenceOfReference) {
-      // On failure, name the first batched watermark the reference run
-      // never notified — far more useful than two truncated vector dumps.
+      // On failure, name the first run-path watermark the reference never
+      // notified — far more useful than two truncated vector dumps.
       std::size_t matched = 0;
       for (Timestamp t : reference.progress) {
-        if (matched < batched.progress.size() &&
-            batched.progress[matched] == t) {
+        if (matched < runs.progress.size() && runs.progress[matched] == t) {
           ++matched;
         }
       }
-      EXPECT_TRUE(IsSubsequence(batched.progress, reference.progress))
-          << "batched progress is not a subsequence of per-element progress; "
-          << "first unmatched batched watermark: "
-          << batched.progress[std::min(matched, batched.progress.size() - 1)];
+      EXPECT_TRUE(IsSubsequence(runs.progress, reference.progress))
+          << "run progress is not a subsequence of per-element progress; "
+          << "first unmatched run watermark: "
+          << runs.progress[std::min(matched, runs.progress.size() - 1)];
     }
   }
   // Executor arm: the same chains on the pipe-polled driver, where the
   // columnar kernels carry the data. The executor interleaves multi-source
   // arrivals differently from the recursive drivers, so the comparison is
   // by element multiset plus end state.
-  for (std::size_t batch_size : {1u, 7u, 64u}) {
-    SCOPED_TRACE("executor batch_size=" + std::to_string(batch_size));
+  for (std::size_t run_size : {1u, 7u, 64u}) {
+    SCOPED_TRACE("executor run_size=" + std::to_string(run_size));
     const Observation exec =
-        RunGraphOnExecutor(inputs, batch_size, train_size, build);
+        RunGraphOnExecutor(inputs, run_size, train_size, build);
     EXPECT_EQ(SortedByElement(exec.elements),
               SortedByElement(reference.elements));
     EXPECT_EQ(exec.done, reference.done);
@@ -210,12 +211,12 @@ class BatchEquivalence : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(BatchEquivalence, FilterMapChain) {
   const auto input = Stream();
-  ExpectBatchedEqualsPerElement(
+  ExpectRunsEqualPerElement(
       {input}, TrainSize(),
-      [](QueryGraph& graph, const auto& inputs, std::size_t batch_size,
+      [](QueryGraph& graph, const auto& inputs, std::size_t run_size,
          ProbeSink& probe) {
         auto& source = graph.Add<VectorSource<int>>(inputs[0], "source",
-                                                    batch_size);
+                                                    run_size);
         auto pred = [](int v) { return v % 3 != 0; };
         auto& filter = graph.Add<Filter<int, decltype(pred)>>(pred);
         auto fn = [](int v) { return v * 2 + 1; };
@@ -231,12 +232,12 @@ TEST_P(BatchEquivalence, WindowedCoalesceChain) {
   options.payload_domain = 3;  // frequent equal payloads to coalesce
   options.max_duration = 1;    // raw point stream
   const auto input = Stream(options);
-  ExpectBatchedEqualsPerElement(
+  ExpectRunsEqualPerElement(
       {input}, TrainSize(),
-      [](QueryGraph& graph, const auto& inputs, std::size_t batch_size,
+      [](QueryGraph& graph, const auto& inputs, std::size_t run_size,
          ProbeSink& probe) {
         auto& source = graph.Add<VectorSource<int>>(inputs[0], "source",
-                                                    batch_size);
+                                                    run_size);
         auto& window = graph.Add<TimeWindow<int>>(/*size=*/8);
         auto& coalesce = graph.Add<Coalesce<int>>();
         source.AddSubscriber(window.input());
@@ -248,12 +249,12 @@ TEST_P(BatchEquivalence, WindowedCoalesceChain) {
 TEST_P(BatchEquivalence, UnionOfTwoBatchedSources) {
   const auto a = Stream();
   const auto b = Stream();
-  ExpectBatchedEqualsPerElement(
+  ExpectRunsEqualPerElement(
       {a, b}, TrainSize(),
-      [](QueryGraph& graph, const auto& inputs, std::size_t batch_size,
+      [](QueryGraph& graph, const auto& inputs, std::size_t run_size,
          ProbeSink& probe) {
-        auto& sa = graph.Add<VectorSource<int>>(inputs[0], "a", batch_size);
-        auto& sb = graph.Add<VectorSource<int>>(inputs[1], "b", batch_size);
+        auto& sa = graph.Add<VectorSource<int>>(inputs[0], "a", run_size);
+        auto& sb = graph.Add<VectorSource<int>>(inputs[1], "b", run_size);
         auto& u = graph.Add<Union<int>>();
         sa.AddSubscriber(u.left());
         sb.AddSubscriber(u.right());
@@ -261,47 +262,51 @@ TEST_P(BatchEquivalence, UnionOfTwoBatchedSources) {
       });
 }
 
-// The join has no batch kernel: its elements arrive through the default
-// per-element replay. This is the regression test for the watermark raise
-// order in ReceiveBatch — an eagerly raised watermark would let the join
-// flush staged results ahead of later elements of the same input batch.
+// While a memory limit is armed (`ShedActive()`), the join's columnar
+// kernels fall back to replaying each run row by row through
+// `OnElement{Left,Right}`; a limit no run ever reaches keeps the results
+// exact. This is the regression test for the two-step watermark raise in
+// ReceiveRun — an eagerly raised watermark would let the join flush staged
+// results ahead of later elements of the same input run.
 TEST_P(BatchEquivalence, HashJoinViaDefaultReplay) {
   RandomStreamOptions options;
   options.count = 120;
   options.payload_domain = 5;  // frequent key collisions
   const auto left = Stream(options);
   const auto right = Stream(options);
-  ExpectBatchedEqualsPerElement(
+  ExpectRunsEqualPerElement(
       {left, right}, TrainSize(),
-      [](QueryGraph& graph, const auto& inputs, std::size_t batch_size,
+      [](QueryGraph& graph, const auto& inputs, std::size_t run_size,
          ProbeSink& probe) {
-        auto& sl = graph.Add<VectorSource<int>>(inputs[0], "l", batch_size);
-        auto& sr = graph.Add<VectorSource<int>>(inputs[1], "r", batch_size);
+        auto& sl = graph.Add<VectorSource<int>>(inputs[0], "l", run_size);
+        auto& sr = graph.Add<VectorSource<int>>(inputs[1], "r", run_size);
         auto identity = [](int v) { return v; };
         auto combine = [](int a, int b) { return a * 100 + b; };
         auto& join = graph.Add(
             MakeHashJoin<int, int>(identity, identity, combine));
+        join.SetMemoryLimit(std::numeric_limits<std::size_t>::max() - 1);
         sl.AddSubscriber(join.left());
         sr.AddSubscriber(join.right());
         join.AddSubscriber(probe.input());
       });
 }
 
-// Mixed-path graph: batched source -> operator without a batch kernel
-// (CountWindow uses the default replay) -> batched buffer drain. Exercises
-// batch -> per-element -> batch transitions across one chain. The buffer's
-// train drain coarsens progress in the reference run too, at boundaries
-// that depend on queued heartbeats, so only monotonicity is asserted.
+// Mixed-path graph: run source -> operator with only `PortElement`
+// (CountWindow takes the default row-by-row `PortRun`) -> buffer train
+// drain. Exercises run -> per-element -> run transitions across one chain,
+// on the recursive scheduler and on the executor. The buffer's train drain
+// coarsens progress in the reference run too, at boundaries that depend on
+// queued heartbeats, so only monotonicity is asserted.
 TEST_P(BatchEquivalence, MixedPathThroughCountWindowAndBuffer) {
   RandomStreamOptions options;
   options.max_duration = 1;
   const auto input = Stream(options);
-  ExpectBatchedEqualsPerElement(
+  ExpectRunsEqualPerElement(
       {input}, TrainSize(),
-      [](QueryGraph& graph, const auto& inputs, std::size_t batch_size,
+      [](QueryGraph& graph, const auto& inputs, std::size_t run_size,
          ProbeSink& probe) {
         auto& source = graph.Add<VectorSource<int>>(inputs[0], "source",
-                                                    batch_size);
+                                                    run_size);
         auto& window = graph.Add<CountWindow<int>>(/*rows=*/5);
         auto& buffer = graph.Add<Buffer<int>>();
         auto fn = [](int v) { return v - 3; };
@@ -319,12 +324,12 @@ TEST_P(BatchEquivalence, MixedPathThroughCountWindowAndBuffer) {
 TEST_P(BatchEquivalence, FilterMapUnionBufferChain) {
   const auto a = Stream();
   const auto b = Stream();
-  ExpectBatchedEqualsPerElement(
+  ExpectRunsEqualPerElement(
       {a, b}, TrainSize(),
-      [](QueryGraph& graph, const auto& inputs, std::size_t batch_size,
+      [](QueryGraph& graph, const auto& inputs, std::size_t run_size,
          ProbeSink& probe) {
-        auto& sa = graph.Add<VectorSource<int>>(inputs[0], "a", batch_size);
-        auto& sb = graph.Add<VectorSource<int>>(inputs[1], "b", batch_size);
+        auto& sa = graph.Add<VectorSource<int>>(inputs[0], "a", run_size);
+        auto& sb = graph.Add<VectorSource<int>>(inputs[1], "b", run_size);
         auto pred = [](int v) { return v % 2 == 0; };
         auto& filter = graph.Add<Filter<int, decltype(pred)>>(pred);
         auto fn = [](int v) { return v + 100; };
@@ -343,19 +348,19 @@ TEST_P(BatchEquivalence, FilterMapUnionBufferChain) {
 
 // Two sources fanned in to the union's *left* port: per-port arrival order
 // breaks, forcing the union off its two-queue fast path onto the spilled
-// heap. Batched and per-element runs must still agree element-for-element
+// heap. Run and per-element graphs must still agree element-for-element
 // (the spill preserves (start, arrival) release order exactly).
 TEST_P(BatchEquivalence, UnionFanInSpillPath) {
   const auto a = Stream();
   const auto b = Stream();
   const auto c = Stream();
-  ExpectBatchedEqualsPerElement(
+  ExpectRunsEqualPerElement(
       {a, b, c}, TrainSize(),
-      [](QueryGraph& graph, const auto& inputs, std::size_t batch_size,
+      [](QueryGraph& graph, const auto& inputs, std::size_t run_size,
          ProbeSink& probe) {
-        auto& sa = graph.Add<VectorSource<int>>(inputs[0], "a", batch_size);
-        auto& sb = graph.Add<VectorSource<int>>(inputs[1], "b", batch_size);
-        auto& sc = graph.Add<VectorSource<int>>(inputs[2], "c", batch_size);
+        auto& sa = graph.Add<VectorSource<int>>(inputs[0], "a", run_size);
+        auto& sb = graph.Add<VectorSource<int>>(inputs[1], "b", run_size);
+        auto& sc = graph.Add<VectorSource<int>>(inputs[2], "c", run_size);
         auto& u = graph.Add<Union<int>>();
         sa.AddSubscriber(u.left());
         sb.AddSubscriber(u.left());
@@ -364,16 +369,16 @@ TEST_P(BatchEquivalence, UnionFanInSpillPath) {
       });
 }
 
-// Cross-thread edge: batched source -> ConcurrentBuffer -> map, driven by
+// Cross-thread edge: run source -> ConcurrentBuffer -> map, driven by
 // the ThreadScheduler. Thread interleaving makes intermediate progress
 // nondeterministic, so only the end state is compared against the
 // single-threaded per-element reference.
 TEST_P(BatchEquivalence, ConcurrentBufferTrainDrainUnderThreadScheduler) {
   const auto input = Stream();
   const BuildFn build = [](QueryGraph& graph, const auto& inputs,
-                           std::size_t batch_size, ProbeSink& probe) {
+                           std::size_t run_size, ProbeSink& probe) {
     auto& source = graph.Add<VectorSource<int>>(inputs[0], "source",
-                                                batch_size);
+                                                run_size);
     auto& buffer = graph.Add<ConcurrentBuffer<int>>();
     auto fn = [](int v) { return v * 5; };
     auto& map = graph.Add<Map<int, int, decltype(fn)>>(fn);
@@ -381,13 +386,13 @@ TEST_P(BatchEquivalence, ConcurrentBufferTrainDrainUnderThreadScheduler) {
     buffer.AddSubscriber(map.input());
     map.AddSubscriber(probe.input());
   };
-  const Observation reference = RunGraph({input}, /*batch_size=*/1, TrainSize(),
-                                    build);
-  for (std::size_t batch_size : {1u, 32u}) {
-    SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+  const Observation reference = RunGraph({input}, /*run_size=*/1, TrainSize(),
+                                         build);
+  for (std::size_t run_size : {1u, 32u}) {
+    SCOPED_TRACE("run_size=" + std::to_string(run_size));
     QueryGraph graph;
     auto& probe = graph.Add<ProbeSink>();
-    build(graph, {input}, batch_size, probe);
+    build(graph, {input}, run_size, probe);
     scheduler::ThreadScheduler driver(
         graph, /*num_threads=*/2,
         [] { return std::make_unique<scheduler::RoundRobinStrategy>(); },

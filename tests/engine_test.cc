@@ -2,8 +2,9 @@
 // shared prefixes (the E5 flat-operator-count property), cancel-during-flow
 // correctness against a single-query reference run (multiset-exact),
 // admission control (reject and queue policies), per-tenant isolation of
-// snapshots and counters, and concurrent registration (exercised under
-// TSAN in the sanitizer CI job).
+// snapshots and counters, concurrent registration (exercised under TSAN in
+// the sanitizer CI job), pushes that wait for Pump, and query text that must
+// fail Register without touching the graph.
 
 #include <gtest/gtest.h>
 
@@ -412,6 +413,101 @@ TEST_F(EngineTest, StreamWriterValidatesOrderAndClose) {
 
   // Duplicate stream names are rejected.
   EXPECT_FALSE(engine.AddStream("trades", TradesSchema()).ok());
+}
+
+// --- One delivery path -------------------------------------------------------
+
+TEST_F(EngineTest, PushAfterRegisterWaitsForPump) {
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  auto handle = engine.Register("SELECT symbol, price FROM trades");
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  int callbacks = 0;
+  ASSERT_TRUE(
+      handle->OnResult([&](const QueryHandle::Element&) { ++callbacks; }).ok());
+
+  // Register suspended the executor; the push must not deliver by direct
+  // recursion anyway — the row is staged and only Pump delivers it.
+  PushTrades(*writer, 1, 0);
+  EXPECT_EQ(callbacks, 0);
+  EXPECT_EQ(handle->results_delivered(), 0u);
+
+  engine.Pump();
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(handle->results_delivered(), 1u);
+}
+
+// --- Client input that must fail Register cleanly ----------------------------
+
+/// Registers `cql` and expects it to fail with `code` without adding a node
+/// to the graph; the engine must keep serving afterwards.
+void ExpectRegisterFails(const std::string& cql, StatusCode code) {
+  Engine engine;
+  auto writer = engine.AddStream("trades", TradesSchema(), /*rate_hint=*/10.0);
+  ASSERT_TRUE(writer.ok());
+  const std::size_t nodes = engine.stats().graph_nodes;
+
+  auto handle = engine.Register(cql);
+  ASSERT_FALSE(handle.ok());
+  EXPECT_EQ(handle.status().code(), code) << handle.status().ToString();
+  EXPECT_EQ(engine.stats().graph_nodes, nodes);
+  EXPECT_TRUE(engine.Register(kAvgQuery).ok());
+}
+
+TEST_F(EngineTest, ZeroRangeFailsRegister) {
+  ExpectRegisterFails("SELECT * FROM trades [RANGE 0 SECONDS]",
+                      StatusCode::kInvalidArgument);
+}
+
+TEST_F(EngineTest, ZeroSlideFailsRegister) {
+  ExpectRegisterFails(
+      "SELECT * FROM trades [RANGE 100 MILLISECONDS SLIDE 0 MILLISECONDS]",
+      StatusCode::kInvalidArgument);
+}
+
+TEST_F(EngineTest, ZeroRowsFailsRegister) {
+  ExpectRegisterFails("SELECT * FROM trades [ROWS 0]",
+                      StatusCode::kInvalidArgument);
+}
+
+TEST_F(EngineTest, ZeroRowsOnSecondJoinInputBuildsNothing) {
+  // The valid left input must not be built before the right one fails.
+  ExpectRegisterFails(
+      "SELECT * FROM trades [RANGE 1 SECONDS] AS a, trades [ROWS 0] AS b "
+      "WHERE a.symbol = b.symbol",
+      StatusCode::kInvalidArgument);
+}
+
+TEST_F(EngineTest, OverflowingRangeFailsRegister) {
+  ExpectRegisterFails(
+      "SELECT * FROM trades [RANGE 9223372036854775807 MINUTES]",
+      StatusCode::kParseError);
+}
+
+TEST_F(EngineTest, OutOfRangeIntLiteralFailsRegister) {
+  ExpectRegisterFails("SELECT * FROM trades WHERE price > 99999999999999999999",
+                      StatusCode::kParseError);
+}
+
+TEST_F(EngineTest, OutOfRangeDoubleLiteralFailsRegister) {
+  ExpectRegisterFails(
+      "SELECT * FROM trades WHERE price > 1" + std::string(400, '0') + ".5",
+      StatusCode::kParseError);
+}
+
+TEST_F(EngineTest, NonPositiveWindowInLogicalPlanIsRejected) {
+  Engine engine;
+  ASSERT_TRUE(AddTrades(engine).ok());
+  const std::size_t nodes = engine.stats().graph_nodes;
+  optimizer::WindowSpec rows;
+  rows.kind = optimizer::WindowKind::kRows;
+  rows.rows = 0;
+  auto handle =
+      engine.Register(optimizer::ScanOp("trades", TradesSchema(), rows));
+  ASSERT_FALSE(handle.ok());
+  EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.stats().graph_nodes, nodes);
 }
 
 // --- Tenant observability ---------------------------------------------------

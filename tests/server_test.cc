@@ -210,6 +210,18 @@ TEST_F(ServerTest, FullConversation) {
   EXPECT_FALSE(client->Cancel(registered->query_id).ok());
 }
 
+TEST_F(ServerTest, NonPositiveWindowIsAnErrorNotACrash) {
+  auto client = Client::Connect("127.0.0.1", server_->port(), "acme");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const std::size_t nodes = engine_->stats().graph_nodes;
+  auto bad = client->Register("SELECT * FROM trades [RANGE 0 SECONDS]");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument)
+      << bad.status().ToString();
+  EXPECT_TRUE(client->Ping().ok());
+  EXPECT_EQ(engine_->stats().graph_nodes, nodes);
+}
+
 TEST_F(ServerTest, HelloIsRequiredAndDisconnectCancelsTenant) {
   // The server refuses an empty tenant name at HELLO time.
   EXPECT_FALSE(Client::Connect("127.0.0.1", server_->port(), "").ok());

@@ -54,28 +54,35 @@ std::vector<StreamElement<std::pair<int, double>>> Segments(
 }
 
 TEST(SustainedCondition, FiresOncePerLongEnoughRun) {
-  QueryGraph graph;
-  // Key 1: below threshold on [0,30) contiguously -> alarm at >= 20.
-  // Key 2: below only [0,10), gap, below [20,30) -> never 20 long.
-  auto& source = graph.Add<VectorSource<std::pair<int, double>>>(Segments({
-      {1, 5.0, 0, 10},
-      {2, 5.0, 0, 10},
-      {1, 7.0, 10, 20},
-      {2, 50.0, 10, 20},  // condition broken for key 2
-      {1, 6.0, 20, 30},
-      {2, 5.0, 20, 30},
-  }));
-  auto& detector = graph.Add<PairDetector>(KeyOfPair{}, BelowTen{},
-                                           /*min_duration=*/20);
-  auto& sink = graph.Add<CollectorSink<Sustained<int>>>();
-  source.AddSubscriber(detector.input());
-  detector.AddSubscriber(sink.input());
-  Drain(graph);
+  // Run size 1 drives PortElement; run size 6 hands the detector's columnar
+  // kernel the whole input as one run.
+  for (std::size_t run_size : {1u, 6u}) {
+    SCOPED_TRACE("run_size=" + std::to_string(run_size));
+    QueryGraph graph;
+    // Key 1: below threshold on [0,30) contiguously -> alarm at >= 20.
+    // Key 2: below only [0,10), gap, below [20,30) -> never 20 long.
+    auto& source = graph.Add<VectorSource<std::pair<int, double>>>(
+        Segments({
+            {1, 5.0, 0, 10},
+            {2, 5.0, 0, 10},
+            {1, 7.0, 10, 20},
+            {2, 50.0, 10, 20},  // condition broken for key 2
+            {1, 6.0, 20, 30},
+            {2, 5.0, 20, 30},
+        }),
+        "source", run_size);
+    auto& detector = graph.Add<PairDetector>(KeyOfPair{}, BelowTen{},
+                                             /*min_duration=*/20);
+    auto& sink = graph.Add<CollectorSink<Sustained<int>>>();
+    source.AddSubscriber(detector.input());
+    detector.AddSubscriber(sink.input());
+    Drain(graph);
 
-  ASSERT_EQ(sink.elements().size(), 1u);
-  EXPECT_EQ(sink.elements()[0].payload.key, 1);
-  EXPECT_EQ(sink.elements()[0].payload.since, 0);
-  EXPECT_GE(sink.elements()[0].payload.duration, 20);
+    ASSERT_EQ(sink.elements().size(), 1u);
+    EXPECT_EQ(sink.elements()[0].payload.key, 1);
+    EXPECT_EQ(sink.elements()[0].payload.since, 0);
+    EXPECT_GE(sink.elements()[0].payload.duration, 20);
+  }
 }
 
 TEST(SustainedCondition, GapResetsRunAndNewRunCanFire) {
