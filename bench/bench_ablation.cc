@@ -53,7 +53,7 @@ void BM_SweepLineAggregate(benchmark::State& state) {
     source.AddSubscriber(agg.input());
     agg.AddSubscriber(sink.input());
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, 256);
+    scheduler::PipeExecutor driver(graph, strategy, 256);
     driver.RunToCompletion();
     outputs = sink.count();
     benchmark::DoNotOptimize(outputs);

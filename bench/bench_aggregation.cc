@@ -58,7 +58,7 @@ const std::vector<StreamElement<BidRecord>>& Bids() {
 
 void RunGraph(QueryGraph& graph) {
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy, 256);
+  scheduler::PipeExecutor driver(graph, strategy, 256);
   driver.RunToCompletion();
 }
 

@@ -4,8 +4,9 @@
 // and one watermark merge per element on the per-element path. The run
 // path (`TransferRun`/`ReceiveRun`/`PortRun`) amortizes all three over a
 // columnar run of elements. This bench sweeps the source batch size over
-// {1, 8, 64, 512}; batch = 1 is the legacy per-element path and must match
-// its throughput within noise, larger batches quantify the amortization.
+// {1, 8, 64, 512}; batch = 1 is the per-element path, larger batches
+// quantify the amortization. Every harness but the cross-thread one runs on
+// the `PipeExecutor`.
 //
 // Run with `--benchmark_format=json` for machine-readable output; the
 // `items_per_second` counter is elements/sec through the chain.
@@ -57,37 +58,6 @@ struct AddOne {
   int operator()(int v) const { return v + 1; }
 };
 
-// filter -> map -> union -> buffer, both union inputs fed with the same
-// batch size. 2 * kElements elements flow into the union.
-void BM_FilterMapUnionBufferChain(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const auto left = MakeInput();
-  const auto right = MakeInput();
-  for (auto _ : state) {
-    QueryGraph graph;
-    auto& sa = graph.Add<VectorSource<int>>(left, "left", batch);
-    auto& sb = graph.Add<VectorSource<int>>(right, "right", batch);
-    auto& filter = graph.Add<algebra::Filter<int, KeepMost>>(KeepMost{});
-    auto& map = graph.Add<algebra::Map<int, int, AddOne>>(AddOne{});
-    auto& u = graph.Add<algebra::Union<int>>();
-    auto& buffer = graph.Add<Buffer<int>>();
-    auto& sink = graph.Add<CountingSink<int>>();
-    sa.AddSubscriber(filter.input());
-    filter.AddSubscriber(map.input());
-    map.AddSubscriber(u.left());
-    sb.AddSubscriber(u.right());
-    u.AddSubscriber(buffer.input());
-    buffer.AddSubscriber(sink.input());
-
-    scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy,
-                                            /*batch_size=*/1024);
-    driver.RunToCompletion();
-    benchmark::DoNotOptimize(sink.count());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * kElements);
-}
-
 // One simulated hour of loop-detector readings through the HOV filter and
 // a one-minute window, emitted by the generator in `batch`-sized runs.
 void BM_TrafficWorkload(benchmark::State& state) {
@@ -109,8 +79,7 @@ void BM_TrafficWorkload(benchmark::State& state) {
     window.AddSubscriber(sink.input());
 
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy,
-                                            /*batch_size=*/1024);
+    scheduler::PipeExecutor driver(graph, strategy, /*batch_size=*/1024);
     driver.RunToCompletion();
     benchmark::DoNotOptimize(sink.count());
     elements += source.elements_out();
@@ -118,12 +87,11 @@ void BM_TrafficWorkload(benchmark::State& state) {
   state.SetItemsProcessed(elements);
 }
 
-// The same filter -> map -> union -> buffer chain driven by the pipe
-// executor: transfers stage columnar runs on pipe edges and the work queue
-// delivers them iteratively, so the chain pays per-run (not per-element)
-// virtual dispatch and watermark merging end to end. The before/after
-// number for the executor refactor — compare against
-// BM_FilterMapUnionBufferChain at the same batch size.
+// filter -> map -> union -> buffer, both union inputs fed with the same
+// batch size; 2 * kElements elements flow into the union. Transfers stage
+// columnar runs on pipe edges and the executor's work queue delivers them
+// iteratively, so the chain pays per-run (not per-element) virtual dispatch
+// and watermark merging end to end.
 void BM_ExecutorFilterMapUnionBufferChain(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   const auto left = MakeInput();
@@ -180,7 +148,6 @@ void BM_ConcurrentBufferEdge(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_FilterMapUnionBufferChain)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 BENCHMARK(BM_ExecutorFilterMapUnionBufferChain)
     ->Arg(1)
     ->Arg(8)

@@ -121,7 +121,7 @@ void BM_EspbenchTypedDisordered(benchmark::State& state) {
     joined.AddSubscriber(join_count.input());
 
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, 1024);
+    scheduler::PipeExecutor driver(graph, strategy, 1024);
     driver.RunToCompletion();
 
     events = event_count.count();

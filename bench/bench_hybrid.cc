@@ -77,7 +77,7 @@ void BM_CursorProbeJoin(benchmark::State& state) {
     source.AddSubscriber(join.input());
     join.AddSubscriber(sink.input());
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, 256);
+    scheduler::PipeExecutor driver(graph, strategy, 256);
     driver.RunToCompletion();
     results = sink.count();
     benchmark::DoNotOptimize(results);
@@ -117,7 +117,7 @@ void BM_AllStreamJoin(benchmark::State& state) {
     person_source.AddSubscriber(join.right());
     join.AddSubscriber(sink.input());
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, 256);
+    scheduler::PipeExecutor driver(graph, strategy, 256);
     driver.RunToCompletion();
     results = sink.count();
     benchmark::DoNotOptimize(results);

@@ -55,7 +55,7 @@ void RunJoin(benchmark::State& state, Timestamp window, JoinPtr (*make)()) {
     r.AddSubscriber(join.right());
     join.AddSubscriber(sink.input());
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, 64);
+    scheduler::PipeExecutor driver(graph, strategy, 64);
     driver.RunToCompletion();
     results = sink.count();
     benchmark::DoNotOptimize(results);

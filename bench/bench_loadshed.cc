@@ -62,7 +62,7 @@ std::uint64_t RunOnce(std::size_t budget_bytes, std::size_t* peak_bytes,
   PIPES_CHECK(manager.Register(join).ok());
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy, 64);
+  scheduler::PipeExecutor driver(graph, strategy, 64);
   std::size_t peak = 0;
   while (driver.Step()) {
     peak = std::max(peak, join.MemoryUsage());

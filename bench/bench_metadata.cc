@@ -64,7 +64,7 @@ void BM_MetadataDecoration(benchmark::State& state) {
     }
 
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, 256);
+    scheduler::PipeExecutor driver(graph, strategy, 256);
     while (driver.Step()) {
       monitor.Sample();
     }

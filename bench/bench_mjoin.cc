@@ -61,7 +61,7 @@ void BM_MultiwayJoin(benchmark::State& state) {
     auto& sink = graph.Add<CountingSink<std::vector<int>>>();
     join.AddSubscriber(sink.input());
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, 64);
+    scheduler::PipeExecutor driver(graph, strategy, 64);
     driver.RunToCompletion();
     results = sink.count();
     retained = join.state_size();
@@ -104,7 +104,7 @@ void BM_BinaryCascade3Way(benchmark::State& state) {
     sc.AddSubscriber(join_abc.right());
     join_abc.AddSubscriber(sink.input());
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, 64);
+    scheduler::PipeExecutor driver(graph, strategy, 64);
     driver.RunToCompletion();
     results = sink.count();
     benchmark::DoNotOptimize(results);

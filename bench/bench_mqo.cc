@@ -83,7 +83,7 @@ void RunMqo(benchmark::State& state, bool sharing) {
       installed->output->AddSubscriber(sink.input());
     }
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, 256);
+    scheduler::PipeExecutor driver(graph, strategy, 256);
     driver.RunToCompletion();
 
     created = manager.total_operators_created();

@@ -74,8 +74,7 @@ std::uint64_t RunChain(const std::vector<StreamElement<int>>& left,
   buffer.AddSubscriber(sink.input());
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy,
-                                          /*batch_size=*/1024);
+  scheduler::PipeExecutor driver(graph, strategy, /*batch_size=*/1024);
   driver.RunToCompletion();
   return sink.count();
 }
@@ -122,7 +121,7 @@ void BM_CaptureSnapshot(benchmark::State& state) {
   sa.AddSubscriber(filter.input());
   filter.AddSubscriber(sink.input());
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy, 1024);
+  scheduler::PipeExecutor driver(graph, strategy, 1024);
   driver.RunToCompletion();
   for (auto _ : state) {
     benchmark::DoNotOptimize(metadata::CaptureSnapshot(graph));

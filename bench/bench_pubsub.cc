@@ -54,7 +54,7 @@ void BM_DirectChain(benchmark::State& state) {
     upstream->AddSubscriber(sink.input());
 
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, 256);
+    scheduler::PipeExecutor driver(graph, strategy, 256);
     driver.RunToCompletion();
     benchmark::DoNotOptimize(sink.count());
   }
@@ -79,7 +79,7 @@ void BM_QueuedChain(benchmark::State& state) {
     upstream->AddSubscriber(sink.input());
 
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, 256);
+    scheduler::PipeExecutor driver(graph, strategy, 256);
     driver.RunToCompletion();
     benchmark::DoNotOptimize(sink.count());
   }
@@ -106,7 +106,7 @@ void BM_ConcurrentQueuedChain(benchmark::State& state) {
     upstream->AddSubscriber(sink.input());
 
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, 256);
+    scheduler::PipeExecutor driver(graph, strategy, 256);
     driver.RunToCompletion();
     benchmark::DoNotOptimize(sink.count());
   }
@@ -134,15 +134,15 @@ void BM_DirectChainBatched(benchmark::State& state) {
     upstream->AddSubscriber(sink.input());
 
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, 256);
+    scheduler::PipeExecutor driver(graph, strategy, 256);
     driver.RunToCompletion();
     benchmark::DoNotOptimize(sink.count());
   }
   state.SetItemsProcessed(state.iterations() * kElements);
 }
 
-// The direct chain under the pipe executor, depth swept to 64: each edge
-// stages columnar runs that the work queue delivers iteratively, so the
+// The direct chain at batch 64, depth swept to 64: each edge stages
+// columnar runs that the executor's work queue delivers iteratively, so the
 // cost of one element crossing one edge must stay flat as the chain grows
 // (no per-depth recursion penalty, bounded stack at any depth). The
 // `hops_per_second` counter is elements × depth / sec — the flat number;

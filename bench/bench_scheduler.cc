@@ -58,12 +58,11 @@ void RunWithStrategy(benchmark::State& state,
       buffer.AddSubscriber(filter.input());
       filter.AddSubscriber(sink.input());
     }
-    scheduler::SingleThreadScheduler driver(graph, strategy,
-                                            /*batch_size=*/64);
+    scheduler::PipeExecutor driver(graph, strategy, /*batch_size=*/64);
     const scheduler::RunStats stats = driver.RunToCompletion();
     peak = std::max(peak, stats.peak_total_queue);
     mean_queue = static_cast<double>(stats.accumulated_queue) /
-                 static_cast<double>(stats.iterations);
+                 static_cast<double>(stats.polls);
   }
   state.counters["peak_queue"] =
       benchmark::Counter(static_cast<double>(peak));

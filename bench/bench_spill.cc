@@ -73,7 +73,7 @@ SpillRunStats RunOnce(std::size_t budget_bytes) {
   join.SetMemoryLimit(budget_bytes);
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy, 64);
+  scheduler::PipeExecutor driver(graph, strategy, 64);
   SpillRunStats stats;
   while (driver.Step()) {
     stats.peak_ram = std::max(stats.peak_ram, join.MemoryUsage());

@@ -103,7 +103,7 @@ void BM_TrafficQueries(benchmark::State& state) {
     q2->output->AddSubscriber(q2_sink.input());
 
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, 1024);
+    scheduler::PipeExecutor driver(graph, strategy, 1024);
     driver.RunToCompletion();
 
     readings = produced;

@@ -99,7 +99,7 @@ int main() {
   q2->output->AddSubscriber(high_sink.input());
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy, 1024);
+  scheduler::PipeExecutor driver(graph, strategy, 1024);
   driver.RunToCompletion();
 
   std::printf("q1 produced %zu result tuples; first rows:\n",

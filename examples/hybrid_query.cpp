@@ -69,7 +69,7 @@ int main() {
   filter.AddSubscriber(buffer.input());
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
 
   std::printf("stream phase done: %zu big orders buffered\n",

@@ -1,7 +1,7 @@
 // pipes_top: a `top`-style text dashboard over a running query graph.
 //
 // Drives a two-query workload (a shared sensor source feeding a filtered
-// windowed average and a raw counter) with a SingleThreadScheduler, and
+// windowed average and a raw counter) with a PipeExecutor, and
 // between scheduling bursts captures a MetricsSnapshot — per-node element
 // counts, selectivities, queue/state sizes, watermark lag, scheduler
 // service times — and renders it as a table. Rates are computed against the
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
   BuildWorkload(graph);
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy, /*batch_size=*/256);
+  scheduler::PipeExecutor driver(graph, strategy, /*batch_size=*/256);
   scheduler::Profiler profiler;
   driver.set_profiler(&profiler);
 

@@ -24,7 +24,8 @@ namespace pipes::algebra {
 
 /// Time-based sliding window (CQL `[RANGE w]`): an element with point
 /// validity at t becomes valid on [t, t + w). Snapshot at time τ therefore
-/// contains exactly the elements with t in (τ - w, τ].
+/// contains exactly the elements with t in (τ - w, τ]. Ends past the last
+/// timestamp saturate at kMaxTimestamp.
 template <typename T>
 class TimeWindow : public UnaryPipe<T, T> {
  public:
@@ -53,8 +54,8 @@ class TimeWindow : public UnaryPipe<T, T> {
 
  protected:
   void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    this->Transfer(
-        StreamElement<T>(e.payload, e.start(), e.start() + size_));
+    this->Transfer(StreamElement<T>(e.payload, e.start(),
+                                    SaturatingAdd(e.start(), size_)));
   }
 
   /// Columnar kernel: payloads and starts are bulk-copied; only the ends
@@ -66,7 +67,7 @@ class TimeWindow : public UnaryPipe<T, T> {
     run_out_.ends.resize(run.size());
     const Timestamp w = size_;
     for (std::size_t i = 0; i < run.size(); ++i) {
-      run_out_.ends[i] = run.starts[i] + w;
+      run_out_.ends[i] = SaturatingAdd(run.starts[i], w);
     }
     this->TransferRun(std::move(run_out_));
   }
@@ -82,7 +83,8 @@ class TimeWindow : public UnaryPipe<T, T> {
 /// [ceil(t/s)*s, ceil((t+w)/s)*s). Aligning both endpoints to the slide
 /// grid is what *reduces the output rate* of downstream aggregates — their
 /// result changes only at grid points (the paper's "special mechanisms
-/// that substantially reduce stream rates").
+/// that substantially reduce stream rates"). Ends past the last grid point
+/// before kMaxTimestamp saturate at kMaxTimestamp.
 template <typename T>
 class SlideWindow : public UnaryPipe<T, T> {
  public:
@@ -101,14 +103,14 @@ class SlideWindow : public UnaryPipe<T, T> {
     d.has_columnar_kernel = true;
     d.bounds_validity = true;
     // AlignUp(t + size) - AlignUp(t) < size + slide.
-    d.dataflow.validity_extent = size_ + slide_;
+    d.dataflow.validity_extent = SaturatingAdd(size_, slide_);
     return d;
   }
 
  protected:
   void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
     const Timestamp first = AlignUp(e.start());
-    const Timestamp last = AlignUp(e.start() + size_);
+    const Timestamp last = AlignUp(SaturatingAdd(e.start(), size_));
     if (first < last) {
       this->Transfer(StreamElement<T>(e.payload, first, last));
     }
@@ -123,7 +125,7 @@ class SlideWindow : public UnaryPipe<T, T> {
     run_out_.reserve(run.size());
     for (std::size_t i = 0; i < run.size(); ++i) {
       const Timestamp first = AlignUp(run.starts[i]);
-      const Timestamp last = AlignUp(run.starts[i] + size_);
+      const Timestamp last = AlignUp(SaturatingAdd(run.starts[i], size_));
       if (first < last) {
         run_out_.Append(run.payloads[i], first, last);
       }
@@ -134,7 +136,9 @@ class SlideWindow : public UnaryPipe<T, T> {
  private:
   Timestamp AlignUp(Timestamp t) const {
     // Smallest multiple of slide_ that is >= t (timestamps are >= 0 in all
-    // workloads; negative t would align toward zero).
+    // workloads; negative t would align toward zero), or kMaxTimestamp if
+    // that multiple does not fit.
+    if (t > kMaxTimestamp - (slide_ - 1)) return kMaxTimestamp;
     return ((t + slide_ - 1) / slide_) * slide_;
   }
 

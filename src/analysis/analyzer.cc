@@ -173,7 +173,7 @@ void CheckCycle(const GraphModel& m, Linter& lint) {  // P001
   }
   lint.Emit("P001", Severity::kError, m.info[m.cycle_residue.front()].node, "",
             "subscription edges form a cycle through {" + list +
-                "}; delivery would recurse forever",
+                "}; delivery would cycle forever",
             "break the cycle: streams flow source -> operators -> sink");
 }
 
@@ -476,38 +476,6 @@ void CheckStalledInputs(const GraphModel& m, Linter& lint) {  // P014
   }
 }
 
-void CheckMixedExecutorAttachment(const GraphModel& m, Linter& lint) {
-  // P018. A node counts as pollable when it has an output pipe an executor
-  // could own. Sinks have no output, Partition delivers synchronously by
-  // design, and opaque nodes declare no contract — all three are exempt.
-  std::vector<const NodeInfo*> attached;
-  std::vector<const NodeInfo*> unattached;
-  for (const NodeInfo& info : m.info) {
-    const Kind kind = info.desc.kind;
-    if (kind == Kind::kSink || kind == Kind::kPartition ||
-        kind == Kind::kOpaque) {
-      continue;
-    }
-    (info.node->executor_attached() ? attached : unattached).push_back(&info);
-  }
-  if (attached.empty() || unattached.empty()) return;
-  std::string example = attached.front()->node->name();
-  for (const NodeInfo* info : attached) {
-    example = std::min(example, info->node->name());
-  }
-  for (const NodeInfo* info : unattached) {
-    lint.Emit("P018", Severity::kWarning, info->node, "",
-              "output delivers to subscribers by direct recursion while " +
-                  std::to_string(attached.size()) +
-                  " other node(s) in this graph (e.g. '" + example +
-                  "') stage output through executor pipes: mixed delivery "
-                  "re-introduces unbounded recursion depth and interleaves "
-                  "recursive calls with polled pipe delivery",
-              "attach the executor to the whole graph (PipeExecutor's "
-              "constructor attaches to every node), or to none of it");
-  }
-}
-
 void CheckOrphanedTenantOutputs(const GraphModel& m, Linter& lint) {
   // P019. The engine stamps every registered query's output node with an
   // `engine.registered_output:<tenant>` gauge and subscribes its result
@@ -630,7 +598,7 @@ bool operator==(const Diagnostic& a, const Diagnostic& b) {
 const std::vector<RuleInfo>& RuleCatalog() {
   static const std::vector<RuleInfo> kCatalog = {
       {"P001", Severity::kError,
-       "subscription edges form a cycle (delivery would recurse forever)"},
+       "subscription edges form a cycle (delivery would cycle forever)"},
       {"P002", Severity::kError,
        "edge to a node the graph does not own (lifetime hazard)"},
       {"P003", Severity::kError,
@@ -669,9 +637,6 @@ const std::vector<RuleInfo>& RuleCatalog() {
       {"P016", Severity::kNote, "foot-gun API use recorded on the node"},
       {"P017", Severity::kError,
        "assignment shape invalid (length or worker index out of range)"},
-      {"P018", Severity::kWarning,
-       "graph mixes executor-polled pipes with legacy recursive subscriber "
-       "edges (bounded-stack guarantee lost)"},
       {"P019", Severity::kError,
        "registered query output with no subscribers (orphaned tenant "
        "subgraph: results dropped, resources still consumed)"},
@@ -709,7 +674,6 @@ std::vector<Diagnostic> Lint(const QueryGraph& graph) {
   CheckPartitionStages(m, lint);
   CheckBatchPathBreaks(m, lint);
   CheckStalledInputs(m, lint);
-  CheckMixedExecutorAttachment(m, lint);
   CheckOrphanedTenantOutputs(m, lint);
   CheckSheddingWithSpillTier(m, lint);
   CheckMetadataAnnotations(m, lint);

@@ -17,7 +17,6 @@
 #include "src/core/buffer.h"
 #include "src/core/generator_source.h"
 #include "src/core/parallel.h"
-#include "src/core/pipe_edge.h"
 #include "src/core/sink.h"
 #include "src/workloads/espbench_queries.h"
 #include "src/workloads/nexmark_queries.h"
@@ -338,31 +337,6 @@ LintSubject BuildFootgunBuffer() {  // P016
   return s;
 }
 
-/// A link that never polls: the fixture only needs attachment state, not a
-/// running executor.
-class NullExecutorLink : public ExecutorLink {
- public:
-  void PipeReady(PipeBase* /*pipe*/) override {}
-};
-
-LintSubject BuildMixedExecutor() {  // P018
-  LintSubject s;
-  s.graph = NewGraph();
-  auto link = std::make_shared<NullExecutorLink>();
-  auto& src = s.graph->Add<VectorSource<int>>(
-      std::vector<StreamElement<int>>{}, "src");
-  auto& filter = s.graph->Add<algebra::Filter<int, AlwaysTrue>>(
-      AlwaysTrue{}, "legacy-filter");
-  auto& sink = s.graph->Add<CountingSink<int>>("sink");
-  src.AddSubscriber(filter.input());
-  filter.AddSubscriber(sink.input());
-  // Attach a pipe to the source only: the filter keeps delivering by
-  // direct recursion, which is exactly the mix P018 exists to catch.
-  src.AttachExecutor(link.get());
-  s.keepalive = link;
-  return s;
-}
-
 LintSubject BuildOrphanedTenantOutput() {  // P019
   LintSubject s;
   s.graph = NewGraph();
@@ -544,8 +518,6 @@ const std::vector<LintFixture>& BrokenGraphFixtures() {
        BuildFootgunBuffer},
       {"assignment-shape", "P017", Severity::kError, "", "",
        BuildAssignmentShape},
-      {"mixed-executor", "P018", Severity::kWarning, "legacy-filter", "",
-       BuildMixedExecutor},
       {"orphaned-tenant-output", "P019", Severity::kError, "acme-output", "",
        BuildOrphanedTenantOutput},
       {"shed-with-spill", "P020", Severity::kWarning, "spilly-join", "",

@@ -26,6 +26,12 @@ inline constexpr Timestamp kMinTimestamp =
 inline constexpr Timestamp kMaxTimestamp =
     std::numeric_limits<Timestamp>::max();
 
+/// `t + d` for a duration `d >= 0`, saturating at kMaxTimestamp ("never
+/// expires") instead of overflowing.
+constexpr Timestamp SaturatingAdd(Timestamp t, Timestamp d) {
+  return t > kMaxTimestamp - d ? kMaxTimestamp : t + d;
+}
+
 /// Half-open validity interval [start, end) of a stream element.
 ///
 /// The *snapshot* of a stream at time t contains exactly the payloads whose

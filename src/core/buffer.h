@@ -14,10 +14,10 @@
 #include "src/core/pipe.h"
 
 /// \file
-/// Buffers: the only place in PIPES where inter-operator queues exist.
-/// Direct subscriptions deliver synchronously; a `Buffer` decouples its
-/// upstream from its downstream so a scheduler can drive the downstream
-/// portion independently. The fusion layer (scheduler layer 1) inserts
+/// Buffers: the only place in PIPES where scheduled inter-operator queues
+/// exist. A direct subscription's pipe is delivered as soon as the executor
+/// reaches it; a `Buffer` decouples its upstream from its downstream so a
+/// scheduler can drive the downstream portion independently. The fusion layer (scheduler layer 1) inserts
 /// buffers exactly at virtual-node boundaries; `ConcurrentBuffer` is the
 /// thread-safe variant used at thread boundaries (scheduler layer 3).
 

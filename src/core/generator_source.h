@@ -27,10 +27,9 @@ namespace pipes {
 /// per scheduler invocation directly into a columnar scratch run and emits
 /// them with a single consuming `TransferRun` — the batching knob of the
 /// workload generators (DESIGN.md "Run delivery"). Elements are
-/// transposed into columns exactly once, at generation time, and under an
-/// executor the scratch run's columns are swapped into the pipe (zero
-/// copies in steady state). The default of 1 keeps the original
-/// per-element `Transfer` path, byte-for-byte.
+/// transposed into columns exactly once, at generation time, and the
+/// scratch run's columns are swapped into the pipe (zero copies in steady
+/// state). The default of 1 keeps the per-element `Transfer` path.
 template <typename T>
 class GeneratorSource : public Source<T> {
  public:

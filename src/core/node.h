@@ -22,7 +22,6 @@
 
 namespace pipes {
 
-class ExecutorLink;
 class PipeBase;
 
 /// Base class of all query-graph nodes. Not copyable or movable: a node's
@@ -51,8 +50,9 @@ class Node {
   // --- Scheduling hooks ----------------------------------------------------
   // An *active* node is one the scheduler must drive: a source that creates
   // elements, or a buffer that drains its queue. Everything connected by
-  // direct subscriptions runs inside the caller's invocation — the paper's
-  // "virtual node" fused unit. Passive nodes keep the defaults.
+  // direct subscriptions drains through pipes before the executor polls
+  // again — the paper's "virtual node" fused unit. Passive nodes keep the
+  // defaults.
 
   /// True if this node must be driven by a scheduler.
   virtual bool is_active() const { return false; }
@@ -98,31 +98,16 @@ class Node {
   /// Number of on-disk runs (spilled partitions) currently held.
   virtual std::uint64_t SpilledPartitions() const { return 0; }
 
-  // --- Executor attachment --------------------------------------------------
-  // The executor-polled execution model (DESIGN.md §4f): a `PipeExecutor`
-  // attaches to every node of a graph before running it. Nodes with a typed
-  // output (`Source<T>` and everything derived from it) create and own a
-  // `Pipe<T>` edge object and route their `Transfer*` calls into it; the
-  // default is for output-less nodes (sinks) and for splitters that deliver
-  // synchronously by design (`Partition`).
+  // --- Output pipe ----------------------------------------------------------
+  // The executor-polled execution model (DESIGN.md §4f): nodes with a typed
+  // output (`Source<T>` and everything derived from it) own a `Pipe<T>`
+  // edge from construction and stage every transfer there; a
+  // `PipeExecutor` links the pipes of the nodes it drives. Output-less
+  // nodes (sinks) and splitters that deliver synchronously by design
+  // (`Partition`) have none.
 
-  /// Creates this node's output pipe and reroutes transfers into it.
-  /// Returns the pipe, or nullptr if this node has no pollable output.
-  /// Must not be called while a run is in progress; one executor at a time.
-  virtual PipeBase* AttachExecutor(ExecutorLink* link) {
-    (void)link;
-    return nullptr;
-  }
-
-  /// Destroys the output pipe and restores direct synchronous delivery.
-  /// The pipe must be fully drained (the executor delivers everything
-  /// staged before detaching).
-  virtual void DetachExecutor() {}
-
-  /// True while an executor's pipe carries this node's output. Static
-  /// analysis (lint rule P018) uses this to detect graphs that mix
-  /// executor-polled pipes with legacy recursive subscriber edges.
-  bool executor_attached() const { return executor_attached_; }
+  /// This node's output pipe, or nullptr if it has no pollable output.
+  virtual PipeBase* output_pipe() { return nullptr; }
 
   // --- Static introspection -------------------------------------------------
 
@@ -199,10 +184,6 @@ class Node {
   /// Named gauges/estimators attached by the metadata factory at runtime.
   metadata::Registry& metadata() { return metadata_; }
   const metadata::Registry& metadata() const { return metadata_; }
-
- protected:
-  /// Maintained by the AttachExecutor/DetachExecutor overrides.
-  bool executor_attached_ = false;
 
  private:
   template <typename T>

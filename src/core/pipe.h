@@ -22,9 +22,9 @@
 /// The *edge* objects of the executor-polled execution model — the
 /// three-state `Pipe<T>` (Idle/Request/Supply) that owns a source's staged
 /// columnar run, plus its type-erased `PipeBase` — live in
-/// `src/core/pipe_edge.h` (re-exported here): `Pipe<T>` is created by
-/// `Source<T>::AttachExecutor` and polled by `scheduler::PipeExecutor`, so
-/// it sits below these operator bases in the include order.
+/// `src/core/pipe_edge.h` (re-exported here): every `Source<T>` owns one
+/// and `scheduler::PipeExecutor` polls it, so it sits below these operator
+/// bases in the include order.
 
 namespace pipes {
 

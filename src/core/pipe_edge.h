@@ -1,6 +1,7 @@
 #ifndef PIPES_CORE_PIPE_EDGE_H_
 #define PIPES_CORE_PIPE_EDGE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -11,13 +12,12 @@
 
 /// \file
 /// The `Pipe` edge object of the executor-polled execution model
-/// (DESIGN.md §4f). On the classic publish-subscribe path a `Transfer*`
-/// call recurses synchronously through the whole subscriber chain; under a
-/// `PipeExecutor` every `Source<T>` instead *stages* its output into a
-/// `Pipe<T>` — a stateful edge that owns the staged columnar run — and the
-/// executor polls ready pipes from a FIFO work queue. Delivery of one
-/// pipe's staged content makes the downstream operators stage into *their*
-/// pipes, so a chain of any depth drains iteratively with constant stack.
+/// (DESIGN.md §4f). Every `Source<T>` owns a `Pipe<T>` from construction
+/// and *stages* its output there — a stateful edge that owns the staged
+/// columnar runs — and a `PipeExecutor` polls ready pipes from a FIFO work
+/// queue. Delivery of one pipe's staged content makes the downstream
+/// operators stage into *their* pipes, so a chain of any depth drains
+/// iteratively with constant stack.
 ///
 /// A pipe is a three-state machine (after fleximg's IDEA_PIPELINE_V2):
 ///
@@ -32,8 +32,11 @@
 /// * `Supply`  — staged runs/control signals await delivery; the pipe is in
 ///               (or headed for) the executor's ready queue.
 ///
-/// Outside `Deliver()` a pipe only changes state and notifies its executor
-/// — it never calls downstream. That is the entire non-recursion argument.
+/// A pipe is *linked* to at most one executor at a time. Content staged
+/// while no executor is linked stays in the pipe; the next executor to link
+/// it enqueues it once and delivers it. Outside `Deliver()` a pipe only
+/// changes state and notifies its executor — it never calls downstream.
+/// That is the entire non-recursion argument.
 
 namespace pipes {
 
@@ -75,11 +78,13 @@ class ExecutorLink {
 /// Type-erased base of `Pipe<T>`: what the executor holds and polls.
 class PipeBase {
  public:
-  PipeBase(Node* producer, ExecutorLink* link)
-      : producer_(producer), link_(link) {
-    PIPES_CHECK(producer != nullptr && link != nullptr);
+  explicit PipeBase(Node* producer) : producer_(producer) {
+    PIPES_CHECK(producer != nullptr);
   }
-  virtual ~PipeBase() = default;
+  /// A pipe must be unlinked before its node goes away: destroy (or
+  /// suspend) the executor before removing or destroying the nodes it
+  /// drives.
+  virtual ~PipeBase() { PIPES_CHECK(link_ == nullptr); }
 
   PipeBase(const PipeBase&) = delete;
   PipeBase& operator=(const PipeBase&) = delete;
@@ -97,6 +102,9 @@ class PipeBase {
 
   bool HasStaged() const { return staged_units_ > 0; }
 
+  /// True while an executor is linked.
+  bool linked() const { return link_ != nullptr; }
+
   /// Delivers everything staged to the producer's subscribers, in staging
   /// order, and returns to `Idle`. Returns the number of units delivered.
   /// Called by the executor only; downstream operators invoked from here
@@ -104,6 +112,22 @@ class PipeBase {
   virtual std::size_t Deliver() = 0;
 
   // --- Executor bookkeeping -------------------------------------------------
+
+  /// Links this pipe to `link` (one executor at a time). Content staged
+  /// while the pipe was unlinked is announced now, once.
+  void Link(ExecutorLink* link) {
+    PIPES_CHECK(link != nullptr && link_ == nullptr);
+    link_ = link;
+    if (HasStaged()) NotifyReady();
+  }
+
+  /// Unlinks the executor and frees the pooled column capacity. Anything
+  /// still staged stays for the next executor to deliver.
+  void Unlink() {
+    link_ = nullptr;
+    in_queue_ = false;
+    ReleasePool();
+  }
 
   /// The executor is about to poll the producer: `Idle` → `Request`.
   void MarkPolled() {
@@ -119,11 +143,11 @@ class PipeBase {
   void ClearInQueue() { in_queue_ = false; }
 
  protected:
-  /// Content was staged: state turns `Supply` and the executor is notified
-  /// exactly once until the pipe is dequeued again.
+  /// Content was staged: state turns `Supply` and a linked executor is
+  /// notified exactly once until the pipe is dequeued again.
   void NotifyReady() {
     state_ = PipeState::kSupply;
-    if (!in_queue_) {
+    if (!in_queue_ && link_ != nullptr) {
       in_queue_ = true;
       link_->PipeReady(this);
     }
@@ -131,11 +155,14 @@ class PipeBase {
 
   void ResetToIdle() { state_ = PipeState::kIdle; }
 
+  /// Drops recycled entries (and their column capacity).
+  virtual void ReleasePool() = 0;
+
   std::size_t staged_units_ = 0;
 
  private:
   Node* producer_;
-  ExecutorLink* link_;
+  ExecutorLink* link_ = nullptr;
   PipeState state_ = PipeState::kIdle;
   bool in_queue_ = false;
 };
@@ -148,9 +175,9 @@ class PipeBase {
 template <typename T>
 class Pipe final : public PipeBase {
  public:
-  Pipe(Source<T>* source, ExecutorLink* link);
+  explicit Pipe(Source<T>* source);
 
-  // --- Staging (called by Source<T>'s Transfer* under an executor) ---------
+  // --- Staging (called by Source<T>'s Transfer*) ----------------------------
 
   void StageElement(const StreamElement<T>& e) {
     TailRun().Append(e);
@@ -181,6 +208,14 @@ class Pipe final : public PipeBase {
 
   std::size_t Deliver() override;
 
+  /// True if any element row is staged (control signals aside).
+  bool HasStagedRows() const {
+    return std::any_of(entries_.begin(), entries_.end(),
+                       [](const Entry& e) {
+                         return e.kind == Entry::kRun && !e.run.empty();
+                       });
+  }
+
  private:
   struct Entry {
     enum Kind { kRun, kHeartbeat, kDone };
@@ -208,6 +243,11 @@ class Pipe final : public PipeBase {
       PushEntry(Entry::kRun);
     }
     return entries_.back().run;
+  }
+
+  void ReleasePool() override {
+    std::vector<Entry>().swap(pool_);
+    std::vector<Entry>().swap(delivering_);
   }
 
   Source<T>* source_;

@@ -23,8 +23,9 @@
 /// upstreams, so the owning operator sees a single, monotone notion of time
 /// per input.
 ///
-/// Delivery is a direct virtual call — there is no queue between a source
-/// and a port. Queues exist only inside explicit `Buffer` nodes.
+/// Delivery is a virtual call from the source's pipe (DESIGN.md §4f) — the
+/// pipe holds only what one producer staged since the executor last
+/// reached it. Scheduled queues exist only inside explicit `Buffer` nodes.
 
 namespace pipes {
 

@@ -2,7 +2,6 @@
 #define PIPES_CORE_SOURCE_H_
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,31 +27,30 @@ namespace pipes {
 
 /// A query-graph node with one output of element type `T`.
 ///
-/// `Transfer*` members deliver directly (synchronously) to every subscribed
-/// port — the queue-less connection the paper highlights. Subclasses must
-/// transfer elements in non-decreasing `start()` order and must finish with
+/// `Transfer*` members *stage* into this node's `Pipe<T>` edge, which the
+/// node owns from construction; the `PipeExecutor` linked to the pipe later
+/// polls it and delivers the staged columnar runs to every subscribed port
+/// (DESIGN.md §4f). Output bookkeeping (order check, `last_start_`,
+/// counters, trace) happens at staging time. Subclasses must transfer
+/// elements in non-decreasing `start()` order and must finish with
 /// `TransferDone()`.
 ///
-/// Under an attached `PipeExecutor` the same `Transfer*` calls *stage* into
-/// this node's `Pipe<T>` edge instead of delivering synchronously; the
-/// executor later polls the pipe and delivers the staged columnar runs
-/// (DESIGN.md §4f). Output bookkeeping (order check, `last_start_`,
-/// counters, trace) happens at staging time either way, so metrics are
-/// identical on both paths.
-///
-/// Subscription changes must not happen from inside a Transfer call chain,
-/// nor while an executor is attached.
+/// Subscription changes must not happen from inside a delivery, and must
+/// find no staged rows in the pipe: a new subscriber must not receive rows
+/// staged before it subscribed (staged heartbeats and done markers are
+/// harmless — a late subscriber is caught up on both when it subscribes).
 template <typename T>
 class Source : public Node {
  public:
   using Element = StreamElement<T>;
 
-  explicit Source(std::string name) : Node(std::move(name)) {}
+  explicit Source(std::string name) : Node(std::move(name)), pipe_(this) {}
 
   /// Subscribes `port` to this source. The subscriber will see all elements
   /// transferred from now on. Equivalent to `port.SubscribeTo(*this)`,
   /// which is the spelling that reads in dataflow direction.
   void AddSubscriber(InputPort<T>& port) {
+    PIPES_DCHECK(!pipe_.HasStagedRows());
     const int slot = port.AddUpstream();
     subscriptions_.push_back({&port, slot});
     downstream_.push_back(port.owner_node());
@@ -90,26 +88,10 @@ class Source : public Node {
   /// heartbeat level).
   Timestamp last_start() const { return last_start_; }
 
-  /// Creates this source's `Pipe<T>` and reroutes `Transfer*` into it.
-  PipeBase* AttachExecutor(ExecutorLink* link) override {
-    PIPES_CHECK(stage_ == nullptr);
-    pipe_ = std::make_unique<Pipe<T>>(this, link);
-    stage_ = pipe_.get();
-    executor_attached_ = true;
-    return pipe_.get();
-  }
-
-  void DetachExecutor() override {
-    if (stage_ != nullptr) {
-      PIPES_CHECK(!stage_->HasStaged());
-      stage_ = nullptr;
-      pipe_.reset();
-      executor_attached_ = false;
-    }
-  }
+  PipeBase* output_pipe() override { return &pipe_; }
 
  protected:
-  /// Delivers `element` to all subscribers. Enforces (in debug builds) the
+  /// Stages `element` for all subscribers. Enforces (in debug builds) the
   /// non-decreasing start-order invariant.
   void Transfer(const Element& element) {
     PIPES_DCHECK(!done_);
@@ -119,16 +101,10 @@ class Source : public Node {
     CountOut();
     this->AdvanceProgress(last_start_);
     trace::RecordHop(this->id(), element.start(), trace::Hop::kEmit);
-    if (stage_ != nullptr) {
-      stage_->StageElement(element);
-      return;
-    }
-    for (const Subscription& s : subscriptions_) {
-      s.port->Receive(s.slot, element);
-    }
+    pipe_.StageElement(element);
   }
 
-  /// Delivers a whole columnar run to all subscribers in one call. `run`
+  /// Stages a whole columnar run for all subscribers in one call. `run`
   /// must be ordered by non-decreasing start and must not start before
   /// anything already transferred; control signals never ride inside a run
   /// (use TransferHeartbeat / TransferDone). Bookkeeping (`last_start_`,
@@ -137,12 +113,11 @@ class Source : public Node {
   /// kernels compose without ever materializing `StreamElement`s between
   /// them.
   ///
-  /// Under an executor the columns are swapped into the pipe's staged entry
-  /// instead of copied, and `run` comes back cleared with recycled capacity
-  /// — so an operator that keeps one scratch run and hands it off every
-  /// flush stages with zero copies and zero allocations in steady state. On
-  /// the direct path `run` is left intact (treat it as unspecified and
-  /// `clear()` before reuse either way).
+  /// The columns are swapped into the pipe's staged entry instead of
+  /// copied, and `run` comes back cleared with recycled capacity — so an
+  /// operator that keeps one scratch run and hands it off every flush
+  /// stages with zero copies and zero allocations in steady state (treat
+  /// `run` as unspecified and `clear()` before reuse).
   void TransferRun(ColumnarRun<T>&& run) {
     if (run.empty()) return;
     PIPES_DCHECK(!done_);
@@ -157,13 +132,7 @@ class Source : public Node {
     this->AdvanceProgress(last_start_);
     trace::RecordRunHops(this->id(), run.starts.data(), run.size(),
                          trace::Hop::kEmit);
-    if (stage_ != nullptr) {
-      stage_->StageRun(std::move(run));
-      return;
-    }
-    for (const Subscription& s : subscriptions_) {
-      s.port->ReceiveRun(s.slot, run);
-    }
+    pipe_.StageRun(std::move(run));
   }
 
   /// Promises that no future element will have `start() < t`.
@@ -172,13 +141,7 @@ class Source : public Node {
     if (t <= last_start_) return;
     last_start_ = t;
     this->AdvanceProgress(t);
-    if (stage_ != nullptr) {
-      stage_->StageHeartbeat(t);
-      return;
-    }
-    for (const Subscription& s : subscriptions_) {
-      s.port->ReceiveHeartbeat(s.slot, t);
-    }
+    pipe_.StageHeartbeat(t);
   }
 
   /// Signals end-of-stream to all subscribers. Idempotent.
@@ -189,20 +152,14 @@ class Source : public Node {
     // kMaxTimestamp watermark the subscribers will report — a drained graph
     // shows zero watermark lag everywhere.
     this->AdvanceProgress(kMaxTimestamp);
-    if (stage_ != nullptr) {
-      stage_->StageDone();
-      return;
-    }
-    for (const Subscription& s : subscriptions_) {
-      s.port->ReceiveDone(s.slot);
-    }
+    pipe_.StageDone();
   }
 
  private:
   template <typename U>
   friend class Pipe;
 
-  // --- Staged delivery (called from Pipe<T>::Deliver) -----------------------
+  // --- Delivery (called from Pipe<T>::Deliver) ------------------------------
   // Bookkeeping already happened at staging time; these only run the
   // subscriber loops. The downstream operators they invoke stage into their
   // own pipes, so the call depth is constant regardless of chain length.
@@ -240,9 +197,8 @@ class Source : public Node {
   std::vector<Subscription> subscriptions_;
   Timestamp last_start_ = kMinTimestamp;
   bool done_ = false;
-  /// Non-null while a `PipeExecutor` is attached: `Transfer*` stages here.
-  Pipe<T>* stage_ = nullptr;
-  std::unique_ptr<Pipe<T>> pipe_;
+  /// Every `Transfer*` stages here.
+  Pipe<T> pipe_;
 };
 
 // Out-of-line so port.h (which source.h includes) only needs the forward
@@ -254,12 +210,11 @@ void InputPort<T>::SubscribeTo(Source<T>& source) {
 
 // --- Pipe<T> member definitions --------------------------------------------
 // Out-of-line here (not in pipe_edge.h) because they call into Source<T>'s
-// private staged-delivery methods; every TU that instantiates Source<T> —
-// and hence Pipe<T>, created only by AttachExecutor above — sees them.
+// private delivery methods; every TU that instantiates Source<T> — and
+// hence its Pipe<T> member — sees them.
 
 template <typename T>
-Pipe<T>::Pipe(Source<T>* source, ExecutorLink* link)
-    : PipeBase(source, link), source_(source) {}
+Pipe<T>::Pipe(Source<T>* source) : PipeBase(source), source_(source) {}
 
 template <typename T>
 std::size_t Pipe<T>::Deliver() {

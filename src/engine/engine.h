@@ -40,14 +40,18 @@
 /// multiple threads is safe. Result callbacks fire while that lock is held
 /// — do not call back into the engine from inside one.
 ///
-/// Graph mutation protocol: subscriptions must not change while a
-/// `PipeExecutor` is attached, so the engine suspends the executor around
-/// every graft and teardown. Suspension only flushes *staged* output (the
-/// executor destructor drains ready pipes without polling sources), so
-/// registering or cancelling a query never quiesces the rest of the graph —
-/// in-flight elements of other queries keep flowing on the next pump.
-/// Writers resume the executor before they publish, so a pushed element is
-/// always staged and delivered by `Pump`, never inside `Push`.
+/// Graph mutation protocol: the graph must not change while a
+/// `PipeExecutor` is linked to its pipes, and a subscription change must
+/// find no rows staged in the source's pipe, so the engine suspends
+/// (destroys) the executor around every graft and teardown. Suspension only
+/// flushes *staged* output (the executor destructor drains ready pipes
+/// without polling sources), so registering or cancelling a query never
+/// quiesces the rest of the graph — in-flight elements of other queries
+/// keep flowing on the next pump. What a graft stages while suspended (the
+/// heartbeat and done signals a late subscriber triggers) waits in its pipe
+/// for the next executor. Writers resume the executor before they publish,
+/// so pushes queue for delivery in arrival order and a pushed element is
+/// always delivered by `Pump`, never inside `Push`.
 
 namespace pipes::engine {
 

@@ -1,8 +1,10 @@
 #include "src/optimizer/plan_xml.h"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <sstream>
+#include <system_error>
 #include <vector>
 
 #include "src/cql/analyzer.h"
@@ -294,6 +296,23 @@ Result<std::string> RequireAttr(const XmlNode& node, const std::string& name) {
   return it->second;
 }
 
+/// Attribute `name` of `node` as an `Int`. Non-numeric text, trailing
+/// characters, values out of range for `Int` and (for unsigned `Int`) a
+/// minus sign are parse errors naming the attribute.
+template <typename Int>
+Result<Int> RequireIntAttr(const XmlNode& node, const std::string& name) {
+  PIPES_ASSIGN_OR_RETURN(std::string text, RequireAttr(node, name));
+  Int value{};
+  const char* last = text.data() + text.size();
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), last, value);
+  if (parsed.ec != std::errc() || parsed.ptr != last) {
+    return Status::ParseError("<" + node.tag + "> attribute '" + name +
+                              "' is not a valid integer: '" + text + "'");
+  }
+  return value;
+}
+
 Result<ValueType> ParseValueType(const std::string& name) {
   for (int t = 0; t <= static_cast<int>(ValueType::kString); ++t) {
     if (name == ValueTypeName(static_cast<ValueType>(t))) {
@@ -346,18 +365,18 @@ Result<LogicalPlan> BuildFromNode(const XmlNode& node) {
       window.kind = WindowKind::kNow;
     } else if (window_name == "RANGE") {
       window.kind = WindowKind::kRange;
-      PIPES_ASSIGN_OR_RETURN(std::string range, RequireAttr(node, "range"));
-      window.range = std::stoll(range);
+      PIPES_ASSIGN_OR_RETURN(window.range,
+                             RequireIntAttr<Timestamp>(node, "range"));
     } else if (window_name == "RANGE_SLIDE") {
       window.kind = WindowKind::kRangeSlide;
-      PIPES_ASSIGN_OR_RETURN(std::string range, RequireAttr(node, "range"));
-      PIPES_ASSIGN_OR_RETURN(std::string slide, RequireAttr(node, "slide"));
-      window.range = std::stoll(range);
-      window.slide = std::stoll(slide);
+      PIPES_ASSIGN_OR_RETURN(window.range,
+                             RequireIntAttr<Timestamp>(node, "range"));
+      PIPES_ASSIGN_OR_RETURN(window.slide,
+                             RequireIntAttr<Timestamp>(node, "slide"));
     } else if (window_name == "ROWS") {
       window.kind = WindowKind::kRows;
-      PIPES_ASSIGN_OR_RETURN(std::string rows, RequireAttr(node, "rows"));
-      window.rows = static_cast<std::size_t>(std::stoull(rows));
+      PIPES_ASSIGN_OR_RETURN(window.rows,
+                             RequireIntAttr<std::size_t>(node, "rows"));
     } else if (window_name == "UNBOUNDED") {
       window.kind = WindowKind::kUnbounded;
     } else {
@@ -414,9 +433,11 @@ Result<LogicalPlan> BuildFromNode(const XmlNode& node) {
     const Schema concat = children[0]->schema.Concat(children[1]->schema);
     for (const XmlNode& child : node.children) {
       if (child.tag == "key") {
-        PIPES_ASSIGN_OR_RETURN(std::string l, RequireAttr(child, "left"));
-        PIPES_ASSIGN_OR_RETURN(std::string r, RequireAttr(child, "right"));
-        keys.emplace_back(std::stoull(l), std::stoull(r));
+        PIPES_ASSIGN_OR_RETURN(std::size_t l,
+                               RequireIntAttr<std::size_t>(child, "left"));
+        PIPES_ASSIGN_OR_RETURN(std::size_t r,
+                               RequireIntAttr<std::size_t>(child, "right"));
+        keys.emplace_back(l, r);
       } else if (child.tag == "pred") {
         PIPES_ASSIGN_OR_RETURN(std::string text, RequireAttr(child, "text"));
         PIPES_ASSIGN_OR_RETURN(residual, ReviveExpr(text, concat));
@@ -434,9 +455,9 @@ Result<LogicalPlan> BuildFromNode(const XmlNode& node) {
     std::vector<AggSpec> aggs;
     for (const XmlNode& child : node.children) {
       if (child.tag == "group") {
-        PIPES_ASSIGN_OR_RETURN(std::string field,
-                               RequireAttr(child, "field"));
-        group_fields.push_back(std::stoull(field));
+        PIPES_ASSIGN_OR_RETURN(std::size_t field,
+                               RequireIntAttr<std::size_t>(child, "field"));
+        group_fields.push_back(field);
       } else if (child.tag == "agg") {
         AggSpec spec;
         PIPES_ASSIGN_OR_RETURN(std::string agg_kind,

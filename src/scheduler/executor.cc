@@ -9,32 +9,28 @@ namespace pipes::scheduler {
 
 PipeExecutor::PipeExecutor(QueryGraph& graph, Strategy& strategy,
                            std::size_t batch_size)
-    : graph_(graph), strategy_(strategy), batch_size_(batch_size) {
+    : PipeExecutor(graph.nodes(), strategy, batch_size) {}
+
+PipeExecutor::PipeExecutor(const std::vector<Node*>& nodes,
+                           Strategy& strategy, std::size_t batch_size)
+    : strategy_(strategy), batch_size_(batch_size) {
   PIPES_CHECK(batch_size > 0);
-  for (Node* node : graph_.nodes()) {
-    PipeBase* pipe = node->AttachExecutor(this);
-    if (pipe != nullptr) {
-      pipes_.push_back(pipe);
-      attached_.push_back(node);
-      // A node with pre-staged state cannot exist at attach time, but a
-      // defensive enqueue keeps the invariant "Supply pipes are queued".
-      if (pipe->HasStaged()) PipeReady(pipe);
-    }
+  for (Node* node : nodes) {
+    if (node->is_active()) active_.push_back(node);
+    PipeBase* pipe = node->output_pipe();
+    if (pipe == nullptr) continue;
+    pipes_.push_back(pipe);
+    pipe->Link(this);
   }
 }
 
 PipeExecutor::~PipeExecutor() {
-  // Deliver any leftover supply (e.g. an aborted run) so detach sees
-  // drained pipes, then restore direct delivery.
-  while (!ready_.empty()) {
-    PipeBase* pipe = ready_.front();
-    ready_.pop_front();
-    pipe->ClearInQueue();
-    pipe->Deliver();
-  }
-  for (Node* node : attached_) {
-    node->DetachExecutor();
-  }
+  // Deliver leftover supply (e.g. an aborted run or a suspended engine) so
+  // nothing staged under this executor outlives it, then unlink. The
+  // profiler may already be gone.
+  profiler_ = nullptr;
+  while (!ready_.empty()) DeliverFront();
+  for (PipeBase* pipe : pipes_) pipe->Unlink();
 }
 
 void PipeExecutor::PipeReady(PipeBase* pipe) { ready_.push_back(pipe); }
@@ -45,65 +41,63 @@ bool PipeExecutor::AllPipesIdle() const {
   });
 }
 
+std::size_t PipeExecutor::DeliverFront() {
+  PipeBase* pipe = ready_.front();
+  ready_.pop_front();
+  pipe->ClearInQueue();
+  ++deliver_nesting_;
+  max_deliver_nesting_ = std::max(max_deliver_nesting_, deliver_nesting_);
+  std::size_t units;
+  if (profiler_ != nullptr) {
+    const std::int64_t t0 = obs::SteadyNowNs();
+    units = pipe->Deliver();
+    const std::int64_t t1 = obs::SteadyNowNs();
+    profiler_->RecordQuantum(*pipe->producer(), 1, units,
+                             static_cast<std::uint64_t>(t1 - t0));
+  } else {
+    units = pipe->Deliver();
+  }
+  --deliver_nesting_;
+  return units;
+}
+
 bool PipeExecutor::Step() {
   if (!ready_.empty()) {
-    PipeBase* pipe = ready_.front();
-    ready_.pop_front();
-    pipe->ClearInQueue();
-    ++deliver_nesting_;
-    max_deliver_nesting_ = std::max(max_deliver_nesting_, deliver_nesting_);
-    std::size_t units;
-    if (profiler_ != nullptr) {
-      const std::int64_t t0 = obs::SteadyNowNs();
-      units = pipe->Deliver();
-      const std::int64_t t1 = obs::SteadyNowNs();
-      profiler_->RecordQuantum(*pipe->producer(), 1, units,
-                               static_cast<std::uint64_t>(t1 - t0));
-    } else {
-      units = pipe->Deliver();
-    }
-    --deliver_nesting_;
-    stats_.units += units;
+    stats_.units += DeliverFront();
     ++stats_.iterations;
     return true;
   }
 
-  // No ready pipe: poll an active node for fresh supply, mirroring
-  // SingleThreadScheduler's candidate collection and queue accounting.
-  std::vector<Node*> candidates;
+  // No ready pipe: poll an active node for fresh supply.
+  candidates_.clear();
   std::size_t total_queue = 0;
-  for (Node* node : graph_.ActiveNodes()) {
+  for (Node* node : active_) {
     total_queue += node->queue_size();
-    if (node->HasWork()) candidates.push_back(node);
+    if (node->HasWork()) candidates_.push_back(node);
   }
   stats_.peak_total_queue = std::max(stats_.peak_total_queue, total_queue);
   stats_.accumulated_queue += total_queue;
-  if (candidates.empty()) return false;
+  if (candidates_.empty()) return false;
 
-  const std::size_t pick = strategy_.Select(candidates);
-  PIPES_CHECK(pick < candidates.size());
-  Node* chosen = candidates[pick];
+  const std::size_t pick = strategy_.Select(candidates_);
+  PIPES_CHECK(pick < candidates_.size());
+  Node* chosen = candidates_[pick];
   // Idle → Request on the polled node's pipe (if it owns one); staging
   // flips it to Supply and enqueues it.
-  PipeBase* pipe = nullptr;
-  for (std::size_t i = 0; i < attached_.size(); ++i) {
-    if (attached_[i] == chosen) {
-      pipe = pipes_[i];
-      break;
-    }
-  }
+  PipeBase* pipe = chosen->output_pipe();
   if (pipe != nullptr) pipe->MarkPolled();
   if (profiler_ != nullptr) {
     const std::int64_t t0 = obs::SteadyNowNs();
     const std::size_t units = chosen->DoWork(batch_size_);
     const std::int64_t t1 = obs::SteadyNowNs();
-    profiler_->RecordQuantum(*chosen, candidates.size(), units,
+    profiler_->RecordQuantum(*chosen, candidates_.size(), units,
                              static_cast<std::uint64_t>(t1 - t0));
     stats_.units += units;
   } else {
     stats_.units += chosen->DoWork(batch_size_);
   }
   if (pipe != nullptr) pipe->MarkPollDone();
+  ++stats_.polls;
   ++stats_.iterations;
   return true;
 }

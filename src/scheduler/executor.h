@@ -8,15 +8,13 @@
 #include "src/core/graph.h"
 #include "src/core/pipe_edge.h"
 #include "src/scheduler/profiler.h"
-#include "src/scheduler/scheduler.h"
 #include "src/scheduler/strategy.h"
 
 /// \file
-/// The executor-polled driver (DESIGN.md §4f): the non-recursive
-/// counterpart of `SingleThreadScheduler`. On construction it attaches to
-/// every node of the graph — each `Source<T>`-derived node creates a
-/// `Pipe<T>` edge and reroutes its `Transfer*` calls into it — and the main
-/// loop then alternates between two kinds of steps:
+/// The one single-thread driver (DESIGN.md §4f). On construction it links
+/// the output pipe every `Source<T>`-derived node owns — enqueuing, once,
+/// any pipe that already holds content — and the main loop then alternates
+/// between two kinds of steps:
 ///
 ///  1. *Deliver*: pop the next ready pipe from the FIFO work queue and
 ///     deliver its staged columnar runs to the producer's subscribers. The
@@ -24,25 +22,48 @@
 ///     pipes, so a chain of any depth drains iteratively — the executor's
 ///     stack never grows with chain length.
 ///  2. *Poll*: when no pipe is ready, pick one active node (sources,
-///     buffers) through the layer-2 `Strategy` — exactly like
-///     `SingleThreadScheduler` — and give it a `DoWork` quantum, which
-///     stages fresh supply.
+///     buffers) through the layer-2 `Strategy` and give it a `DoWork`
+///     quantum, which stages fresh supply.
 ///
 /// Delivery order is deterministic (FIFO over ready pipes, strategy over
 /// active nodes), so runs are reproducible and the fuzzer's differential
-/// oracles can compare this driver against the recursive reference.
+/// oracles can compare arms. Destroying the executor delivers whatever is
+/// still staged and unlinks the pipes; content staged afterwards (e.g. by
+/// a graph mutation) waits for the next executor.
 
 namespace pipes::scheduler {
+
+/// Aggregate statistics of one run.
+struct RunStats {
+  /// Steps taken: pipe deliveries plus DoWork polls.
+  std::uint64_t iterations = 0;
+  /// DoWork polls among them (the steps that sample queue sizes).
+  std::uint64_t polls = 0;
+  /// Work units performed (elements + control signals).
+  std::uint64_t units = 0;
+  /// Peak of the summed queue sizes over all active nodes, sampled at each
+  /// poll — the memory objective Chain minimizes.
+  std::size_t peak_total_queue = 0;
+  /// Sum over polls of total queued entries (time-averaged queue occupancy
+  /// x polls).
+  std::uint64_t accumulated_queue = 0;
+};
 
 /// Deterministic one-thread, queue-driven driver.
 class PipeExecutor : public ExecutorLink {
  public:
-  /// Attaches to every node of `graph`. `batch_size` is the max work units
-  /// per DoWork poll (Aurora-style train size), as in the schedulers.
+  /// Drives every node of `graph`. `batch_size` is the max work units per
+  /// DoWork poll (Aurora-style train size). The graph must not gain or
+  /// lose nodes while the executor lives.
   PipeExecutor(QueryGraph& graph, Strategy& strategy,
                std::size_t batch_size = 64);
 
-  /// Detaches (pipes are destroyed; direct delivery is restored).
+  /// Drives `nodes` only — one `ThreadScheduler` worker's share of a
+  /// graph: links their pipes and polls the active ones, in this order.
+  PipeExecutor(const std::vector<Node*>& nodes, Strategy& strategy,
+               std::size_t batch_size = 64);
+
+  /// Delivers everything still staged, then unlinks every pipe.
   ~PipeExecutor() override;
 
   PipeExecutor(const PipeExecutor&) = delete;
@@ -60,8 +81,9 @@ class PipeExecutor : public ExecutorLink {
 
   const RunStats& stats() const { return stats_; }
 
-  /// Attaches a profiler: DoWork quanta are recorded like the schedulers
-  /// record theirs; pipe deliveries are recorded against the producer node.
+  /// Attaches a profiler: DoWork quanta are recorded with their candidate
+  /// count; pipe deliveries are recorded against the producer node.
+  /// nullptr detaches; unprofiled runs pay nothing.
   void set_profiler(Profiler* profiler) { profiler_ = profiler; }
 
   /// True when every pipe has delivered everything staged.
@@ -76,18 +98,22 @@ class PipeExecutor : public ExecutorLink {
   /// ExecutorLink: a pipe turned Supply — enqueue it (nothing else).
   void PipeReady(PipeBase* pipe) override;
 
-  QueryGraph& graph_;
+  /// Pops and delivers the front ready pipe; returns the units delivered.
+  std::size_t DeliverFront();
+
   Strategy& strategy_;
   std::size_t batch_size_;
   RunStats stats_;
   Profiler* profiler_ = nullptr;
 
-  /// Every pipe attached at construction, for detach and idle checks.
+  /// Active nodes polled for supply, in construction order.
+  std::vector<Node*> active_;
+  /// Every pipe linked at construction, for unlink and idle checks.
   std::vector<PipeBase*> pipes_;
-  /// Nodes that returned a pipe, for detach.
-  std::vector<Node*> attached_;
   /// Ready pipes in arrival order.
   std::deque<PipeBase*> ready_;
+  /// Poll scratch: the active nodes that have work.
+  std::vector<Node*> candidates_;
 
   std::size_t deliver_nesting_ = 0;
   std::size_t max_deliver_nesting_ = 0;

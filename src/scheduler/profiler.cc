@@ -95,7 +95,8 @@ std::string Profiler::Summary() const {
     out << line;
   }
   std::snprintf(line, sizeof(line),
-                "total: %llu decisions, %llu units, %.1f ms in DoWork\n",
+                "total: %llu decisions, %llu units, %.1f ms in DoWork + "
+                "delivery\n",
                 static_cast<unsigned long long>(decisions_),
                 static_cast<unsigned long long>(total_units_),
                 static_cast<double>(total_service_ns_) / 1e6);

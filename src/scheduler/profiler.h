@@ -10,10 +10,11 @@
 #include "src/core/node.h"
 
 /// \file
-/// Scheduler profiling: per-quantum records of what the layer-2 strategy
-/// decided and what it cost. A `Profiler` aggregates, per active node, the
-/// number of quanta granted, the work units performed (train lengths), and
-/// the service time spent inside `DoWork` — the data behind the paper's
+/// Scheduler profiling: per-quantum records of what the executor ran and
+/// what it cost. A quantum is a `DoWork` poll of an active node or the
+/// delivery of one node's pipe. A `Profiler` aggregates, per node, the
+/// number of quanta, the work units performed (train lengths), and the
+/// service time spent in them — the data behind the paper's
 /// online monitoring of "runtime behaviour of the system". Profiling is
 /// opt-in: schedulers run unprofiled (and pay nothing) unless a profiler is
 /// attached; each worker thread of the `ThreadScheduler` fills a private
@@ -21,17 +22,18 @@
 
 namespace pipes::scheduler {
 
-/// Aggregated profile of one active node (one scheduling unit — the node
-/// plus the passive operators fused behind it).
+/// Aggregated profile of one node: its `DoWork` polls (active nodes) and
+/// its pipe deliveries (every node with an output).
 struct NodeProfile {
   std::uint64_t node_id = 0;
   std::string node_name;
 
-  /// Quanta granted to this node (strategy decisions that picked it).
+  /// Quanta of this node (polls the strategy picked it for, plus pipe
+  /// deliveries).
   std::uint64_t quanta = 0;
   /// Work units performed over all quanta.
   std::uint64_t units = 0;
-  /// Nanoseconds spent inside DoWork over all quanta.
+  /// Nanoseconds spent inside DoWork or delivering, over all quanta.
   std::uint64_t service_ns = 0;
   /// Longest single quantum, in nanoseconds.
   std::uint64_t max_service_ns = 0;
@@ -75,7 +77,7 @@ class Profiler {
   std::uint64_t decisions() const { return decisions_; }
   /// Total work units across all quanta.
   std::uint64_t total_units() const { return total_units_; }
-  /// Total nanoseconds inside DoWork across all quanta.
+  /// Total nanoseconds inside DoWork or delivering, across all quanta.
   std::uint64_t total_service_ns() const { return total_service_ns_; }
 
   /// Per-node aggregates, ordered by node id.

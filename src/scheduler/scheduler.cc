@@ -1,8 +1,8 @@
 #include "src/scheduler/scheduler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "src/common/macros.h"
@@ -22,52 +22,6 @@ std::vector<int> MakeAssignment(
   return assignment;
 }
 
-SingleThreadScheduler::SingleThreadScheduler(QueryGraph& graph,
-                                             Strategy& strategy,
-                                             std::size_t batch_size)
-    : graph_(graph), strategy_(strategy), batch_size_(batch_size) {
-  PIPES_CHECK(batch_size > 0);
-}
-
-bool SingleThreadScheduler::Step() {
-  std::vector<Node*> candidates;
-  std::size_t total_queue = 0;
-  for (Node* node : graph_.ActiveNodes()) {
-    total_queue += node->queue_size();
-    if (node->HasWork()) candidates.push_back(node);
-  }
-  stats_.peak_total_queue = std::max(stats_.peak_total_queue, total_queue);
-  stats_.accumulated_queue += total_queue;
-  if (candidates.empty()) return false;
-
-  const std::size_t pick = strategy_.Select(candidates);
-  PIPES_CHECK(pick < candidates.size());
-  if (profiler_ != nullptr) {
-    const std::int64_t t0 = obs::SteadyNowNs();
-    const std::size_t units = candidates[pick]->DoWork(batch_size_);
-    const std::int64_t t1 = obs::SteadyNowNs();
-    profiler_->RecordQuantum(*candidates[pick], candidates.size(), units,
-                             static_cast<std::uint64_t>(t1 - t0));
-    stats_.units += units;
-  } else {
-    stats_.units += candidates[pick]->DoWork(batch_size_);
-  }
-  ++stats_.iterations;
-  return true;
-}
-
-RunStats SingleThreadScheduler::RunToCompletion(std::uint64_t max_iterations) {
-  while (stats_.iterations < max_iterations) {
-    if (!Step()) {
-      if (graph_.Finished()) break;
-      // No candidate but not finished can only happen if an external
-      // (non-scheduled) source still owes input. Nothing we can do here.
-      break;
-    }
-  }
-  return stats_;
-}
-
 ThreadScheduler::ThreadScheduler(QueryGraph& graph, int num_threads,
                                  StrategyFactory strategy_factory,
                                  std::vector<int> assignment,
@@ -80,104 +34,104 @@ ThreadScheduler::ThreadScheduler(QueryGraph& graph, int num_threads,
   PIPES_CHECK(num_threads_ > 0);
 }
 
-RunStats ThreadScheduler::RunToCompletion() {
-  const std::vector<Node*> active = graph_.ActiveNodes();
-  std::vector<std::vector<Node*>> partitions(num_threads_);
+namespace {
+
+/// Splits the graph into one node list per worker: each worker's assigned
+/// active nodes (in graph order), then every passive node reachable from
+/// them without crossing another active node. Passive nodes with no
+/// upstream (externally fed sources) ride on worker 0. Aborts on a passive
+/// node two workers reach — it would run on both threads at once.
+std::vector<std::vector<Node*>> OwnedNodes(const QueryGraph& graph,
+                                           const std::vector<int>& assignment,
+                                           int num_threads) {
+  std::vector<std::vector<Node*>> owned(num_threads);
+  const std::vector<Node*> active = graph.ActiveNodes();
+  PIPES_CHECK(assignment.empty() || assignment.size() >= active.size());
   for (std::size_t i = 0; i < active.size(); ++i) {
-    const int worker = assignment_.empty()
-                           ? static_cast<int>(i % num_threads_)
-                           : assignment_[i];
-    PIPES_CHECK(worker >= 0 && worker < num_threads_);
-    partitions[worker].push_back(active[i]);
+    const int worker = assignment.empty()
+                           ? static_cast<int>(i % num_threads)
+                           : assignment[i];
+    PIPES_CHECK(worker >= 0 && worker < num_threads);
+    owned[worker].push_back(active[i]);
   }
-
-  std::atomic<bool> all_finished{false};
-  // One monotone latch per worker: "everything in my partition is
-  // finished". Workers may only inspect nodes of their own partition —
-  // a foreign source's exhausted flag is plain (unsynchronized) state —
-  // so global termination is detected by aggregating these latches
-  // instead of walking all active nodes from one thread. The latches
-  // never revert: IsFinished is monotone by the Node contract.
-  const auto partition_finished =
-      std::make_unique<std::atomic<bool>[]>(num_threads_);
-  for (int i = 0; i < num_threads_; ++i) {
-    partition_finished[i].store(false, std::memory_order_relaxed);
+  for (Node* node : graph.nodes()) {
+    if (!node->is_active() && node->upstream().empty()) {
+      owned[0].push_back(node);
+    }
   }
-  std::vector<RunStats> per_thread(num_threads_);
-  std::vector<Profiler> per_thread_profile(
-      profiler_ != nullptr ? num_threads_ : 0);
-  std::vector<std::thread> workers;
-  workers.reserve(num_threads_);
-
-  for (int w = 0; w < num_threads_; ++w) {
-    workers.emplace_back([&, w]() {
-      std::unique_ptr<Strategy> strategy = strategy_factory_();
-      RunStats& stats = per_thread[w];
-      Profiler* profiler =
-          profiler_ != nullptr ? &per_thread_profile[w] : nullptr;
-      std::vector<Node*> candidates;
-      while (!all_finished.load(std::memory_order_acquire)) {
-        candidates.clear();
-        std::size_t total_queue = 0;
-        for (Node* node : partitions[w]) {
-          total_queue += node->queue_size();
-          if (node->HasWork()) candidates.push_back(node);
-        }
-        stats.peak_total_queue =
-            std::max(stats.peak_total_queue, total_queue);
-        stats.accumulated_queue += total_queue;
-        if (candidates.empty()) {
-          // This worker is idle; publish whether its partition has
-          // drained. The first worker doubles as the global termination
-          // detector by aggregating all latches.
-          if (!partition_finished[w].load(std::memory_order_relaxed)) {
-            bool mine = true;
-            for (Node* node : partitions[w]) {
-              if (!node->IsFinished()) {
-                mine = false;
-                break;
-              }
-            }
-            if (mine) {
-              partition_finished[w].store(true, std::memory_order_release);
-            }
-          }
-          if (w == 0) {
-            bool finished = true;
-            for (int i = 0; i < num_threads_; ++i) {
-              if (!partition_finished[i].load(std::memory_order_acquire)) {
-                finished = false;
-                break;
-              }
-            }
-            if (finished) {
-              all_finished.store(true, std::memory_order_release);
-              break;
-            }
-          }
-          std::this_thread::yield();
+  std::unordered_map<const Node*, int> owner;
+  for (int w = 0; w < num_threads; ++w) {
+    std::vector<Node*> stack = owned[w];
+    for (Node* root : stack) owner.emplace(root, w);
+    while (!stack.empty()) {
+      Node* node = stack.back();
+      stack.pop_back();
+      for (Node* down : node->downstream()) {
+        if (down->is_active()) continue;
+        const auto [it, fresh] = owner.emplace(down, w);
+        if (!fresh) {
+          PIPES_CHECK_MSG(it->second == w,
+                          ("operator '" + down->name() +
+                           "' is reachable from workers " +
+                           std::to_string(it->second) + " and " +
+                           std::to_string(w) +
+                           " with no ConcurrentBuffer between them")
+                              .c_str());
           continue;
         }
-        const std::size_t pick = strategy->Select(candidates);
-        if (profiler != nullptr) {
-          const std::int64_t t0 = obs::SteadyNowNs();
-          const std::size_t units = candidates[pick]->DoWork(batch_size_);
-          const std::int64_t t1 = obs::SteadyNowNs();
-          profiler->RecordQuantum(*candidates[pick], candidates.size(),
-                                  units, static_cast<std::uint64_t>(t1 - t0));
-          stats.units += units;
-        } else {
-          stats.units += candidates[pick]->DoWork(batch_size_);
-        }
-        ++stats.iterations;
+        owned[w].push_back(down);
+        stack.push_back(down);
+      }
+    }
+  }
+  return owned;
+}
+
+}  // namespace
+
+RunStats ThreadScheduler::RunToCompletion() {
+  const std::vector<std::vector<Node*>> owned =
+      OwnedNodes(graph_, assignment_, num_threads_);
+  std::vector<std::unique_ptr<Strategy>> strategies;
+  std::vector<std::unique_ptr<PipeExecutor>> executors;
+  std::vector<Profiler> per_thread_profile(
+      profiler_ != nullptr ? num_threads_ : 0);
+  for (int w = 0; w < num_threads_; ++w) {
+    strategies.push_back(strategy_factory_());
+    executors.push_back(std::make_unique<PipeExecutor>(
+        owned[w], *strategies.back(), batch_size_));
+    if (profiler_ != nullptr) {
+      executors.back()->set_profiler(&per_thread_profile[w]);
+    }
+  }
+
+  // A worker whose executor has nothing to deliver and whose active nodes
+  // are all finished can never get work again — its passive nodes are fed
+  // only through its own active nodes — so it stops. Workers inspect only
+  // nodes they own: a foreign source's exhausted flag is unsynchronized.
+  std::vector<std::thread> workers;
+  workers.reserve(num_threads_);
+  for (int w = 0; w < num_threads_; ++w) {
+    workers.emplace_back([&executor = *executors[w], &mine = owned[w]]() {
+      const auto finished = [&mine] {
+        return std::all_of(mine.begin(), mine.end(), [](const Node* node) {
+          return !node->is_active() || node->IsFinished();
+        });
+      };
+      for (;;) {
+        if (executor.Step()) continue;
+        if (finished()) break;
+        std::this_thread::yield();  // until an owned buffer gets input
       }
     });
   }
   for (auto& t : workers) t.join();
 
   RunStats merged;
-  for (const RunStats& s : per_thread) {
+  for (const std::unique_ptr<PipeExecutor>& executor : executors) {
+    const RunStats& s = executor->stats();
     merged.iterations += s.iterations;
+    merged.polls += s.polls;
     merged.units += s.units;
     merged.peak_total_queue += s.peak_total_queue;
     merged.accumulated_queue += s.accumulated_queue;

@@ -8,34 +8,21 @@
 #include <vector>
 
 #include "src/core/graph.h"
+#include "src/scheduler/executor.h"
 #include "src/scheduler/profiler.h"
 #include "src/scheduler/strategy.h"
 
 /// \file
-/// Drivers for query graphs — layers 2 and 3 of the scheduling framework.
+/// Layer 3 of the scheduling framework. The single-thread driver is
+/// `PipeExecutor` (executor.h); it runs all active nodes of a graph in one
+/// thread under a layer-2 `Strategy`, fully deterministic.
 ///
-/// * `SingleThreadScheduler` runs all active nodes of a graph in one thread
-///   under a layer-2 `Strategy`; fully deterministic, used by the test
-///   suite and by the strategy-comparison experiments.
-/// * `ThreadScheduler` (layer 3) partitions the active nodes over several
-///   worker threads, each running its own strategy instance. Edges that
-///   cross a thread boundary must go through a `ConcurrentBuffer`.
+/// `ThreadScheduler` partitions the active nodes over several worker
+/// threads. Each worker is a `PipeExecutor` over its active nodes plus the
+/// passive operators they reach, with its own strategy instance. Edges
+/// that cross a thread boundary must go through a `ConcurrentBuffer`.
 
 namespace pipes::scheduler {
-
-/// Aggregate statistics of one run.
-struct RunStats {
-  /// Scheduling decisions taken.
-  std::uint64_t iterations = 0;
-  /// Work units performed (elements + control signals).
-  std::uint64_t units = 0;
-  /// Peak of the summed queue sizes over all active nodes, sampled at each
-  /// scheduling decision — the memory objective Chain minimizes.
-  std::size_t peak_total_queue = 0;
-  /// Sum over scheduling decisions of total queued entries (time-averaged
-  /// queue occupancy x iterations).
-  std::uint64_t accumulated_queue = 0;
-};
 
 /// Builds a `ThreadScheduler` assignment vector from a node→worker map:
 /// the result follows `graph.ActiveNodes()` order, mapping each listed node
@@ -47,41 +34,11 @@ std::vector<int> MakeAssignment(
     const QueryGraph& graph,
     const std::unordered_map<const Node*, int>& worker_of);
 
-/// Deterministic one-thread driver.
-class SingleThreadScheduler {
- public:
-  /// `batch_size` is the max number of work units per scheduling decision
-  /// (Aurora-style train size).
-  SingleThreadScheduler(QueryGraph& graph, Strategy& strategy,
-                        std::size_t batch_size = 64);
-
-  /// Performs one scheduling decision. Returns false when no active node
-  /// has work.
-  bool Step();
-
-  /// Runs until the graph is fully drained (all active nodes finished) or
-  /// `max_iterations` decisions were taken.
-  RunStats RunToCompletion(
-      std::uint64_t max_iterations = std::uint64_t{1} << 62);
-
-  const RunStats& stats() const { return stats_; }
-
-  /// Attaches a profiler: every subsequent scheduling decision is recorded
-  /// (service time, train length, candidates). nullptr detaches; unprofiled
-  /// runs pay nothing.
-  void set_profiler(Profiler* profiler) { profiler_ = profiler; }
-
- private:
-  QueryGraph& graph_;
-  Strategy& strategy_;
-  std::size_t batch_size_;
-  RunStats stats_;
-  Profiler* profiler_ = nullptr;
-};
-
 /// Layer 3: fixed partitioning of active nodes onto worker threads. Each
-/// worker runs a private strategy over its partition until the whole graph
-/// has drained.
+/// worker runs a `PipeExecutor` with a private strategy over its partition
+/// — its active nodes plus every passive operator reachable from them
+/// without crossing another active node — until the whole graph has
+/// drained.
 class ThreadScheduler {
  public:
   using StrategyFactory = std::function<std::unique_ptr<Strategy>()>;
@@ -95,6 +52,8 @@ class ThreadScheduler {
                   std::size_t batch_size = 64);
 
   /// Runs worker threads until the graph is drained; returns merged stats.
+  /// Aborts, before any thread starts, if an operator is reachable from
+  /// two workers without a `ConcurrentBuffer` between them (a data race).
   RunStats RunToCompletion();
 
   /// Attaches a profiler. Each worker records into a private instance; the

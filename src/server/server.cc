@@ -86,7 +86,9 @@ Status PipesServer::Start() {
   port_ = ntohs(addr.sin_port);
   listen_fd_ = fd;
   running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  // The loop gets the descriptor by value: Stop() resets listen_fd_ while
+  // the loop may still be running.
+  accept_thread_ = std::thread([this, fd] { AcceptLoop(fd); });
   pump_thread_ = std::thread([this] { PumpLoop(); });
   return Status::OK();
 }
@@ -131,9 +133,9 @@ void PipesServer::Stop() {
   }
 }
 
-void PipesServer::AcceptLoop() {
+void PipesServer::AcceptLoop(int listen_fd) {
   while (running_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // Listener closed (Stop) or fatal error.

@@ -31,7 +31,6 @@
 #include "src/optimizer/physical.h"
 #include "src/optimizer/plan_manager.h"
 #include "src/scheduler/executor.h"
-#include "src/scheduler/scheduler.h"
 #include "src/scheduler/strategy.h"
 
 namespace pipes::testing::conformance {
@@ -782,11 +781,10 @@ Result<IntervalTable> RunEngineArm(const CorpusCase& c, const Corpus& corpus) {
   return table;
 }
 
-/// Shared scaffolding of the scheduler-driven arms: vector sources wired
+/// Shared scaffolding of the executor-driven arms: vector sources wired
 /// through the catalog, a PlanManager-installed query, a collector sink.
 Result<IntervalTable> RunManagedArm(const CorpusCase& c, const Corpus& corpus,
                                     std::size_t source_batch,
-                                    bool columnar_executor,
                                     std::size_t drive_batch) {
   QueryGraph graph;
   cql::Catalog catalog;
@@ -801,13 +799,7 @@ Result<IntervalTable> RunManagedArm(const CorpusCase& c, const Corpus& corpus,
   auto& sink = graph.Add<CollectorSink<Tuple>>("conformance-sink");
   installed.output->AddSubscriber(sink.input());
   scheduler::RoundRobinStrategy strategy;
-  if (columnar_executor) {
-    scheduler::PipeExecutor executor(graph, strategy, drive_batch);
-    executor.RunToCompletion();
-  } else {
-    scheduler::SingleThreadScheduler scheduler(graph, strategy, drive_batch);
-    scheduler.RunToCompletion();
-  }
+  scheduler::PipeExecutor(graph, strategy, drive_batch).RunToCompletion();
   IntervalTable table;
   table.schema = installed.schema;
   table.rows = Collected(sink);
@@ -1010,8 +1002,7 @@ Result<IntervalTable> RunKeyedParallelArm(const CorpusCase& c,
   auto& sink = graph.Add<CollectorSink<Tuple>>("conformance-sink");
   output->AddSubscriber(sink.input());
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler scheduler(graph, strategy, 8);
-  scheduler.RunToCompletion();
+  scheduler::PipeExecutor(graph, strategy, 8).RunToCompletion();
   IntervalTable table;
   table.schema = plan->schema;
   table.rows = Collected(sink);
@@ -1053,11 +1044,10 @@ Result<IntervalTable> RunArm(Arm arm, const CorpusCase& c,
     case Arm::kEngine:
       return RunEngineArm(c, corpus);
     case Arm::kPerElement:
-      return RunManagedArm(c, corpus, /*source_batch=*/1,
-                           /*columnar_executor=*/false, /*drive_batch=*/1);
+      return RunManagedArm(c, corpus, /*source_batch=*/1, /*drive_batch=*/1);
     case Arm::kColumnar:
       return RunManagedArm(c, corpus, /*source_batch=*/16,
-                           /*columnar_executor=*/true, /*drive_batch=*/64);
+                           /*drive_batch=*/64);
     case Arm::kKeyedParallel:
       return RunKeyedParallelArm(c, corpus);
   }

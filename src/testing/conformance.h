@@ -17,7 +17,7 @@
 /// table* — the full temporal relation [start, end) | payload the query
 /// must produce over shared fixture streams. A corpus case passes when
 /// every execution arm (independent reference evaluator, live `Engine`,
-/// per-element scheduler, columnar `PipeExecutor`, keyed-parallel
+/// `PipeExecutor` with per-element and with columnar sources, keyed-parallel
 /// replication) is snapshot-equivalent to the expectation: equal payload
 /// multisets at every instant, regardless of how validity is segmented
 /// into elements (coalescing-insensitive, exactly the paper's equivalence
@@ -129,8 +129,8 @@ std::string RenderTable(const IntervalTable& table);
 enum class Arm {
   kReference,      ///< materializing evaluator above (no operator code)
   kEngine,         ///< live Engine: optimizer + sharing + PipeExecutor
-  kPerElement,     ///< PlanManager + SingleThreadScheduler, batch 1
-  kColumnar,       ///< PlanManager + PipeExecutor, batched vector sources
+  kPerElement,     ///< PlanManager + PipeExecutor, runs of 1, batch 1
+  kColumnar,       ///< PlanManager + PipeExecutor, runs of 16, batch 64
   kKeyedParallel,  ///< partitionable operators replicated via MakeKeyedParallel
 };
 

@@ -13,7 +13,6 @@
 #include "src/memory/memory_manager.h"
 #include "src/metadata/snapshot.h"
 #include "src/scheduler/executor.h"
-#include "src/scheduler/scheduler.h"
 #include "src/scheduler/strategy.h"
 #include "src/testing/reference.h"
 
@@ -28,7 +27,6 @@ using scheduler::PipeExecutor;
 using scheduler::RandomStrategy;
 using scheduler::RateBasedStrategy;
 using scheduler::RoundRobinStrategy;
-using scheduler::SingleThreadScheduler;
 using scheduler::Strategy;
 
 std::uint64_t SplitMix64(std::uint64_t x) {
@@ -75,17 +73,19 @@ struct DriveResult {
   std::map<std::uint64_t, std::uint64_t> peak_disk;
 };
 
-/// Steps `m`'s graph to completion under `driver` (any type with a
-/// `bool Step()`), opening gated sources once the rest of the graph has
-/// drained, optionally squeezing the memory budget and capturing metrics
-/// snapshots mid-run. Virtual time only — iteration count is the clock.
-template <typename Driver>
-DriveResult DriveLoop(Materialized& m, Driver& sched,
-                      std::uint64_t max_iterations, bool check_snapshots,
-                      memory::MemoryManager* manager = nullptr,
-                      std::uint64_t squeeze_at = 0,
-                      std::size_t squeeze_budget = 0,
-                      bool track_bounds = false) {
+/// Steps `m`'s graph to completion on a `PipeExecutor`, opening gated
+/// sources once the rest of the graph has drained, optionally squeezing
+/// the memory budget and capturing metrics snapshots mid-run. Virtual time
+/// only — step count is the clock. The executor unlinks (delivering any
+/// leftover supply) before `CheckRun` inspects the graph.
+DriveResult DriveGraph(Materialized& m, Strategy& strategy,
+                       std::size_t batch_size, std::uint64_t max_iterations,
+                       bool check_snapshots,
+                       memory::MemoryManager* manager = nullptr,
+                       std::uint64_t squeeze_at = 0,
+                       std::size_t squeeze_budget = 0,
+                       bool track_bounds = false) {
+  PipeExecutor sched(m.graph, strategy, batch_size);
   DriveResult r;
   bool gates_open = m.gates.empty();
   bool squeezed = manager == nullptr;
@@ -167,33 +167,6 @@ DriveResult DriveLoop(Materialized& m, Driver& sched,
     }
   }
   return r;
-}
-
-/// Drives on the recursive layer-2 scheduler.
-DriveResult DriveGraph(Materialized& m, Strategy& strategy,
-                       std::size_t batch_size, std::uint64_t max_iterations,
-                       bool check_snapshots,
-                       memory::MemoryManager* manager = nullptr,
-                       std::uint64_t squeeze_at = 0,
-                       std::size_t squeeze_budget = 0,
-                       bool track_bounds = false) {
-  SingleThreadScheduler sched(m.graph, strategy, batch_size);
-  return DriveLoop(m, sched, max_iterations, check_snapshots, manager,
-                   squeeze_at, squeeze_budget, track_bounds);
-}
-
-/// Drives on the executor-polled `PipeExecutor` (DESIGN.md §4f): every
-/// generated plan also runs with pipe staging + columnar delivery, checked
-/// by the same oracles as the recursive arms. The executor detaches (and
-/// drains leftover pipes) before `CheckRun` inspects the graph.
-DriveResult DriveGraphOnExecutor(Materialized& m, Strategy& strategy,
-                                 std::size_t batch_size,
-                                 std::uint64_t max_iterations,
-                                 bool check_snapshots,
-                                 bool track_bounds = false) {
-  PipeExecutor executor(m.graph, strategy, batch_size);
-  return DriveLoop(m, executor, max_iterations, check_snapshots, nullptr, 0,
-                   0, track_bounds);
 }
 
 /// Everything checked after a drained run: build-time descriptor
@@ -290,9 +263,6 @@ struct ArmPlan {
   std::uint64_t strategy_seed = 0;
   std::size_t batch_size = 1;
   bool snapshots = false;
-  /// Drive with the executor-polled `PipeExecutor` instead of the
-  /// recursive scheduler.
-  bool use_executor = false;
   /// Memory fault arm.
   bool squeeze_memory = false;
   /// Lossy arms (bounded buffers, memory squeeze): when anything was
@@ -368,24 +338,17 @@ CaseResult RunCaseOnSpec(const PlanSpec& spec,
     arms.push_back(a);
   }
   {
-    // Executor-polling arms: the same plan on the queue-driven
-    // `PipeExecutor`, per-element-staged and batched-columnar.
+    // Columnar runs of 32 under a random strategy (the FIFO-driven
+    // batched arms above never reorder trains).
     ArmPlan a;
-    a.name = "executor";
-    a.batch_size = 8;
-    a.use_executor = true;
+    a.name = "columnar-32";
+    a.mat.source_batch = 32;
+    a.mat.buffer_seed = rng.Next();
+    a.mat.buffer_prob = 0.3;
+    a.strategy_id = static_cast<int>(rng.NextBounded(6));
+    a.strategy_seed = rng.Next();
+    a.batch_size = 32;
     arms.push_back(a);
-
-    ArmPlan b;
-    b.name = "executor-batched-32";
-    b.mat.source_batch = 32;
-    b.mat.buffer_seed = rng.Next();
-    b.mat.buffer_prob = 0.3;
-    b.strategy_id = static_cast<int>(rng.NextBounded(6));
-    b.strategy_seed = rng.Next();
-    b.batch_size = 32;
-    b.use_executor = true;
-    arms.push_back(b);
   }
   bool any_disorder = false;
   for (const StreamProfile& p : profiles) any_disorder |= p.disorder > 0;
@@ -478,13 +441,9 @@ CaseResult RunCaseOnSpec(const PlanSpec& spec,
     std::unique_ptr<Strategy> strategy =
         MakeStrategy(arm.strategy_id, arm.strategy_seed);
     DriveResult drive =
-        arm.use_executor
-            ? DriveGraphOnExecutor(*m, *strategy, arm.batch_size,
-                                   max_iterations, arm.snapshots,
-                                   bound_oracle)
-            : DriveGraph(*m, *strategy, arm.batch_size, max_iterations,
-                         arm.snapshots, manager.get(), squeeze_at,
-                         squeeze_budget, bound_oracle);
+        DriveGraph(*m, *strategy, arm.batch_size, max_iterations,
+                   arm.snapshots, manager.get(), squeeze_at, squeeze_budget,
+                   bound_oracle);
     if (arms_run != nullptr) ++*arms_run;
 
     std::vector<Failure> failures = std::move(drive.failures);

@@ -154,8 +154,9 @@ class CanaryPipe : public UnaryPipe<Val, Val> {
 
   void PortProgress(int port_id, Timestamp watermark) override {
     if (kind_ == CanaryKind::kHeartbeatOvershoot) {
-      // Falsely promise that the next 7 ticks are element-free.
-      this->TransferHeartbeat(watermark + 7);
+      // Falsely promise that the next 7 ticks are element-free (saturated:
+      // end-of-stream already promises everything).
+      this->TransferHeartbeat(SaturatingAdd(watermark, 7));
       return;
     }
     UnaryPipe<Val, Val>::PortProgress(port_id, watermark);

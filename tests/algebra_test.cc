@@ -28,8 +28,15 @@ using namespace pipes::algebra;  // NOLINT: test-local convenience
 
 void Drain(QueryGraph& graph) {
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
+}
+
+/// Delivers what hand-driven DoWork calls staged: an executor links every
+/// pipe on construction and drains them on destruction.
+void DeliverStaged(QueryGraph& graph) {
+  scheduler::RoundRobinStrategy strategy;
+  scheduler::PipeExecutor executor(graph, strategy);
 }
 
 template <typename T>
@@ -242,7 +249,10 @@ TEST(Join, LoadSheddingRespectsMemoryLimitAndCounts) {
   join.SetMemoryLimit(limit);
   // Drive only the left source: the right input never progresses, so no
   // purging happens and state would grow without shedding.
-  while (l.HasWork()) l.DoWork(100);
+  while (l.HasWork()) {
+    l.DoWork(100);
+    DeliverStaged(graph);
+  }
 
   EXPECT_LE(join.MemoryUsage(), limit);
   EXPECT_GT(join.shed_count(), 0u);
@@ -306,6 +316,7 @@ TEST(Aggregate, EmitsIncrementallyWithProgressNotOnlyAtEnd) {
 
   // Drive half the input: outputs must already appear (non-blocking).
   source.DoWork(5);
+  DeliverStaged(graph);
   EXPECT_GE(sink.elements().size(), 3u);
   Drain(graph);
   EXPECT_EQ(sink.elements().size(), 10u);

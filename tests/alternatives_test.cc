@@ -64,7 +64,7 @@ std::vector<Tuple> Execute(const LogicalPlan& plan,
   auto& sink = graph.Add<CollectorSink<Tuple>>();
   (*output)->AddSubscriber(sink.input());
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
 
   std::vector<Tuple> payloads;

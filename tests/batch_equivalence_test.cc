@@ -11,12 +11,8 @@
 // Chains cover the operators with columnar kernels (filter, map, union,
 // windows, coalesce, buffer), the join's per-row fallback, and a mixed-path
 // graph (run source -> element-only count window -> buffer), per DESIGN.md
-// "Run delivery".
-//
-// Every chain additionally runs under the `PipeExecutor` (DESIGN.md §4f),
-// where transfers stage columnar runs into pipe edges: the executor run
-// must produce the same element multiset, done state, and final watermark
-// as the per-element reference.
+// "Run delivery". Every arm runs on the `PipeExecutor` (DESIGN.md §4f),
+// where transfers stage columnar runs into pipe edges.
 
 #include <algorithm>
 #include <cstdint>
@@ -24,7 +20,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -90,7 +85,7 @@ Observation RunGraph(const std::vector<std::vector<StreamElement<int>>>& inputs,
   auto& probe = graph.Add<ProbeSink>();
   build(graph, inputs, run_size, probe);
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy, train_size);
+  scheduler::PipeExecutor driver(graph, strategy, train_size);
   driver.RunToCompletion();
   Observation obs;
   obs.elements = probe.elements;
@@ -98,36 +93,6 @@ Observation RunGraph(const std::vector<std::vector<StreamElement<int>>>& inputs,
   obs.done = probe.done();
   obs.final_watermark = probe.watermark();
   return obs;
-}
-
-/// Same graph, driven by the executor-polled `PipeExecutor` instead of the
-/// recursive scheduler: transfers stage into pipe edges and the data flows
-/// through the columnar kernels.
-Observation RunGraphOnExecutor(
-    const std::vector<std::vector<StreamElement<int>>>& inputs,
-    std::size_t run_size, std::size_t train_size, const BuildFn& build) {
-  QueryGraph graph;
-  auto& probe = graph.Add<ProbeSink>();
-  build(graph, inputs, run_size, probe);
-  scheduler::RoundRobinStrategy strategy;
-  scheduler::PipeExecutor executor(graph, strategy, train_size);
-  executor.RunToCompletion();
-  Observation obs;
-  obs.elements = probe.elements;
-  obs.progress = probe.progress;
-  obs.done = probe.done();
-  obs.final_watermark = probe.watermark();
-  return obs;
-}
-
-std::vector<StreamElement<int>> SortedByElement(
-    std::vector<StreamElement<int>> v) {
-  std::sort(v.begin(), v.end(),
-            [](const StreamElement<int>& a, const StreamElement<int>& b) {
-              return std::tuple(a.start(), a.end(), a.payload) <
-                     std::tuple(b.start(), b.end(), b.payload);
-            });
-  return v;
 }
 
 bool IsSubsequence(const std::vector<Timestamp>& sub,
@@ -180,20 +145,6 @@ void ExpectRunsEqualPerElement(
           << "first unmatched run watermark: "
           << runs.progress[std::min(matched, runs.progress.size() - 1)];
     }
-  }
-  // Executor arm: the same chains on the pipe-polled driver, where the
-  // columnar kernels carry the data. The executor interleaves multi-source
-  // arrivals differently from the recursive drivers, so the comparison is
-  // by element multiset plus end state.
-  for (std::size_t run_size : {1u, 7u, 64u}) {
-    SCOPED_TRACE("executor run_size=" + std::to_string(run_size));
-    const Observation exec =
-        RunGraphOnExecutor(inputs, run_size, train_size, build);
-    EXPECT_EQ(SortedByElement(exec.elements),
-              SortedByElement(reference.elements));
-    EXPECT_EQ(exec.done, reference.done);
-    EXPECT_EQ(exec.final_watermark, reference.final_watermark);
-    EXPECT_TRUE(std::is_sorted(exec.progress.begin(), exec.progress.end()));
   }
 }
 
@@ -293,8 +244,8 @@ TEST_P(BatchEquivalence, HashJoinViaDefaultReplay) {
 
 // Mixed-path graph: run source -> operator with only `PortElement`
 // (CountWindow takes the default row-by-row `PortRun`) -> buffer train
-// drain. Exercises run -> per-element -> run transitions across one chain,
-// on the recursive scheduler and on the executor. The buffer's train drain
+// drain. Exercises run -> per-element -> run transitions across one chain.
+// The buffer's train drain
 // coarsens progress in the reference run too, at boundaries that depend on
 // queued heartbeats, so only monotonicity is asserted.
 TEST_P(BatchEquivalence, MixedPathThroughCountWindowAndBuffer) {

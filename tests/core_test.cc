@@ -29,8 +29,15 @@ std::vector<StreamElement<int>> IntPoints(std::initializer_list<int> values) {
 
 void Drain(QueryGraph& graph) {
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
+}
+
+/// Delivers what hand-driven DoWork calls staged: an executor links every
+/// pipe on construction and drains them on destruction.
+void DeliverStaged(QueryGraph& graph) {
+  scheduler::RoundRobinStrategy strategy;
+  scheduler::PipeExecutor executor(graph, strategy);
 }
 
 TEST(Core, SourceDeliversDirectlyToSubscribedSink) {
@@ -70,8 +77,9 @@ TEST(Core, UnsubscribeStopsDelivery) {
   source.AddSubscriber(sink.input());
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy, /*batch_size=*/2);
-  driver.Step();  // Delivers two elements.
+  scheduler::PipeExecutor driver(graph, strategy, /*batch_size=*/2);
+  driver.Step();  // Stages two elements.
+  driver.Step();  // Delivers them.
   ASSERT_EQ(sink.elements().size(), 2u);
   ASSERT_TRUE(source.UnsubscribeFrom(sink.input()).ok());
   driver.RunToCompletion();
@@ -89,7 +97,7 @@ TEST(Core, UnsubscribeOfUnknownPortFails) {
             StatusCode::kNotFound);
 }
 
-TEST(Core, PipeChainsRunInsideOneTransferCall) {
+TEST(Core, PipeChainsDrainWithoutNestedDelivery) {
   QueryGraph graph;
   auto& source = graph.Add<VectorSource<int>>(IntPoints({1, 2, 3, 4, 5, 6}));
   auto even = [](int x) { return x % 2 == 0; };
@@ -101,7 +109,11 @@ TEST(Core, PipeChainsRunInsideOneTransferCall) {
   filter.AddSubscriber(map.input());
   map.AddSubscriber(sink.input());
 
-  Drain(graph);
+  scheduler::RoundRobinStrategy strategy;
+  scheduler::PipeExecutor driver(graph, strategy);
+  driver.RunToCompletion();
+  // Each hop is its own pipe delivery: no delivery runs inside another.
+  EXPECT_EQ(driver.max_deliver_nesting(), 1u);
 
   ASSERT_EQ(sink.elements().size(), 3u);
   EXPECT_EQ(sink.elements()[0].payload, 4);
@@ -122,10 +134,12 @@ TEST(Core, BufferDecouplesAndPreservesOrderAndDone) {
 
   // Drive only the source: elements park in the buffer.
   while (source.HasWork()) source.DoWork(1);
+  DeliverStaged(graph);
   EXPECT_GE(buffer.queue_size(), 3u);
   EXPECT_TRUE(sink.elements().empty());
 
   while (buffer.HasWork()) buffer.DoWork(1);
+  DeliverStaged(graph);
   ASSERT_EQ(sink.elements().size(), 3u);
   EXPECT_EQ(sink.elements()[2].payload, 9);
   EXPECT_TRUE(sink.done());
@@ -146,7 +160,8 @@ TEST(Core, BufferCoalescesConsecutiveHeartbeats) {
   source.AddSubscriber(buffer.input());
 
   for (Timestamp t = 1; t <= 100; ++t) source.Emit(t);
-  EXPECT_LE(buffer.queue_size(), 1u);
+  DeliverStaged(graph);
+  EXPECT_EQ(buffer.queue_size(), 1u);
 }
 
 TEST(Core, BoundedBufferShedsOldestElements) {
@@ -160,8 +175,10 @@ TEST(Core, BoundedBufferShedsOldestElements) {
   // Burst: the source outruns the buffer; only the 2 newest elements
   // survive, and control signals (done) are never dropped.
   while (source.HasWork()) source.DoWork(10);
+  DeliverStaged(graph);
   EXPECT_EQ(buffer.dropped_count(), 3u);
   while (buffer.HasWork()) buffer.DoWork(10);
+  DeliverStaged(graph);
   ASSERT_EQ(sink.elements().size(), 2u);
   EXPECT_EQ(sink.elements()[0].payload, 4);
   EXPECT_EQ(sink.elements()[1].payload, 5);
@@ -219,12 +236,15 @@ TEST(Core, PortMergesWatermarksOfMultipleUpstreams) {
   slow.AddSubscriber(sink.input());
 
   while (fast.HasWork()) fast.DoWork(1);
+  DeliverStaged(graph);
   // Only the fast source has finished; the slow one still constrains the
   // merged watermark (done upstreams stop constraining).
   EXPECT_EQ(sink.watermark(), kMinTimestamp);
   slow.DoWork(1);
+  DeliverStaged(graph);
   EXPECT_EQ(sink.watermark(), 10);
   slow.DoWork(10);
+  DeliverStaged(graph);
   EXPECT_TRUE(sink.done());
   EXPECT_EQ(sink.watermark(), kMaxTimestamp);
 }
@@ -235,6 +255,8 @@ TEST(Core, LateSubscriberSeesCurrentProgress) {
   auto& early = graph.Add<CollectorSink<int>>("early");
   source.AddSubscriber(early.input());
   source.DoWork(2);
+  // A subscription change must find the pipe idle (no staged rows).
+  DeliverStaged(graph);
 
   auto& late = graph.Add<CollectorSink<int>>("late");
   source.AddSubscriber(late.input());

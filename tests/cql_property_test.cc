@@ -68,8 +68,7 @@ class CqlProperty : public ::testing::TestWithParam<std::uint64_t> {
     auto& sink = graph.Add<CollectorSink<Tuple>>();
     installed->output->AddSubscriber(sink.input());
     scheduler::RandomStrategy strategy(GetParam());
-    scheduler::SingleThreadScheduler driver(graph, strategy,
-                                            1 + GetParam() % 7);
+    scheduler::PipeExecutor driver(graph, strategy, 1 + GetParam() % 7);
     driver.RunToCompletion();
     return sink.elements();
   }

@@ -25,7 +25,7 @@ using relational::ValueType;
 
 void Drain(QueryGraph& graph) {
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
 }
 

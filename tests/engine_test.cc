@@ -427,8 +427,8 @@ TEST_F(EngineTest, PushAfterRegisterWaitsForPump) {
   ASSERT_TRUE(
       handle->OnResult([&](const QueryHandle::Element&) { ++callbacks; }).ok());
 
-  // Register suspended the executor; the push must not deliver by direct
-  // recursion anyway — the row is staged and only Pump delivers it.
+  // Register suspended the executor; the push is staged and only Pump
+  // delivers it.
   PushTrades(*writer, 1, 0);
   EXPECT_EQ(callbacks, 0);
   EXPECT_EQ(handle->results_delivered(), 0u);
@@ -436,6 +436,31 @@ TEST_F(EngineTest, PushAfterRegisterWaitsForPump) {
   engine.Pump();
   EXPECT_EQ(callbacks, 1);
   EXPECT_EQ(handle->results_delivered(), 1u);
+}
+
+// --- Windows reaching past the last timestamp -------------------------------
+
+TEST_F(EngineTest, WindowEndsSaturateAtMaxTimestamp) {
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  auto range = engine.Register(
+      "SELECT * FROM trades [RANGE 9223372036854775000 MILLISECONDS]");
+  ASSERT_TRUE(range.ok()) << range.status().ToString();
+  auto slide = engine.Register(
+      "SELECT * FROM trades [RANGE 9223372036854775000 MILLISECONDS "
+      "SLIDE 1 SECONDS]");
+  ASSERT_TRUE(slide.ok()) << slide.status().ToString();
+
+  PushTrades(*writer, 1, /*t0=*/1000);
+  engine.Pump();
+
+  for (QueryHandle* handle : {&*range, &*slide}) {
+    const std::vector<QueryHandle::Element> rows = handle->Poll();
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].start(), 1000);
+    EXPECT_EQ(rows[0].end(), kMaxTimestamp);
+  }
 }
 
 // --- Client input that must fail Register cleanly ----------------------------

@@ -25,7 +25,7 @@ namespace {
 
 void Drain(QueryGraph& graph) {
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy, 512);
+  scheduler::PipeExecutor driver(graph, strategy, 512);
   driver.RunToCompletion();
 }
 

@@ -1,14 +1,13 @@
 // Tests for the executor-polled execution model (DESIGN.md §4f): the
-// `Pipe` edge three-state machine, staged delivery with preserved
-// element/control interleaving, the `PipeExecutor` driver, stack safety on
-// deep chains (the non-recursion argument), and end-state equivalence with
-// the recursive publish-subscribe reference.
+// `Pipe` edge three-state machine and its link/unlink lifecycle, staged
+// delivery with preserved element/control interleaving, the `PipeExecutor`
+// driver, stack safety on deep chains (the non-recursion argument), and
+// end-state equivalence with the snapshot reference.
 
 #include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -23,7 +22,6 @@
 #include "src/core/graph.h"
 #include "src/core/sink.h"
 #include "src/scheduler/executor.h"
-#include "src/scheduler/scheduler.h"
 #include "tests/snapshot_reference.h"
 
 namespace pipes {
@@ -33,7 +31,6 @@ using namespace pipes::algebra;    // NOLINT: test-local convenience
 using namespace pipes::testing;    // NOLINT: test-local convenience
 using scheduler::PipeExecutor;
 using scheduler::RoundRobinStrategy;
-using scheduler::SingleThreadScheduler;
 
 /// A source staged by hand, for driving the pipe state machine directly.
 class ManualSource : public Source<int> {
@@ -79,9 +76,10 @@ TEST(PipeStateMachine, PollRequestSupplyDeliverCycle) {
   source.AddSubscriber(sink.input());
   RecordingLink link;
 
-  PipeBase* pipe = source.AttachExecutor(&link);
+  PipeBase* pipe = source.output_pipe();
   ASSERT_NE(pipe, nullptr);
-  EXPECT_TRUE(source.executor_attached());
+  pipe->Link(&link);
+  EXPECT_TRUE(pipe->linked());
   EXPECT_EQ(pipe->state(), PipeState::kIdle);
   EXPECT_FALSE(pipe->HasStaged());
 
@@ -114,8 +112,8 @@ TEST(PipeStateMachine, PollRequestSupplyDeliverCycle) {
   EXPECT_EQ(sink.elements[0].payload, 1);
   EXPECT_EQ(sink.elements[1].payload, 2);
 
-  source.DetachExecutor();
-  EXPECT_FALSE(source.executor_attached());
+  pipe->Unlink();
+  EXPECT_FALSE(pipe->linked());
 }
 
 TEST(PipeStateMachine, PassiveProducerSkipsRequest) {
@@ -123,7 +121,8 @@ TEST(PipeStateMachine, PassiveProducerSkipsRequest) {
   ProbeSink sink;
   source.AddSubscriber(sink.input());
   RecordingLink link;
-  PipeBase* pipe = source.AttachExecutor(&link);
+  PipeBase* pipe = source.output_pipe();
+  pipe->Link(&link);
 
   // No poll preceded the staging: Idle -> Supply directly.
   source.Emit(7, 3);
@@ -131,7 +130,7 @@ TEST(PipeStateMachine, PassiveProducerSkipsRequest) {
 
   pipe->ClearInQueue();
   pipe->Deliver();
-  source.DetachExecutor();
+  pipe->Unlink();
 }
 
 TEST(PipeStateMachine, DeliveryPreservesControlInterleaving) {
@@ -139,7 +138,8 @@ TEST(PipeStateMachine, DeliveryPreservesControlInterleaving) {
   ProbeSink sink;
   source.AddSubscriber(sink.input());
   RecordingLink link;
-  PipeBase* pipe = source.AttachExecutor(&link);
+  PipeBase* pipe = source.output_pipe();
+  pipe->Link(&link);
 
   // element(5) | heartbeat(8) | element(9) | done — two separate runs with
   // the heartbeat pinned between them, then end-of-stream.
@@ -167,7 +167,7 @@ TEST(PipeStateMachine, DeliveryPreservesControlInterleaving) {
   ASSERT_NE(it9, sink.progress.end());
   EXPECT_LT(it8 - sink.progress.begin(), it9 - sink.progress.begin());
 
-  source.DetachExecutor();
+  pipe->Unlink();
 }
 
 TEST(PipeExecutorTest, DrivesLinearChainToCompletion) {
@@ -236,80 +236,122 @@ TEST(PipeExecutorTest, Depth1000ChainRunsWithoutRecursion) {
   EXPECT_EQ(executor.max_deliver_nesting(), 1u);
 }
 
-TEST(PipeExecutorTest, MatchesRecursiveSchedulerEndState) {
+TEST(PipeExecutorTest, EndStateMatchesSnapshotReference) {
   Random rng(20240601);
   const auto a = RandomIntStream(rng);
   const auto b = RandomIntStream(rng);
 
-  auto build = [&](QueryGraph& graph, CollectorSink<int>*& sink_out) {
-    auto& sa = graph.Add<VectorSource<int>>(a, "a", /*batch_size=*/4);
-    auto& sb = graph.Add<VectorSource<int>>(b, "b", /*batch_size=*/4);
-    auto pred = [](int v) { return v % 3 != 0; };
-    auto& filter = graph.Add<Filter<int, decltype(pred)>>(pred);
-    auto fn = [](int v) { return v * 2; };
-    auto& map = graph.Add<Map<int, int, decltype(fn)>>(fn);
-    auto& window = graph.Add<TimeWindow<int>>(/*size=*/16);
-    auto& u = graph.Add<Union<int>>();
-    auto& sink = graph.Add<CollectorSink<int>>();
-    sa.AddSubscriber(filter.input());
-    filter.AddSubscriber(map.input());
-    map.AddSubscriber(u.left());
-    sb.AddSubscriber(window.input());
-    window.AddSubscriber(u.right());
-    u.AddSubscriber(sink.input());
-    sink_out = &sink;
-  };
+  QueryGraph graph;
+  auto& sa = graph.Add<VectorSource<int>>(a, "a", /*batch_size=*/4);
+  auto& sb = graph.Add<VectorSource<int>>(b, "b", /*batch_size=*/4);
+  auto pred = [](int v) { return v % 3 != 0; };
+  auto& filter = graph.Add<Filter<int, decltype(pred)>>(pred);
+  auto fn = [](int v) { return v * 2; };
+  auto& map = graph.Add<Map<int, int, decltype(fn)>>(fn);
+  auto& window = graph.Add<TimeWindow<int>>(/*size=*/16);
+  auto& u = graph.Add<Union<int>>();
+  auto& sink = graph.Add<CollectorSink<int>>();
+  sa.AddSubscriber(filter.input());
+  filter.AddSubscriber(map.input());
+  map.AddSubscriber(u.left());
+  sb.AddSubscriber(window.input());
+  window.AddSubscriber(u.right());
+  u.AddSubscriber(sink.input());
 
-  QueryGraph ref_graph;
-  CollectorSink<int>* ref_sink = nullptr;
-  build(ref_graph, ref_sink);
-  RoundRobinStrategy ref_strategy;
-  SingleThreadScheduler ref_driver(ref_graph, ref_strategy, /*batch_size=*/4);
-  ref_driver.RunToCompletion();
-
-  QueryGraph exe_graph;
-  CollectorSink<int>* exe_sink = nullptr;
-  build(exe_graph, exe_sink);
-  RoundRobinStrategy exe_strategy;
-  PipeExecutor executor(exe_graph, exe_strategy, /*batch_size=*/4);
+  RoundRobinStrategy strategy;
+  PipeExecutor executor(graph, strategy, /*batch_size=*/4);
   executor.RunToCompletion();
 
-  // The drivers interleave the two inputs differently, so compare
-  // multisets: same elements, same done state, same final watermark.
-  auto sorted = [](std::vector<StreamElement<int>> v) {
-    std::sort(v.begin(), v.end(),
-              [](const StreamElement<int>& x, const StreamElement<int>& y) {
-                return std::tuple(x.start(), x.end(), x.payload) <
-                       std::tuple(y.start(), y.end(), y.payload);
-              });
-    return v;
-  };
-  EXPECT_EQ(sorted(exe_sink->elements()), sorted(ref_sink->elements()));
-  EXPECT_TRUE(exe_sink->done());
-  EXPECT_EQ(exe_sink->watermark(), ref_sink->watermark());
+  // The same plan applied element by element: filter + map on `a`, a
+  // 16-wide time window on `b`, their union.
+  std::vector<StreamElement<int>> expected;
+  for (const StreamElement<int>& e : a) {
+    if (pred(e.payload)) {
+      expected.emplace_back(fn(e.payload), e.start(), e.end());
+    }
+  }
+  for (const StreamElement<int>& e : b) {
+    expected.emplace_back(e.payload, e.start(), e.start() + 16);
+  }
+  for (Timestamp t : CriticalInstants<int>({&expected, &sink.elements()})) {
+    ASSERT_EQ(SnapshotAt(sink.elements(), t), SnapshotAt(expected, t))
+        << "t=" << t;
+  }
+  EXPECT_TRUE(sink.done());
+  EXPECT_EQ(sink.watermark(), kMaxTimestamp);
   EXPECT_TRUE(executor.AllPipesIdle());
 }
 
-TEST(PipeExecutorTest, DetachRestoresDirectDelivery) {
-  QueryGraph graph;
-  auto& source = graph.Add<VectorSource<int>>(
-      VectorSource<int>::Points({1, 2, 3}), "src");
-  auto& sink = graph.Add<CollectorSink<int>>();
+TEST(PipeExecutorTest, UnlinkKeepsStagedContent) {
+  ManualSource source;
+  ProbeSink sink;
   source.AddSubscriber(sink.input());
+  PipeBase* pipe = source.output_pipe();
+  RecordingLink first;
+  pipe->Link(&first);
+  source.Emit(1, 5);
+  ASSERT_EQ(first.ready.size(), 1u);
 
-  {
-    RoundRobinStrategy strategy;
-    PipeExecutor executor(graph, strategy);
-    EXPECT_TRUE(source.executor_attached());
-    // Destroyed without running: pipes are empty, detach is clean.
-  }
-  EXPECT_FALSE(source.executor_attached());
+  // Unlinking leaves the staged row in place, and staging while unlinked
+  // notifies no one.
+  pipe->Unlink();
+  EXPECT_FALSE(pipe->linked());
+  EXPECT_FALSE(pipe->in_queue());
+  source.Emit(2, 6);
+  EXPECT_EQ(pipe->state(), PipeState::kSupply);
+  EXPECT_EQ(pipe->staged_units(), 2u);
+  EXPECT_EQ(first.ready.size(), 1u);
+  EXPECT_TRUE(sink.elements.empty());
+
+  // The next link announces the pipe once; delivery hands over both rows.
+  RecordingLink next;
+  pipe->Link(&next);
+  ASSERT_EQ(next.ready.size(), 1u);
+  EXPECT_TRUE(pipe->in_queue());
+  pipe->ClearInQueue();
+  EXPECT_EQ(pipe->Deliver(), 2u);
+  ASSERT_EQ(sink.elements.size(), 2u);
+  EXPECT_EQ(sink.elements[1].payload, 2);
+  pipe->Unlink();
+}
+
+// A graph mutation while no executor is linked can stage rows (here: a
+// union releases what it held once its slower input is unsubscribed). The
+// next executor delivers them, and only once.
+TEST(PipeExecutorTest, ContentStagedWhileUnlinkedIsDeliveredOnce) {
+  QueryGraph graph;
+  auto& fast = graph.Add<ManualSource>("fast");
+  auto& slow = graph.Add<ManualSource>("slow");
+  auto& u = graph.Add<Union<int>>();
+  auto& sink = graph.Add<CollectorSink<int>>();
+  fast.AddSubscriber(u.left());
+  slow.AddSubscriber(u.right());
+  u.AddSubscriber(sink.input());
 
   RoundRobinStrategy strategy;
-  SingleThreadScheduler driver(graph, strategy);
-  driver.RunToCompletion();
-  EXPECT_EQ(sink.elements().size(), 3u);
-  EXPECT_TRUE(sink.done());
+  {
+    PipeExecutor executor(graph, strategy);
+    fast.Emit(1, 10);
+    fast.Emit(2, 20);
+    fast.EmitHeartbeat(30);
+    executor.RunToCompletion();
+    // The slow input never advanced: the union holds both rows.
+    EXPECT_TRUE(sink.elements().empty());
+  }
+
+  ASSERT_TRUE(slow.UnsubscribeFrom(u.right()).ok());
+  EXPECT_TRUE(sink.elements().empty());
+  EXPECT_TRUE(u.output_pipe()->HasStaged());
+  EXPECT_FALSE(u.output_pipe()->linked());
+
+  for (int round = 0; round < 2; ++round) {
+    PipeExecutor executor(graph, strategy);
+    executor.RunToCompletion();
+    EXPECT_TRUE(executor.AllPipesIdle());
+    ASSERT_EQ(sink.elements().size(), 2u) << "round " << round;
+    EXPECT_EQ(sink.elements()[0].payload, 1);
+    EXPECT_EQ(sink.elements()[1].payload, 2);
+  }
 }
 
 TEST(PipeExecutorTest, DrainsBufferedGraphAndStaysBounded) {

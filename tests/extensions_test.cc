@@ -23,7 +23,7 @@ using relational::ValueType;
 
 void Drain(QueryGraph& graph) {
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
 }
 
@@ -67,8 +67,7 @@ TEST_P(IntersectProperty, SnapshotEquivalent) {
   intersect.AddSubscriber(sink.input());
 
   scheduler::RandomStrategy strategy(GetParam());
-  scheduler::SingleThreadScheduler driver(graph, strategy,
-                                          1 + GetParam() % 13);
+  scheduler::PipeExecutor driver(graph, strategy, 1 + GetParam() % 13);
   driver.RunToCompletion();
 
   for (std::size_t i = 1; i < sink.elements().size(); ++i) {
@@ -126,6 +125,11 @@ TEST(StreamArchive, QueryableWhileStreamStillRuns) {
   auto& archive = graph.Add<cursors::StreamArchive<int>>();
   source.AddSubscriber(archive.input());
   source.DoWork(2);
+  {
+    // Deliver what the hand-driven DoWork staged.
+    scheduler::RoundRobinStrategy strategy;
+    scheduler::PipeExecutor executor(graph, strategy);
+  }
   EXPECT_EQ(archive.size(), 2u);
   EXPECT_EQ(cursors::Collect(*archive.SnapshotAt(0)),
             (std::vector<int>{1}));

@@ -120,7 +120,7 @@ TEST(Integration, PrototypeDsmsEndToEnd) {
                              metadata::MetricKind::kSelectivity});
 
   scheduler::ChainStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy, 512);
+  scheduler::PipeExecutor driver(graph, strategy, 512);
   int steps = 0;
   bool uninstalled = false;
   while (driver.Step()) {

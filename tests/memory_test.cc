@@ -182,14 +182,14 @@ JoinRunResult RunJoinWithBudget(std::size_t budget) {
   }
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
 
   JoinRunResult r;
   r.out = sink.count();
   r.shed = join.ShedCount();
-  const metadata::NodeSnapshot* js =
-      metadata::CaptureSnapshot(graph).FindNode("join");
+  const metadata::MetricsSnapshot snap = metadata::CaptureSnapshot(graph);
+  const metadata::NodeSnapshot* js = snap.FindNode("join");
   EXPECT_NE(js, nullptr);
   if (js != nullptr) r.snapshot_shed = js->shed;
   return r;

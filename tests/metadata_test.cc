@@ -78,8 +78,7 @@ class MonitorTest : public ::testing::Test {
                     MetricKind::kSelectivity, MetricKind::kSubscriberCount});
 
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph_, strategy,
-                                            /*batch_size=*/25);
+    scheduler::PipeExecutor driver(graph_, strategy, /*batch_size=*/25);
     while (driver.Step()) {
       monitor_.Sample();
     }

@@ -73,7 +73,7 @@ TEST(ObservabilityTest, CountersAndSelectivity) {
   filter.AddSubscriber(sink.input());
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
 
   EXPECT_EQ(source.elements_out(), 1000u);
@@ -131,7 +131,7 @@ std::vector<StreamElement<int>> RunChainCollect() {
   buffer.AddSubscriber(sink.input());
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
   return sink.elements();
 }
@@ -185,7 +185,8 @@ TEST(ObservabilityTest, SampledLatencyHistogramRecordsWhenEnabled) {
   auto& sink = graph.Add<CollectorSink<int>>("sink");
   source.AddSubscriber(sink.input());
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  // Trains of one: every element is its own delivery.
+  scheduler::PipeExecutor driver(graph, strategy, /*batch_size=*/1);
   driver.RunToCompletion();
   // 1000 deliveries at a 1-in-16 sample rate.
   EXPECT_GE(sink.service_histogram().count(), 1000u / obs::kLatencySamplePeriod);
@@ -234,7 +235,7 @@ TEST(TraceRingTest, EndToEndJourney) {
   source.AddSubscriber(map.input());
   map.AddSubscriber(sink.input());
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
 
   // Element with start 64 is sampled: emitted by source and map, received
@@ -271,7 +272,7 @@ TEST(ProfilerTest, AgreesWithRunStats) {
   buffer.AddSubscriber(sink.input());
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy, /*batch_size=*/64);
+  scheduler::PipeExecutor driver(graph, strategy, /*batch_size=*/64);
   scheduler::Profiler profiler;
   driver.set_profiler(&profiler);
   const scheduler::RunStats stats = driver.RunToCompletion();
@@ -332,7 +333,7 @@ TEST(SnapshotExportTest, JsonRoundTripsMultiQueryGraph) {
                                 std::make_unique<memory::UniformStrategy>());
   BuildSharedPlan(graph, &manager);
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   scheduler::Profiler profiler;
   driver.set_profiler(&profiler);
   driver.RunToCompletion();
@@ -366,7 +367,7 @@ TEST(SnapshotExportTest, DotCarriesOverlay) {
   QueryGraph graph;
   BuildSharedPlan(graph, nullptr);
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
 
   const metadata::MetricsSnapshot snap = metadata::CaptureSnapshot(graph);
@@ -489,7 +490,7 @@ std::vector<std::string> StepAndCapture() {
   map.AddSubscriber(sink.input());
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   std::vector<std::string> captures;
   int steps = 0;
   while (driver.Step()) {

@@ -52,7 +52,7 @@ StreamElement<Tuple> PersonAt(Timestamp t, std::int64_t id,
 
 void Drain(QueryGraph& graph) {
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
 }
 

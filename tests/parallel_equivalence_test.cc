@@ -70,8 +70,7 @@ static_assert(!dsl::IsKeyPartitionableSpec<dsl::CountWindowSpec>::value);
 /// the seed, so different seeds exercise different interleavings.
 void DrainRandomized(QueryGraph& graph, std::uint64_t seed) {
   scheduler::RandomStrategy strategy(seed);
-  scheduler::SingleThreadScheduler driver(graph, strategy,
-                                          /*batch_size=*/1 + seed % 17);
+  scheduler::PipeExecutor driver(graph, strategy, /*batch_size=*/1 + seed % 17);
   driver.RunToCompletion();
 }
 
@@ -469,7 +468,7 @@ TEST(PartitionTest, HeartbeatsReachIdlePartitions) {
   split.AddSubscriber(1 - target, idle.input());
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
 
   EXPECT_EQ(busy.elements().size(), input.size());

@@ -39,7 +39,7 @@ struct Double {
 
 void Drain(QueryGraph& graph) {
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
 }
 

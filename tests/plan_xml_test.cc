@@ -1,6 +1,9 @@
 // Tests for XML plan persistence: round-trips of every operator kind, and
 // executing a plan that was saved and reloaded.
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "src/core/generator_source.h"
@@ -128,7 +131,7 @@ TEST(PlanXml, ReloadedPlanExecutes) {
   auto& sink = graph.Add<CollectorSink<Tuple>>();
   installed->output->AddSubscriber(sink.input());
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler(graph, strategy).RunToCompletion();
+  scheduler::PipeExecutor(graph, strategy).RunToCompletion();
   EXPECT_EQ(sink.elements().size(), 5u);  // prices 50..90
 }
 
@@ -141,6 +144,22 @@ TEST(PlanXml, RejectsMalformedDocuments) {
   EXPECT_FALSE(FromXml("<plan><op kind=\"scan\" stream=\"s\" "
                        "window=\"NOW\"></wrong></plan>")
                    .ok());
+  // Bad numbers are parse errors naming the attribute: non-numeric text,
+  // a value past int64, and a negative row count.
+  const std::pair<const char*, const char*> bad_numbers[] = {
+      {"window=\"RANGE\" range=\"abc\"", "'range'"},
+      {"window=\"RANGE\" range=\"99999999999999999999\"", "'range'"},
+      {"window=\"ROWS\" rows=\"-5\"", "'rows'"},
+  };
+  for (const auto& [attrs, name] : bad_numbers) {
+    const auto plan = FromXml(std::string("<plan><op kind=\"scan\" "
+                                          "stream=\"s\" ") +
+                              attrs + "></op></plan>");
+    ASSERT_FALSE(plan.ok()) << attrs;
+    EXPECT_EQ(plan.status().code(), StatusCode::kParseError) << attrs;
+    EXPECT_NE(plan.status().message().find(name), std::string::npos)
+        << plan.status().message();
+  }
 }
 
 TEST(PlanXml, EscapesSpecialCharacters) {

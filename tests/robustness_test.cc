@@ -58,8 +58,7 @@ TEST_P(Robustness, BuffersDoNotChangeJoinResults) {
     }
     join.AddSubscriber(sink.input());
     scheduler::RandomStrategy strategy(GetParam() + (buffered ? 7 : 0));
-    scheduler::SingleThreadScheduler driver(graph, strategy,
-                                            1 + GetParam() % 9);
+    scheduler::PipeExecutor driver(graph, strategy, 1 + GetParam() % 9);
     driver.RunToCompletion();
     auto out = sink.elements();
     std::sort(out.begin(), out.end(),
@@ -88,7 +87,7 @@ TEST_P(Robustness, BatchSizeDoesNotChangeAggregateResults) {
     source.AddSubscriber(agg.input());
     agg.AddSubscriber(sink.input());
     scheduler::RoundRobinStrategy strategy;
-    scheduler::SingleThreadScheduler driver(graph, strategy, batch);
+    scheduler::PipeExecutor driver(graph, strategy, batch);
     driver.RunToCompletion();
     return sink.elements();
   };
@@ -112,8 +111,7 @@ TEST_P(Robustness, CoalesceIsSnapshotEquivalentToIdentity) {
   source.AddSubscriber(coalesce.input());
   coalesce.AddSubscriber(sink.input());
   scheduler::RandomStrategy strategy(GetParam());
-  scheduler::SingleThreadScheduler driver(graph, strategy,
-                                          1 + GetParam() % 11);
+  scheduler::PipeExecutor driver(graph, strategy, 1 + GetParam() % 11);
   driver.RunToCompletion();
 
   // Snapshot-equivalence holds only where multiplicity is not collapsed:
@@ -161,8 +159,7 @@ TEST_P(Robustness, ReorderingSourceRestoresRandomDisorder) {
   auto& sink = graph.Add<CollectorSink<int>>();
   source.AddSubscriber(sink.input());
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy,
-                                          1 + GetParam() % 5);
+  scheduler::PipeExecutor driver(graph, strategy, 1 + GetParam() % 5);
   driver.RunToCompletion();
 
   EXPECT_EQ(source.dropped_count(), 0u);
@@ -200,7 +197,7 @@ TEST_P(Robustness, FourWayMultiwayJoinMatchesReference) {
   auto& sink = graph.Add<CollectorSink<std::vector<int>>>();
   join.AddSubscriber(sink.input());
   scheduler::RandomStrategy strategy(GetParam());
-  scheduler::SingleThreadScheduler driver(graph, strategy, 3);
+  scheduler::PipeExecutor driver(graph, strategy, 3);
   driver.RunToCompletion();
 
   auto instants = CriticalInstants<int>(
@@ -236,7 +233,7 @@ TEST_P(Robustness, CountWindowMatchesDirectConstruction) {
   source.AddSubscriber(window.input());
   window.AddSubscriber(sink.input());
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler(graph, strategy).RunToCompletion();
+  scheduler::PipeExecutor(graph, strategy).RunToCompletion();
 
   // Reference: element i valid from its start until the start of element
   // i+rows (clamped up when starts are equal), forever for the last rows.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/algebra/filter.h"
+#include "src/algebra/union.h"
 #include "src/core/buffer.h"
 #include "src/core/generator_source.h"
 #include "src/core/graph.h"
@@ -18,6 +19,13 @@
 
 namespace pipes::scheduler {
 namespace {
+
+/// Delivers what hand-driven DoWork calls staged: an executor links every
+/// pipe on construction and drains them on destruction.
+void DeliverStaged(QueryGraph& graph) {
+  RoundRobinStrategy strategy;
+  PipeExecutor executor(graph, strategy);
+}
 
 std::vector<StreamElement<int>> Ints(int n) {
   std::vector<StreamElement<int>> elements;
@@ -57,6 +65,7 @@ TEST(Strategies, LongestQueuePicksFullestBuffer) {
   source.AddSubscriber(small.input());
   source.AddSubscriber(big.input());
   source.DoWork(10);
+  DeliverStaged(graph);
   small.DoWork(8);  // drain most of the small buffer
 
   std::vector<Node*> candidates = {&small, &big};
@@ -90,8 +99,10 @@ TEST(Strategies, ChainPrefersSelectiveDownstreamChains) {
   // Warm up: push some elements through so selectivities are observable.
   source_a.DoWork(200);
   source_b.DoWork(200);
+  DeliverStaged(graph);
   buffer_a.DoWork(100);
   buffer_b.DoWork(100);
+  DeliverStaged(graph);
 
   EXPECT_GT(ChainStrategy::Priority(buffer_a),
             ChainStrategy::Priority(buffer_b));
@@ -122,8 +133,10 @@ TEST(Strategies, RateBasedPrefersProductiveChains) {
 
   source_a.DoWork(200);
   source_b.DoWork(200);
+  DeliverStaged(graph);
   buffer_a.DoWork(100);
   buffer_b.DoWork(100);
+  DeliverStaged(graph);
 
   // The pass-through chain delivers more results per unit of work.
   EXPECT_GT(RateBasedStrategy::Priority(buffer_b),
@@ -152,7 +165,7 @@ TEST(Scheduler, AllStrategiesDrainTheSameGraphToTheSameResult) {
     source.AddSubscriber(buffer.input());
     buffer.AddSubscriber(filter.input());
     filter.AddSubscriber(sink.input());
-    SingleThreadScheduler driver(graph, strategy, /*batch_size=*/17);
+    PipeExecutor driver(graph, strategy, /*batch_size=*/17);
     driver.RunToCompletion();
     EXPECT_TRUE(graph.Finished());
     return sink.count();
@@ -184,7 +197,7 @@ TEST(Scheduler, CollectsQueueStatistics) {
   // FIFO drives the source fully before draining the buffer -> the queue
   // peak approaches the input size.
   FifoStrategy strategy;
-  SingleThreadScheduler driver(graph, strategy, /*batch_size=*/1000);
+  PipeExecutor driver(graph, strategy, /*batch_size=*/1000);
   const RunStats stats = driver.RunToCompletion();
   EXPECT_GT(stats.peak_total_queue, 90u);
   EXPECT_GT(stats.iterations, 0u);
@@ -197,8 +210,9 @@ TEST(Scheduler, StepReturnsFalseWhenNoWork) {
   auto& sink = graph.Add<CountingSink<int>>();
   source.AddSubscriber(sink.input());
   RoundRobinStrategy strategy;
-  SingleThreadScheduler driver(graph, strategy);
-  EXPECT_TRUE(driver.Step());
+  PipeExecutor driver(graph, strategy);
+  EXPECT_TRUE(driver.Step());  // Polls the source: stages element + done.
+  EXPECT_TRUE(driver.Step());  // Delivers them.
   EXPECT_FALSE(driver.Step());
   EXPECT_TRUE(graph.Finished());
 }
@@ -219,7 +233,7 @@ TEST(Fusion, SpliceBufferSplitsAVirtualNode) {
   EXPECT_TRUE(graph.Validate().ok());
 
   RoundRobinStrategy strategy;
-  SingleThreadScheduler(graph, strategy).RunToCompletion();
+  PipeExecutor(graph, strategy).RunToCompletion();
   EXPECT_EQ(sink.count(), 25u);
 
   // Splicing a non-existent edge reports NotFound.
@@ -274,6 +288,27 @@ TEST(ThreadScheduler, DrainsDisjointChainsAcrossThreads) {
     EXPECT_EQ(sink->count(), static_cast<std::uint64_t>(kPerChain));
     EXPECT_TRUE(sink->done());
   }
+}
+
+// Each worker is a PipeExecutor over its own nodes; an operator fed by two
+// workers' sources with no ConcurrentBuffer between them would run on both
+// threads at once, so the scheduler refuses the graph before starting.
+TEST(ThreadScheduler, RefusesOperatorReachableFromTwoWorkers) {
+  QueryGraph graph;
+  auto& a = graph.Add<VectorSource<int>>(Ints(10), "a");
+  auto& b = graph.Add<VectorSource<int>>(Ints(10), "b");
+  auto& u = graph.Add<algebra::Union<int>>("shared-union");
+  auto& sink = graph.Add<CountingSink<int>>();
+  a.AddSubscriber(u.left());
+  b.AddSubscriber(u.right());
+  u.AddSubscriber(sink.input());
+
+  ThreadScheduler scheduler(
+      graph, /*num_threads=*/2,
+      []() { return std::make_unique<RoundRobinStrategy>(); },
+      /*assignment=*/{0, 1});
+  EXPECT_DEATH(scheduler.RunToCompletion(),
+               "'shared-union' is reachable from workers 0 and 1");
 }
 
 }  // namespace

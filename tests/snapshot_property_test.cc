@@ -36,8 +36,7 @@ using namespace pipes::testing;    // NOLINT: test-local convenience
 /// the seed, so different seeds exercise different interleavings.
 void DrainRandomized(QueryGraph& graph, std::uint64_t seed) {
   scheduler::RandomStrategy strategy(seed);
-  scheduler::SingleThreadScheduler driver(graph, strategy,
-                                          /*batch_size=*/1 + seed % 17);
+  scheduler::PipeExecutor driver(graph, strategy, /*batch_size=*/1 + seed % 17);
   driver.RunToCompletion();
 }
 

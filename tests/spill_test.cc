@@ -297,7 +297,7 @@ SpillJoinRun RunJoin(bool spillable, std::size_t memory_limit) {
   }
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy, /*batch_size=*/16);
+  scheduler::PipeExecutor driver(graph, strategy, /*batch_size=*/16);
   SpillJoinRun r;
   while (driver.Step()) {
     r.peak_spilled_bytes =
@@ -366,7 +366,7 @@ TEST(SpillableJoin, SheddingIsOptInAndCountsAgain) {
   EXPECT_TRUE(join.Describe().shedding_enabled);
 
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
   EXPECT_GT(join.ShedCount(), 0u);
 }
@@ -421,7 +421,7 @@ TEST(SpillableJoin, MidRunSnapshotShowsSpilledState) {
   // Step until the first spilled run exists (the watermark reaps cold runs
   // quickly, so capture must happen the moment one is live).
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   while (join.SpilledBytes() == 0 && driver.Step()) {
   }
   ASSERT_GT(join.SpilledBytes(), 0u);

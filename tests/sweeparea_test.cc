@@ -144,7 +144,7 @@ TEST(TreeSweepArea, PurgeAndEvict) {
 
 void Drain(QueryGraph& graph) {
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler driver(graph, strategy);
+  scheduler::PipeExecutor driver(graph, strategy);
   driver.RunToCompletion();
 }
 

@@ -84,7 +84,7 @@ TEST_F(UninstallTest, SharedSubplansSurviveUntilLastQueryLeaves) {
   auto& sink = graph_.Add<CollectorSink<Tuple>>();
   b->output->AddSubscriber(sink.input());
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler(graph_, strategy).RunToCompletion();
+  scheduler::PipeExecutor(graph_, strategy).RunToCompletion();
   EXPECT_FALSE(sink.elements().empty());
 
   // Detach the sink, then B can leave too; the graph returns to baseline
@@ -135,7 +135,7 @@ TEST_F(UninstallTest, ReinstallAfterUninstallRebuilds) {
   auto& sink = graph_.Add<CollectorSink<Tuple>>();
   second->output->AddSubscriber(sink.input());
   scheduler::RoundRobinStrategy strategy;
-  scheduler::SingleThreadScheduler(graph_, strategy).RunToCompletion();
+  scheduler::PipeExecutor(graph_, strategy).RunToCompletion();
   EXPECT_FALSE(sink.elements().empty());
 }
 
