@@ -1,6 +1,6 @@
 // Simulation-harness throughput: how many fuzz cases per second the
-// generator, the materializing reference executor, the differential
-// oracles, and the full schedule explorer sustain.
+// generator, the reference evaluator, the snapshot comparator, and the
+// full schedule explorer sustain.
 //
 // The fuzzer's value scales with its case rate — the nightly campaign is
 // time-boxed (--minutes 15), so a 2x regression here halves the nightly
@@ -12,23 +12,17 @@
 
 #include <benchmark/benchmark.h>
 
-#include "src/common/random.h"
-#include "src/testing/generate.h"
+#include "src/testing/conformance.h"
 #include "src/testing/harness.h"
-#include "src/testing/oracles.h"
-#include "src/testing/reference.h"
-#include "src/testing/spec.h"
 
 namespace {
 
 using namespace pipes::testing;  // NOLINT
 
 struct PreparedCase {
-  PlanSpec spec;
-  std::vector<Stream> raw;
-  std::vector<Stream> canonical;
-  std::vector<StreamProfile> profiles;
-  Stream expected;
+  FuzzCase fuzz_case;
+  std::vector<conformance::CorpusStream> streams;
+  conformance::IntervalTable expected;
 };
 
 /// Pre-generates a pool of cases so the measured loops exercise exactly one
@@ -38,16 +32,13 @@ std::vector<PreparedCase> PrepareCases(std::uint64_t base_seed, int count) {
   std::vector<PreparedCase> out;
   out.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
-    pipes::Random rng(CaseSeed(base_seed, static_cast<std::uint64_t>(i)));
     PreparedCase c;
-    GeneratedCase gc = GenerateCase(rng, GenOptions{});
-    c.spec = gc.spec;
-    c.profiles = gc.profiles;
-    for (const StreamProfile& profile : gc.profiles) {
-      c.raw.push_back(GenerateStream(rng, profile));
-      c.canonical.push_back(Canonicalize(c.raw.back()));
+    c.fuzz_case = MakeCase(CaseSeed(base_seed, static_cast<std::uint64_t>(i)));
+    for (std::size_t s = 0; s < c.fuzz_case.inputs.size(); ++s) {
+      c.streams.push_back({StreamName(s), StreamSchema(),
+                           SortByStart(c.fuzz_case.inputs[s])});
     }
-    c.expected = EvalReference(c.spec, c.canonical);
+    c.expected = *conformance::ReferenceEval(c.fuzz_case.plan, c.streams);
     out.push_back(std::move(c));
   }
   return out;
@@ -57,13 +48,8 @@ std::vector<PreparedCase> PrepareCases(std::uint64_t base_seed, int count) {
 void BM_GenerateCase(benchmark::State& state) {
   std::uint64_t index = 0;
   for (auto _ : state) {
-    pipes::Random rng(CaseSeed(42, index++));
-    GeneratedCase gc = GenerateCase(rng, GenOptions{});
-    std::size_t total = 0;
-    for (const StreamProfile& profile : gc.profiles) {
-      total += GenerateStream(rng, profile).size();
-    }
-    benchmark::DoNotOptimize(total);
+    const FuzzCase c = MakeCase(CaseSeed(42, index++));
+    benchmark::DoNotOptimize(c.inputs.size());
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["cases/s"] =
@@ -72,14 +58,14 @@ void BM_GenerateCase(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateCase);
 
-/// The materializing reference executor over a pool of generated plans.
+/// The one reference evaluator over a pool of generated plans.
 void BM_ReferenceEval(benchmark::State& state) {
   const std::vector<PreparedCase> pool = PrepareCases(7, 16);
   std::size_t i = 0;
   for (auto _ : state) {
     const PreparedCase& c = pool[i++ % pool.size()];
-    Stream out = EvalReference(c.spec, c.canonical);
-    benchmark::DoNotOptimize(out.data());
+    auto out = conformance::ReferenceEval(c.fuzz_case.plan, c.streams);
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["cases/s"] =
@@ -94,9 +80,8 @@ void BM_OracleSnapshotCompare(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     const PreparedCase& c = pool[i++ % pool.size()];
-    auto violation =
-        CompareSnapshots(c.expected, c.expected, SnapRel::kEqual);
-    benchmark::DoNotOptimize(violation);
+    auto diff = conformance::SnapshotDiff(c.expected, c.expected);
+    benchmark::DoNotOptimize(diff);
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["compares/s"] =
@@ -105,8 +90,8 @@ void BM_OracleSnapshotCompare(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleSnapshotCompare);
 
-/// One full fuzz case: every execution arm (schedules, faults, rewrites,
-/// parallel replication) plus all oracles. This is the campaign's true
+/// One full fuzz case: every execution arm (schedules, faults, optimizer,
+/// engine, parallel replication) plus all oracles. This is the campaign's true
 /// cases-per-second number.
 void BM_FullCase(benchmark::State& state) {
   const std::vector<PreparedCase> pool = PrepareCases(3, 8);
@@ -116,11 +101,10 @@ void BM_FullCase(benchmark::State& state) {
   for (auto _ : state) {
     const std::size_t k = i++ % pool.size();
     const PreparedCase& c = pool[k];
-    std::uint64_t case_arms = 0;
-    CaseResult r = RunCaseOnSpec(c.spec, c.raw, c.profiles,
-                                 CaseSeed(3, static_cast<std::uint64_t>(k)),
-                                 options, &case_arms);
-    arms += case_arms;
+    CaseResult r =
+        RunCaseOn(c.fuzz_case, CaseSeed(3, static_cast<std::uint64_t>(k)),
+                  options);
+    arms += r.arms.size();
     if (!r.ok()) {
       state.SkipWithError("fuzz case failed inside the benchmark");
       break;

@@ -1,7 +1,8 @@
-// Deterministic simulation fuzzer: generates random-but-valid query graphs
+// Deterministic simulation fuzzer: generates random-but-valid logical plans
 // over randomized traffic streams, drives each through many seeded
-// schedules and fault injections, and checks every run against the
-// materializing reference executor plus the streaming invariants.
+// schedules, fault injections, the optimizer and the engine, and checks
+// every run against the one reference evaluator plus the streaming
+// invariants.
 //
 //   pipes_fuzz --cases 2000 --seed 1          # CI smoke campaign
 //   pipes_fuzz --minutes 15                   # nightly time-boxed campaign
@@ -20,11 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "src/common/random.h"
-#include "src/testing/generate.h"
 #include "src/testing/harness.h"
-#include "src/testing/materialize.h"
-#include "src/testing/spec.h"
 
 namespace {
 
@@ -64,37 +61,18 @@ bool ParseCanary(const std::string& name, CanaryKind* out) {
   return false;
 }
 
-/// Re-derives the (plan, streams) of one case seed, exactly as RunCase
-/// does — used by replay and by shrinking after a campaign failure.
-void RegenerateCase(std::uint64_t case_seed, const HarnessOptions& options,
-                    PlanSpec* spec, std::vector<Stream>* raw,
-                    std::vector<StreamProfile>* profiles) {
-  pipes::Random rng(case_seed);
-  GeneratedCase gc = GenerateCase(rng, options.gen);
-  *spec = gc.spec;
-  *profiles = gc.profiles;
-  raw->clear();
-  for (const StreamProfile& profile : gc.profiles) {
-    raw->push_back(GenerateStream(rng, profile));
-  }
-}
-
 /// Shrinks a failing case and prints the minimal repro + replay command.
 void ReportFailure(std::uint64_t case_seed, const CliOptions& cli) {
-  PlanSpec spec;
-  std::vector<Stream> raw;
-  std::vector<StreamProfile> profiles;
-  RegenerateCase(case_seed, cli.harness, &spec, &raw, &profiles);
-
   std::cout << "shrinking...\n";
-  ShrinkResult shrunk =
-      Shrink(spec, raw, profiles, case_seed, cli.harness, 300);
+  const ShrinkResult shrunk = Shrink(MakeCase(case_seed, cli.harness.gen),
+                                     case_seed, cli.harness, 300);
   std::size_t total = 0;
-  for (const Stream& s : shrunk.inputs) total += s.size();
-  std::cout << "minimal repro (" << shrunk.spec.nodes.size() << " nodes, "
-            << total << " input elements, " << shrunk.reruns << " reruns):\n"
-            << shrunk.spec.ToString() << "failure: "
-            << shrunk.result.Summary() << "\n";
+  for (const Stream& s : shrunk.shrunk.inputs) total += s.size();
+  std::cout << "minimal repro (" << PlanSize(shrunk.shrunk.plan)
+            << " plan nodes, " << total << " input elements, " << shrunk.reruns
+            << " reruns):\n"
+            << shrunk.shrunk.plan->ToString()
+            << "failure: " << shrunk.result.Summary() << "\n";
   std::cout << "replay: pipes_fuzz --replay " << case_seed;
   if (cli.harness.fault_mix != "all") {
     std::cout << " --fault-mix " << cli.harness.fault_mix;
@@ -161,14 +139,10 @@ int main(int argc, char** argv) {
   }
 
   if (cli.replay) {
-    PlanSpec spec;
-    std::vector<Stream> raw;
-    std::vector<StreamProfile> profiles;
-    RegenerateCase(cli.replay_seed, cli.harness, &spec, &raw, &profiles);
+    const FuzzCase c = MakeCase(cli.replay_seed, cli.harness.gen);
     std::cout << "replaying case seed " << cli.replay_seed << ":\n"
-              << spec.ToString();
-    CaseResult r = RunCaseOnSpec(spec, raw, profiles, cli.replay_seed,
-                                 cli.harness);
+              << c.plan->ToString();
+    CaseResult r = RunCaseOn(c, cli.replay_seed, cli.harness);
     if (r.ok()) {
       std::cout << "case passed\n";
       return 0;
@@ -196,20 +170,15 @@ int main(int argc, char** argv) {
     // does not change which cases run.
     for (std::uint64_t b = 0; b < want; ++b) {
       const std::uint64_t case_seed = CaseSeed(cli.seed, index++);
-      std::uint64_t arms = 0;
-      PlanSpec spec;
-      std::vector<Stream> raw;
-      std::vector<StreamProfile> profiles;
-      RegenerateCase(case_seed, cli.harness, &spec, &raw, &profiles);
-      CaseResult r = RunCaseOnSpec(spec, raw, profiles, case_seed,
-                                   cli.harness, &arms);
+      const FuzzCase c = MakeCase(case_seed, cli.harness.gen);
+      CaseResult r = RunCaseOn(c, case_seed, cli.harness);
       ++total.cases_run;
-      total.arms_run += arms;
+      total.arms_run += r.arms.size();
       if (!r.ok()) {
         ++total.failed_cases;
         std::cout << "FAIL case " << (index - 1) << " seed " << case_seed
                   << ": " << r.Summary() << "\nplan:\n"
-                  << spec.ToString();
+                  << c.plan->ToString();
         ReportFailure(case_seed, cli);
         return 1;
       }

@@ -37,14 +37,15 @@
 #include "src/analysis/analyzer.h"
 #include "src/analysis/dataflow.h"
 #include "src/analysis/fixtures.h"
-#include "src/common/random.h"
+#include "src/core/generator_source.h"
+#include "src/core/sink.h"
+#include "src/cql/catalog.h"
 #include "src/optimizer/logical_plan.h"
+#include "src/optimizer/physical.h"
 #include "src/optimizer/plan_xml.h"
 #include "src/relational/expression.h"
 #include "src/relational/schema.h"
-#include "src/testing/generate.h"
 #include "src/testing/harness.h"
-#include "src/testing/materialize.h"
 
 namespace {
 
@@ -364,27 +365,37 @@ int main(int argc, char** argv) {
   }
 
   // Certify a deterministic slice of the fuzz corpus: the same generator
-  // and seed schedule the fuzz harness uses, materialized with pristine
-  // options (no faults, no canaries). Gated on the dataflow rules plus
-  // certificate health only — generated plans may legitimately trip
-  // structural lint rules (e.g. distinct-over-unbounded bait).
+  // and seed schedule the fuzz harness uses, each plan lowered through
+  // PhysicalBuilder over its streams exactly as the naive arm does (no
+  // faults, no canaries). Gated on the dataflow rules plus certificate
+  // health only — generated plans may legitimately trip structural lint
+  // rules (e.g. distinct-over-unbounded bait).
   for (int i = 0; i < options.fuzz_corpus; ++i) {
-    pipes::Random rng(pipes::testing::CaseSeed(options.corpus_seed,
-                                               static_cast<std::uint64_t>(i)));
-    const pipes::testing::GeneratedCase gc =
-        pipes::testing::GenerateCase(rng);
-    std::vector<pipes::testing::Stream> raw;
-    raw.reserve(gc.profiles.size());
-    for (const auto& profile : gc.profiles) {
-      raw.push_back(pipes::testing::GenerateStream(rng, profile));
+    const pipes::testing::FuzzCase c = pipes::testing::MakeCase(
+        pipes::testing::CaseSeed(options.corpus_seed,
+                                 static_cast<std::uint64_t>(i)));
+    pipes::QueryGraph graph;
+    pipes::cql::Catalog catalog;
+    for (std::size_t s = 0; s < c.inputs.size(); ++s) {
+      auto& source =
+          graph.Add<pipes::VectorSource<pipes::relational::Tuple>>(
+              pipes::testing::SortByStart(c.inputs[s]),
+              pipes::testing::StreamName(s));
+      (void)catalog.RegisterStream(pipes::testing::StreamName(s),
+                                   pipes::testing::StreamSchema(), &source);
     }
-    const auto m = pipes::testing::Materialize(gc.spec, raw, gc.profiles);
-    if (!m->build_failures.empty()) {
-      std::fprintf(stderr, "fuzz-corpus[%d]: materialization failed\n", i);
+    auto output = pipes::optimizer::PhysicalBuilder(&graph, &catalog)
+                      .Build(c.plan);
+    if (!output.ok()) {
+      std::fprintf(stderr, "fuzz-corpus[%d]: %s\n", i,
+                   output.status().ToString().c_str());
       return 2;
     }
-    const auto analyzed = pipes::analysis::AnalyzeDataflow(m->graph);
-    const auto diags = pipes::analysis::DataflowDiagnostics(m->graph);
+    (*output)->AddSubscriber(
+        graph.Add<pipes::CollectorSink<pipes::relational::Tuple>>("output")
+            .input());
+    const auto analyzed = pipes::analysis::AnalyzeDataflow(graph);
+    const auto diags = pipes::analysis::DataflowDiagnostics(graph);
     char subject[64];
     std::snprintf(subject, sizeof(subject), "fuzz-corpus[%d](seed=%llu)", i,
                   static_cast<unsigned long long>(options.corpus_seed));

@@ -81,6 +81,14 @@ class Source : public Node {
 
   std::size_t num_subscribers() const { return subscriptions_.size(); }
 
+  /// The subscribed ports, in subscription order.
+  std::vector<InputPort<T>*> subscribed_ports() const {
+    std::vector<InputPort<T>*> ports;
+    ports.reserve(subscriptions_.size());
+    for (const Subscription& s : subscriptions_) ports.push_back(s.port);
+    return ports;
+  }
+
   /// True once TransferDone was called.
   bool output_done() const { return done_; }
 

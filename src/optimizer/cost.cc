@@ -1,5 +1,7 @@
 #include "src/optimizer/cost.h"
 
+#include <algorithm>
+
 namespace pipes::optimizer {
 
 CostEstimate CostModel::Estimate(const LogicalPlan& plan,
@@ -58,6 +60,16 @@ CostEstimate CostModel::Estimate(const LogicalPlan& plan,
     case LogicalOp::Kind::kUnion:
       estimate.output_rate = child[0].output_rate + child[1].output_rate;
       own_cost = estimate.output_rate;
+      break;
+    case LogicalOp::Kind::kDifference:
+    case LogicalOp::Kind::kIntersect:
+      // Coverage sweeps over both inputs; the output is bounded by the left
+      // (difference) or the smaller (intersect) input.
+      estimate.output_rate =
+          plan->kind == LogicalOp::Kind::kDifference
+              ? child[0].output_rate
+              : std::min(child[0].output_rate, child[1].output_rate);
+      own_cost = child[0].output_rate + child[1].output_rate;
       break;
     case LogicalOp::Kind::kIStream:
     case LogicalOp::Kind::kDStream:

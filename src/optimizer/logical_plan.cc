@@ -32,6 +32,13 @@ std::string WindowSpec::ToString() const {
     case WindowKind::kUnbounded:
       out << "UNBOUNDED";
       break;
+    case WindowKind::kPartitionedRows:
+      out << "PARTITION BY";
+      for (std::size_t i = 0; i < partition.size(); ++i) {
+        out << (i > 0 ? ", " : " ") << partition[i];
+      }
+      out << " ROWS " << rows;
+      break;
   }
   return out.str();
 }
@@ -110,6 +117,12 @@ std::string LogicalOp::Head() const {
       break;
     case Kind::kDStream:
       out << "DStream";
+      break;
+    case Kind::kDifference:
+      out << "Difference";
+      break;
+    case Kind::kIntersect:
+      out << "Intersect";
       break;
   }
   return out.str();
@@ -278,16 +291,34 @@ LogicalPlan DStreamOp(LogicalPlan child) {
   return UnaryStreamOp(LogicalOp::Kind::kDStream, std::move(child));
 }
 
-LogicalPlan UnionOp(LogicalPlan left, LogicalPlan right) {
+namespace {
+
+LogicalPlan SetOp(LogicalOp::Kind kind, LogicalPlan left, LogicalPlan right) {
   PIPES_CHECK(left != nullptr && right != nullptr);
   PIPES_CHECK_MSG(left->schema.arity() == right->schema.arity(),
-                  "UNION requires equal arity");
+                  "set operators require equal arity");
   auto op = std::make_shared<LogicalOp>();
-  op->kind = LogicalOp::Kind::kUnion;
+  op->kind = kind;
   op->schema = left->schema;
   op->children.push_back(std::move(left));
   op->children.push_back(std::move(right));
   return op;
+}
+
+}  // namespace
+
+LogicalPlan UnionOp(LogicalPlan left, LogicalPlan right) {
+  return SetOp(LogicalOp::Kind::kUnion, std::move(left), std::move(right));
+}
+
+LogicalPlan DifferenceOp(LogicalPlan left, LogicalPlan right) {
+  return SetOp(LogicalOp::Kind::kDifference, std::move(left),
+               std::move(right));
+}
+
+LogicalPlan IntersectOp(LogicalPlan left, LogicalPlan right) {
+  return SetOp(LogicalOp::Kind::kIntersect, std::move(left),
+               std::move(right));
 }
 
 }  // namespace pipes::optimizer

@@ -20,14 +20,24 @@
 
 namespace pipes::optimizer {
 
-/// CQL window specifications attached to stream scans.
-enum class WindowKind { kNow, kRange, kRangeSlide, kRows, kUnbounded };
+/// Window specifications attached to stream scans. All but
+/// kPartitionedRows have CQL syntax; that one is built in plans only (plan
+/// XML, the fuzzer).
+enum class WindowKind {
+  kNow,
+  kRange,
+  kRangeSlide,
+  kRows,
+  kUnbounded,
+  kPartitionedRows,  // the last `rows` rows of each partition
+};
 
 struct WindowSpec {
   WindowKind kind = WindowKind::kNow;
   Timestamp range = 0;      // kRange / kRangeSlide
   Timestamp slide = 0;      // kRangeSlide
-  std::size_t rows = 0;     // kRows
+  std::size_t rows = 0;     // kRows / kPartitionedRows
+  std::vector<std::size_t> partition;  // kPartitionedRows: partition fields
 
   std::string ToString() const;
   friend bool operator==(const WindowSpec&, const WindowSpec&) = default;
@@ -62,6 +72,10 @@ class LogicalOp {
     kUnion,
     kIStream,  // relation-to-stream: point element at each validity start
     kDStream,  // relation-to-stream: point element at each validity end
+    // Bag set operators on equal-arity children, per snapshot: max(0, l - r)
+    // and min(l, r) copies of each payload. No CQL syntax.
+    kDifference,
+    kIntersect,
   };
 
   Kind kind;
@@ -113,6 +127,8 @@ LogicalPlan GroupAggregateOp(LogicalPlan child,
                              std::vector<AggSpec> aggs);
 LogicalPlan DistinctOp(LogicalPlan child);
 LogicalPlan UnionOp(LogicalPlan left, LogicalPlan right);
+LogicalPlan DifferenceOp(LogicalPlan left, LogicalPlan right);
+LogicalPlan IntersectOp(LogicalPlan left, LogicalPlan right);
 LogicalPlan IStreamOp(LogicalPlan child);
 LogicalPlan DStreamOp(LogicalPlan child);
 

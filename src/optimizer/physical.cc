@@ -4,8 +4,10 @@
 #include <utility>
 
 #include "src/algebra/aggregate.h"
+#include "src/algebra/difference.h"
 #include "src/algebra/distinct.h"
 #include "src/algebra/filter.h"
+#include "src/algebra/intersect.h"
 #include "src/algebra/join.h"
 #include "src/algebra/map.h"
 #include "src/algebra/relation_to_stream.h"
@@ -108,6 +110,24 @@ Tuple TupleAggPolicy::Result(const State& state) const {
   return Tuple(std::move(values));
 }
 
+void StampStateBytes(const std::vector<Node*>& nodes,
+                     const relational::Schema& schema) {
+  const std::size_t tuple_bytes =
+      sizeof(Tuple) + schema.fields().size() * (sizeof(relational::Value) + 16);
+  for (Node* node : nodes) {
+    const NodeDescriptor desc = node->Describe();
+    if (desc.dataflow.state_bytes_per_element == 0 && !desc.blocking) {
+      continue;
+    }
+    // Mirror the template formulas' shape conservatively: up to two
+    // retained copies per input element, each with key/boundary overhead.
+    node->metadata().SetGauge(
+        "dataflow.bytes_per_element",
+        static_cast<double>(2 * (tuple_bytes + 64) +
+                            desc.dataflow.state_bytes_per_element));
+  }
+}
+
 PhysicalBuilder::PhysicalBuilder(QueryGraph* graph,
                                  const cql::Catalog* catalog)
     : graph_(graph), catalog_(catalog) {
@@ -125,14 +145,111 @@ Status ValidateWindows(const LogicalPlan& plan) {
   }
   if (plan->kind != LogicalOp::Kind::kStreamScan) return Status::OK();
   const WindowSpec& w = plan->window;
+  const bool rows = w.kind == WindowKind::kRows ||
+                    w.kind == WindowKind::kPartitionedRows;
   const bool positive =
       (w.kind != WindowKind::kRange || w.range > 0) &&
       (w.kind != WindowKind::kRangeSlide || (w.range > 0 && w.slide > 0)) &&
-      (w.kind != WindowKind::kRows || w.rows > 0);
-  if (positive) return Status::OK();
-  return Status::InvalidArgument("window [" + w.ToString() + "] on stream '" +
-                                 plan->stream_name +
-                                 "' needs positive RANGE, SLIDE and ROWS");
+      (!rows || w.rows > 0);
+  if (!positive) {
+    return Status::InvalidArgument("window [" + w.ToString() +
+                                   "] on stream '" + plan->stream_name +
+                                   "' needs positive RANGE, SLIDE and ROWS");
+  }
+  for (std::size_t field : w.partition) {
+    if (field >= plan->schema.arity()) {
+      return Status::InvalidArgument("window [" + w.ToString() +
+                                     "] on stream '" + plan->stream_name +
+                                     "' partitions by a missing field");
+    }
+  }
+  return Status::OK();
+}
+
+/// Static type of `expr` over `schema`, or InvalidArgument naming the first
+/// subexpression whose operand types would abort evaluation at the first
+/// row: arithmetic or negation on a STRING or BOOL, a STRING where a truth
+/// value is needed (NOT, AND, OR). Comparisons accept every type.
+Result<relational::ValueType> CheckExpr(const relational::ExprPtr& expr,
+                                        const relational::Schema& schema) {
+  using relational::ValueType;
+  const auto non_numeric = [](ValueType t) {
+    return t == ValueType::kString || t == ValueType::kBool;
+  };
+  const auto ill_typed = [&]() {
+    return Status::InvalidArgument("ill-typed expression " + expr->ToString());
+  };
+  if (const auto* u = dynamic_cast<const relational::UnaryExpr*>(expr.get())) {
+    PIPES_ASSIGN_OR_RETURN(ValueType t, CheckExpr(u->operand(), schema));
+    const bool bad = u->op() == relational::UnaryOp::kNot
+                         ? t == ValueType::kString
+                         : non_numeric(t);
+    if (bad) return ill_typed();
+  } else if (const auto* b =
+                 dynamic_cast<const relational::BinaryExpr*>(expr.get())) {
+    PIPES_ASSIGN_OR_RETURN(ValueType l, CheckExpr(b->left(), schema));
+    PIPES_ASSIGN_OR_RETURN(ValueType r, CheckExpr(b->right(), schema));
+    switch (b->op()) {
+      case relational::BinaryOp::kAnd:
+      case relational::BinaryOp::kOr:
+        if (l == ValueType::kString || r == ValueType::kString) {
+          return ill_typed();
+        }
+        break;
+      case relational::BinaryOp::kAdd:
+      case relational::BinaryOp::kSub:
+      case relational::BinaryOp::kMul:
+      case relational::BinaryOp::kDiv:
+      case relational::BinaryOp::kMod:
+        if (non_numeric(l) || non_numeric(r)) return ill_typed();
+        break;
+      default:
+        break;
+    }
+  }
+  return InferType(expr, schema);
+}
+
+/// `expr` used as a predicate: well typed, and not a STRING.
+Status CheckPredicate(const relational::ExprPtr& expr,
+                      const relational::Schema& schema) {
+  PIPES_ASSIGN_OR_RETURN(relational::ValueType t, CheckExpr(expr, schema));
+  if (t != relational::ValueType::kString) return Status::OK();
+  return Status::InvalidArgument("predicate " + expr->ToString() +
+                                 " is a STRING, not a truth value");
+}
+
+/// The type pass: every expression of `plan` is checked against its input
+/// schema, so an ill-typed plan fails before the first of its operators
+/// joins the graph instead of aborting at its first row.
+Status CheckTypes(const LogicalPlan& plan) {
+  for (const LogicalPlan& child : plan->children) {
+    PIPES_RETURN_IF_ERROR(CheckTypes(child));
+  }
+  // A join's residual reads the concatenated schema, its own output.
+  const relational::Schema& input = plan->children.size() == 1
+                                        ? plan->children[0]->schema
+                                        : plan->schema;
+  if (plan->predicate != nullptr) {
+    PIPES_RETURN_IF_ERROR(CheckPredicate(plan->predicate, input));
+  }
+  for (const relational::ExprPtr& expr : plan->exprs) {
+    PIPES_RETURN_IF_ERROR(CheckExpr(expr, input).status());
+  }
+  for (const AggSpec& agg : plan->aggs) {
+    if (agg.arg == nullptr) continue;
+    PIPES_ASSIGN_OR_RETURN(relational::ValueType t, CheckExpr(agg.arg, input));
+    const bool numeric_agg = agg.kind != AggKind::kCount &&
+                             agg.kind != AggKind::kMin &&
+                             agg.kind != AggKind::kMax;
+    if (numeric_agg && (t == relational::ValueType::kString ||
+                        t == relational::ValueType::kBool)) {
+      return Status::InvalidArgument(
+          std::string("ill-typed aggregate ") + AggKindName(agg.kind) + "(" +
+          agg.arg->ToString() + ") over a " + relational::ValueTypeName(t));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -141,6 +258,7 @@ Result<Source<Tuple>*> PhysicalBuilder::Build(
     const LogicalPlan& plan, SubplanMap* registry, BuildStats* stats,
     std::vector<std::string>* used_postorder) {
   PIPES_RETURN_IF_ERROR(ValidateWindows(plan));
+  PIPES_RETURN_IF_ERROR(CheckTypes(plan));
   BuildStats local_stats;
   SubplanMap local_registry;
   std::set<std::string> used_set;
@@ -188,7 +306,40 @@ Result<Source<Tuple>*> PhysicalBuilder::BuildNode(
     return it->second.output;
   }
 
+  std::vector<Source<Tuple>*> in;
+  for (const LogicalPlan& child : plan->children) {
+    PIPES_ASSIGN_OR_RETURN(
+        Source<Tuple>* built,
+        BuildNode(child, registry, stats, used_postorder, used_set));
+    in.push_back(built);
+  }
+
   SubplanEntry entry;
+  // Subscribes `port` to `from`, remembering how to undo it.
+  const auto subscribe = [&](auto* from, auto& port) {
+    from->AddSubscriber(port);
+    entry.disconnects.push_back(
+        [from, p = &port]() { return from->UnsubscribeFrom(*p); });
+  };
+  // Records a created operator.
+  const auto created = [&](Node& op) {
+    ++stats->operators_created;
+    entry.nodes.push_back(&op);
+  };
+  // Wires a created operator below `from` (or the two children); it becomes
+  // the output.
+  const auto unary = [&](auto* from, auto& op) {
+    subscribe(from, op.input());
+    created(op);
+    entry.output = &op;
+  };
+  const auto binary = [&](auto& op) {
+    subscribe(in[0], op.left());
+    subscribe(in[1], op.right());
+    created(op);
+    entry.output = &op;
+  };
+
   switch (plan->kind) {
     case LogicalOp::Kind::kStreamScan: {
       PIPES_ASSIGN_OR_RETURN(const cql::Catalog::StreamInfo* info,
@@ -198,278 +349,109 @@ Result<Source<Tuple>*> PhysicalBuilder::BuildNode(
             "stream '" + plan->stream_name + "' has no physical source");
       }
       Source<Tuple>* source = info->source;
-      auto attach = [&](auto& window) {
-        source->AddSubscriber(window.input());
-        ++stats->operators_created;
-        entry.nodes.push_back(&window);
-        entry.disconnects.push_back([source, op = &window]() {
-          return source->UnsubscribeFrom(op->input());
-        });
-        entry.output = &window;
-      };
-      switch (plan->window.kind) {
+      const WindowSpec& w = plan->window;
+      const std::string& stream = plan->stream_name;
+      switch (w.kind) {
         case WindowKind::kNow:
           entry.output = source;  // no operator: the source itself
           break;
-        case WindowKind::kRange: {
-          auto& window = graph_->Add<algebra::TimeWindow<Tuple>>(
-              plan->window.range, "window(" + plan->stream_name + ")");
-          attach(window);
+        case WindowKind::kRange:
+          unary(source, graph_->Add<algebra::TimeWindow<Tuple>>(
+                            w.range, "window(" + stream + ")"));
           break;
-        }
-        case WindowKind::kRangeSlide: {
-          auto& window = graph_->Add<algebra::SlideWindow<Tuple>>(
-              plan->window.range, plan->window.slide,
-              "slide-window(" + plan->stream_name + ")");
-          attach(window);
+        case WindowKind::kRangeSlide:
+          unary(source, graph_->Add<algebra::SlideWindow<Tuple>>(
+                            w.range, w.slide, "slide-window(" + stream + ")"));
           break;
-        }
-        case WindowKind::kRows: {
-          auto& window = graph_->Add<algebra::CountWindow<Tuple>>(
-              plan->window.rows, "rows-window(" + plan->stream_name + ")");
-          attach(window);
+        case WindowKind::kRows:
+          unary(source, graph_->Add<algebra::CountWindow<Tuple>>(
+                            w.rows, "rows-window(" + stream + ")"));
           break;
-        }
-        case WindowKind::kUnbounded: {
-          auto& window = graph_->Add<algebra::UnboundedWindow<Tuple>>(
-              "unbounded-window(" + plan->stream_name + ")");
-          attach(window);
+        case WindowKind::kUnbounded:
+          unary(source, graph_->Add<algebra::UnboundedWindow<Tuple>>(
+                            "unbounded-window(" + stream + ")"));
           break;
-        }
+        case WindowKind::kPartitionedRows:
+          unary(source,
+                graph_->Add<algebra::PartitionedWindow<Tuple, FieldsKey>>(
+                    FieldsKey{w.partition}, w.rows,
+                    "partitioned-window(" + stream + ")"));
+          break;
       }
       break;
     }
 
-    case LogicalOp::Kind::kFilter: {
-      PIPES_ASSIGN_OR_RETURN(
-          Source<Tuple>* child,
-          BuildNode(plan->children[0], registry, stats, used_postorder,
-                    used_set));
-      auto& filter = graph_->Add<algebra::Filter<Tuple, ExprPredicate>>(
-          ExprPredicate{plan->predicate},
-          "filter[" + plan->predicate->ToString() + "]");
-      child->AddSubscriber(filter.input());
-      ++stats->operators_created;
-      entry.nodes.push_back(&filter);
-      entry.disconnects.push_back([child, op = &filter]() {
-        return child->UnsubscribeFrom(op->input());
-      });
-      entry.output = &filter;
+    case LogicalOp::Kind::kFilter:
+      unary(in[0], graph_->Add<algebra::Filter<Tuple, ExprPredicate>>(
+                       ExprPredicate{plan->predicate},
+                       "filter[" + plan->predicate->ToString() + "]"));
       break;
-    }
 
-    case LogicalOp::Kind::kProject: {
-      PIPES_ASSIGN_OR_RETURN(
-          Source<Tuple>* child,
-          BuildNode(plan->children[0], registry, stats, used_postorder,
-                    used_set));
-      auto& project = graph_->Add<algebra::Map<Tuple, Tuple, ExprProjector>>(
-          ExprProjector{plan->exprs}, "project");
-      child->AddSubscriber(project.input());
-      ++stats->operators_created;
-      entry.nodes.push_back(&project);
-      entry.disconnects.push_back([child, op = &project]() {
-        return child->UnsubscribeFrom(op->input());
-      });
-      entry.output = &project;
+    case LogicalOp::Kind::kProject:
+      unary(in[0], graph_->Add<algebra::Map<Tuple, Tuple, ExprProjector>>(
+                       ExprProjector{plan->exprs}, "project"));
       break;
-    }
 
     case LogicalOp::Kind::kJoin: {
-      PIPES_ASSIGN_OR_RETURN(
-          Source<Tuple>* left,
-          BuildNode(plan->children[0], registry, stats, used_postorder,
-                    used_set));
-      PIPES_ASSIGN_OR_RETURN(
-          Source<Tuple>* right,
-          BuildNode(plan->children[1], registry, stats, used_postorder,
-                    used_set));
-      Source<Tuple>* join_out = nullptr;
-      if (!plan->equi_keys.empty()) {
-        FieldsKey left_key;
-        FieldsKey right_key;
-        for (const auto& [l, r] : plan->equi_keys) {
-          left_key.fields.push_back(l);
-          right_key.fields.push_back(r);
-        }
-        auto join = algebra::MakeHashJoin<Tuple, Tuple>(
-            left_key, right_key, TupleConcatCombine{}, "hash-join");
-        auto& node = graph_->Add(std::move(join));
-        left->AddSubscriber(node.left());
-        right->AddSubscriber(node.right());
-        ++stats->operators_created;
-        entry.nodes.push_back(&node);
-        entry.disconnects.push_back([left, op = &node]() {
-          return left->UnsubscribeFrom(op->left());
-        });
-        entry.disconnects.push_back([right, op = &node]() {
-          return right->UnsubscribeFrom(op->right());
-        });
-        join_out = &node;
-        if (plan->predicate != nullptr) {
-          auto& residual =
-              graph_->Add<algebra::Filter<Tuple, ExprPredicate>>(
-                  ExprPredicate{plan->predicate}, "join-residual");
-          join_out->AddSubscriber(residual.input());
-          ++stats->operators_created;
-          entry.nodes.push_back(&residual);
-          Source<Tuple>* raw = join_out;
-          entry.disconnects.push_back([raw, op = &residual]() {
-            return raw->UnsubscribeFrom(op->input());
-          });
-          join_out = &residual;
-        }
-      } else {
-        auto join = algebra::MakeNestedLoopsJoin<Tuple, Tuple>(
+      if (plan->equi_keys.empty()) {
+        binary(graph_->Add(algebra::MakeNestedLoopsJoin<Tuple, Tuple>(
             ConcatPredicate{plan->predicate}, TupleConcatCombine{},
-            plan->predicate == nullptr ? "cross-join" : "nl-join");
-        auto& node = graph_->Add(std::move(join));
-        left->AddSubscriber(node.left());
-        right->AddSubscriber(node.right());
-        ++stats->operators_created;
-        entry.nodes.push_back(&node);
-        entry.disconnects.push_back([left, op = &node]() {
-          return left->UnsubscribeFrom(op->left());
-        });
-        entry.disconnects.push_back([right, op = &node]() {
-          return right->UnsubscribeFrom(op->right());
-        });
-        join_out = &node;
+            plan->predicate == nullptr ? "cross-join" : "nl-join")));
+        break;
       }
-      entry.output = join_out;
+      FieldsKey left_key;
+      FieldsKey right_key;
+      for (const auto& [l, r] : plan->equi_keys) {
+        left_key.fields.push_back(l);
+        right_key.fields.push_back(r);
+      }
+      binary(graph_->Add(algebra::MakeHashJoin<Tuple, Tuple>(
+          left_key, right_key, TupleConcatCombine{}, "hash-join")));
+      if (plan->predicate != nullptr) {
+        unary(entry.output, graph_->Add<algebra::Filter<Tuple, ExprPredicate>>(
+                                ExprPredicate{plan->predicate},
+                                "join-residual"));
+      }
       break;
     }
 
     case LogicalOp::Kind::kGroupAggregate: {
-      PIPES_ASSIGN_OR_RETURN(
-          Source<Tuple>* child,
-          BuildNode(plan->children[0], registry, stats, used_postorder,
-                    used_set));
-      struct TupleIdentity {
-        const Tuple& operator()(const Tuple& t) const { return t; }
-      };
       using Grouped = algebra::GroupedAggregate<Tuple, TupleAggPolicy,
                                                 FieldsKey, TupleIdentity>;
       auto& grouped = graph_->Add<Grouped>(
           FieldsKey{plan->group_fields}, TupleIdentity{}, "group-aggregate",
           TupleAggPolicy(plan->aggs));
-      child->AddSubscriber(grouped.input());
-      ++stats->operators_created;
-
-      // (group key, agg results) -> flat output tuple.
-      struct PairConcat {
-        Tuple operator()(const std::pair<Tuple, Tuple>& p) const {
-          return p.first.Concat(p.second);
-        }
-      };
-      auto& flatten = graph_->Add<
-          algebra::Map<std::pair<Tuple, Tuple>, Tuple, PairConcat>>(
-          PairConcat{}, "flatten-groups");
-      grouped.AddSubscriber(flatten.input());
-      ++stats->operators_created;
-
-      entry.nodes.push_back(&grouped);
-      entry.nodes.push_back(&flatten);
-      entry.disconnects.push_back([child, op = &grouped]() {
-        return child->UnsubscribeFrom(op->input());
-      });
-      entry.disconnects.push_back([g = &grouped, f = &flatten]() {
-        return g->UnsubscribeFrom(f->input());
-      });
-      entry.output = &flatten;
+      subscribe(in[0], grouped.input());
+      created(grouped);
+      unary(&grouped,
+            graph_->Add<algebra::Map<std::pair<Tuple, Tuple>, Tuple,
+                                     PairConcat>>(PairConcat{},
+                                                  "flatten-groups"));
       break;
     }
 
-    case LogicalOp::Kind::kDistinct: {
-      PIPES_ASSIGN_OR_RETURN(
-          Source<Tuple>* child,
-          BuildNode(plan->children[0], registry, stats, used_postorder,
-                    used_set));
-      auto& distinct = graph_->Add<algebra::Distinct<Tuple>>("distinct");
-      child->AddSubscriber(distinct.input());
-      ++stats->operators_created;
-      entry.nodes.push_back(&distinct);
-      entry.disconnects.push_back([child, op = &distinct]() {
-        return child->UnsubscribeFrom(op->input());
-      });
-      entry.output = &distinct;
+    case LogicalOp::Kind::kDistinct:
+      unary(in[0], graph_->Add<algebra::Distinct<Tuple>>("distinct"));
       break;
-    }
-
-    case LogicalOp::Kind::kUnion: {
-      PIPES_ASSIGN_OR_RETURN(
-          Source<Tuple>* left,
-          BuildNode(plan->children[0], registry, stats, used_postorder,
-                    used_set));
-      PIPES_ASSIGN_OR_RETURN(
-          Source<Tuple>* right,
-          BuildNode(plan->children[1], registry, stats, used_postorder,
-                    used_set));
-      auto& unite = graph_->Add<algebra::Union<Tuple>>("union");
-      left->AddSubscriber(unite.left());
-      right->AddSubscriber(unite.right());
-      ++stats->operators_created;
-      entry.nodes.push_back(&unite);
-      entry.disconnects.push_back([left, op = &unite]() {
-        return left->UnsubscribeFrom(op->left());
-      });
-      entry.disconnects.push_back([right, op = &unite]() {
-        return right->UnsubscribeFrom(op->right());
-      });
-      entry.output = &unite;
+    case LogicalOp::Kind::kUnion:
+      binary(graph_->Add<algebra::Union<Tuple>>("union"));
       break;
-    }
-
+    case LogicalOp::Kind::kDifference:
+      binary(graph_->Add<algebra::Difference<Tuple>>("difference"));
+      break;
+    case LogicalOp::Kind::kIntersect:
+      binary(graph_->Add<algebra::Intersect<Tuple>>("intersect"));
+      break;
     case LogicalOp::Kind::kIStream:
-    case LogicalOp::Kind::kDStream: {
-      PIPES_ASSIGN_OR_RETURN(
-          Source<Tuple>* child,
-          BuildNode(plan->children[0], registry, stats, used_postorder,
-                    used_set));
-      Source<Tuple>* out = nullptr;
-      if (plan->kind == LogicalOp::Kind::kIStream) {
-        auto& node = graph_->Add<algebra::IStream<Tuple>>("istream");
-        child->AddSubscriber(node.input());
-        entry.disconnects.push_back([child, op = &node]() {
-          return child->UnsubscribeFrom(op->input());
-        });
-        entry.nodes.push_back(&node);
-        out = &node;
-      } else {
-        auto& node = graph_->Add<algebra::DStream<Tuple>>("dstream");
-        child->AddSubscriber(node.input());
-        entry.disconnects.push_back([child, op = &node]() {
-          return child->UnsubscribeFrom(op->input());
-        });
-        entry.nodes.push_back(&node);
-        out = &node;
-      }
-      ++stats->operators_created;
-      entry.output = out;
+      unary(in[0], graph_->Add<algebra::IStream<Tuple>>("istream"));
       break;
-    }
+    case LogicalOp::Kind::kDStream:
+      unary(in[0], graph_->Add<algebra::DStream<Tuple>>("dstream"));
+      break;
   }
 
   PIPES_CHECK(entry.output != nullptr);
-  // Stateful tuple operators declare per-element state bytes in terms of
-  // sizeof(Tuple), which misses the heap the schema's values occupy. Stamp
-  // the schema-based estimate as a dataflow gauge so the abstract
-  // interpreter (src/analysis/dataflow.h) bounds real retention.
-  const std::size_t tuple_bytes =
-      sizeof(Tuple) +
-      plan->schema.fields().size() * (sizeof(relational::Value) + 16);
-  for (Node* node : entry.nodes) {
-    const NodeDescriptor desc = node->Describe();
-    if (desc.dataflow.state_bytes_per_element == 0 && !desc.blocking) {
-      continue;
-    }
-    // Mirror the template formulas' shape conservatively: up to two
-    // retained copies per input element, each with key/boundary overhead.
-    node->metadata().SetGauge(
-        "dataflow.bytes_per_element",
-        static_cast<double>(2 * (tuple_bytes + 64) +
-                            desc.dataflow.state_bytes_per_element));
-  }
+  StampStateBytes(entry.nodes, plan->schema);
   Source<Tuple>* output = entry.output;
   (*registry)[signature] = std::move(entry);
   remember_use();

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -63,6 +64,21 @@ struct TupleConcatCombine {
   }
 };
 
+/// The whole tuple (aggregate values, distinct keys).
+struct TupleIdentity {
+  const relational::Tuple& operator()(const relational::Tuple& t) const {
+    return t;
+  }
+};
+
+/// (group key, agg results) -> flat output tuple.
+struct PairConcat {
+  relational::Tuple operator()(
+      const std::pair<relational::Tuple, relational::Tuple>& p) const {
+    return p.first.Concat(p.second);
+  }
+};
+
 /// Theta-join predicate evaluated over the concatenated pair.
 struct ConcatPredicate {
   relational::ExprPtr expr;  // null = cross product
@@ -107,6 +123,15 @@ class TupleAggPolicy {
  private:
   std::vector<AggSpec> specs_;
 };
+
+/// Stateful tuple operators declare per-element state bytes in terms of
+/// sizeof(Tuple), which misses the heap the schema's values occupy. Stamps
+/// a schema-based estimate on the stateful ones among `nodes` as the
+/// `dataflow.bytes_per_element` gauge, so the abstract interpreter
+/// (src/analysis/dataflow.h) bounds real retention. Every lowering of a
+/// plan node with output `schema` calls it on the nodes it created.
+void StampStateBytes(const std::vector<Node*>& nodes,
+                     const relational::Schema& schema);
 
 /// One instantiated subplan, keyed by its logical signature. Besides the
 /// output to subscribe to, it carries what dynamic *removal* needs: the

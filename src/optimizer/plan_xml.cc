@@ -67,6 +67,10 @@ const char* KindName(LogicalOp::Kind kind) {
       return "istream";
     case LogicalOp::Kind::kDStream:
       return "dstream";
+    case LogicalOp::Kind::kDifference:
+      return "difference";
+    case LogicalOp::Kind::kIntersect:
+      return "intersect";
   }
   return "?";
 }
@@ -83,6 +87,8 @@ const char* WindowName(WindowKind kind) {
       return "ROWS";
     case WindowKind::kUnbounded:
       return "UNBOUNDED";
+    case WindowKind::kPartitionedRows:
+      return "PARTITIONED_ROWS";
   }
   return "?";
 }
@@ -100,7 +106,8 @@ void WriteOp(const LogicalPlan& plan, int indent, std::ostringstream& out) {
     if (plan->window.kind == WindowKind::kRangeSlide) {
       out << " slide=\"" << plan->window.slide << '"';
     }
-    if (plan->window.kind == WindowKind::kRows) {
+    if (plan->window.kind == WindowKind::kRows ||
+        plan->window.kind == WindowKind::kPartitionedRows) {
       out << " rows=\"" << plan->window.rows << '"';
     }
   }
@@ -130,6 +137,9 @@ void WriteOp(const LogicalPlan& plan, int indent, std::ostringstream& out) {
   }
   for (std::size_t field : plan->group_fields) {
     out << inner << "<group field=\"" << field << "\"/>\n";
+  }
+  for (std::size_t field : plan->window.partition) {
+    out << inner << "<partition field=\"" << field << "\"/>\n";
   }
   for (const AggSpec& agg : plan->aggs) {
     out << inner << "<agg kind=\"" << AggKindName(agg.kind) << "\" name=\""
@@ -379,6 +389,16 @@ Result<LogicalPlan> BuildFromNode(const XmlNode& node) {
                              RequireIntAttr<std::size_t>(node, "rows"));
     } else if (window_name == "UNBOUNDED") {
       window.kind = WindowKind::kUnbounded;
+    } else if (window_name == "PARTITIONED_ROWS") {
+      window.kind = WindowKind::kPartitionedRows;
+      PIPES_ASSIGN_OR_RETURN(window.rows,
+                             RequireIntAttr<std::size_t>(node, "rows"));
+      for (const XmlNode& child : node.children) {
+        if (child.tag != "partition") continue;
+        PIPES_ASSIGN_OR_RETURN(std::size_t field,
+                               RequireIntAttr<std::size_t>(child, "field"));
+        window.partition.push_back(field);
+      }
     } else {
       return Status::ParseError("unknown window '" + window_name + "'");
     }
@@ -482,11 +502,16 @@ Result<LogicalPlan> BuildFromNode(const XmlNode& node) {
     }
     return DistinctOp(children[0]);
   }
-  if (kind == "union") {
+  if (kind == "union" || kind == "difference" || kind == "intersect") {
     if (children.size() != 2) {
-      return Status::ParseError("union needs two children");
+      return Status::ParseError(kind + " needs two children");
     }
-    return UnionOp(children[0], children[1]);
+    if (children[0]->schema.arity() != children[1]->schema.arity()) {
+      return Status::ParseError(kind + " needs children of equal arity");
+    }
+    if (kind == "union") return UnionOp(children[0], children[1]);
+    if (kind == "difference") return DifferenceOp(children[0], children[1]);
+    return IntersectOp(children[0], children[1]);
   }
   if (kind == "istream") {
     if (children.size() != 1) {

@@ -40,6 +40,10 @@ LogicalPlan CloneWithChildren(const LogicalOp& op,
       return IStreamOp(std::move(children[0]));
     case LogicalOp::Kind::kDStream:
       return DStreamOp(std::move(children[0]));
+    case LogicalOp::Kind::kDifference:
+      return DifferenceOp(std::move(children[0]), std::move(children[1]));
+    case LogicalOp::Kind::kIntersect:
+      return IntersectOp(std::move(children[0]), std::move(children[1]));
   }
   PIPES_CHECK_MSG(false, "unhandled logical op kind");
   return nullptr;

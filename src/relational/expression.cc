@@ -1,6 +1,7 @@
 #include "src/relational/expression.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "src/common/macros.h"
 
@@ -60,19 +61,26 @@ Value EvalArithmetic(BinaryOp op, const Value& l, const Value& r) {
   const bool both_int =
       l.type() == ValueType::kInt && r.type() == ValueType::kInt;
   if (both_int) {
+    // Two's-complement wrap (Java `long` semantics): computed in uint64, so
+    // overflow is defined, and INT64_MIN / -1 wraps instead of trapping.
     const std::int64_t a = l.AsInt();
     const std::int64_t b = r.AsInt();
+    const auto ua = static_cast<std::uint64_t>(a);
+    const auto ub = static_cast<std::uint64_t>(b);
     switch (op) {
       case BinaryOp::kAdd:
-        return Value(a + b);
+        return Value(static_cast<std::int64_t>(ua + ub));
       case BinaryOp::kSub:
-        return Value(a - b);
+        return Value(static_cast<std::int64_t>(ua - ub));
       case BinaryOp::kMul:
-        return Value(a * b);
+        return Value(static_cast<std::int64_t>(ua * ub));
       case BinaryOp::kDiv:
-        return b == 0 ? Value::Null() : Value(a / b);
+        if (b == 0) return Value::Null();
+        return b == -1 ? Value(static_cast<std::int64_t>(0 - ua))
+                       : Value(a / b);
       case BinaryOp::kMod:
-        return b == 0 ? Value::Null() : Value(a % b);
+        if (b == 0) return Value::Null();
+        return b == -1 ? Value(std::int64_t{0}) : Value(a % b);
       default:
         break;
     }
@@ -160,7 +168,10 @@ Value UnaryExpr::Eval(const Tuple& tuple) const {
       return Value(!v.Truthy());
     case UnaryOp::kNeg:
       if (v.is_null()) return Value::Null();
-      if (v.type() == ValueType::kInt) return Value(-v.AsInt());
+      if (v.type() == ValueType::kInt) {
+        return Value(static_cast<std::int64_t>(
+            0 - static_cast<std::uint64_t>(v.AsInt())));
+      }
       return Value(-v.AsDouble());
   }
   return Value::Null();

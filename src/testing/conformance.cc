@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -10,17 +11,10 @@
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <system_error>
 #include <utility>
 #include <vector>
 
-#include "src/algebra/aggregate.h"
-#include "src/algebra/distinct.h"
-#include "src/algebra/filter.h"
-#include "src/algebra/join.h"
-#include "src/algebra/map.h"
-#include "src/algebra/parallel.h"
-#include "src/algebra/relation_to_stream.h"
-#include "src/algebra/union.h"
 #include "src/core/generator_source.h"
 #include "src/core/graph.h"
 #include "src/core/sink.h"
@@ -32,6 +26,7 @@
 #include "src/optimizer/plan_manager.h"
 #include "src/scheduler/executor.h"
 #include "src/scheduler/strategy.h"
+#include "src/testing/lowering.h"
 
 namespace pipes::testing::conformance {
 
@@ -123,28 +118,43 @@ Result<std::vector<std::string>> TokenizeValues(const std::string& text,
   return tokens;
 }
 
+/// The whole of `token` as a `Number`; trailing characters, a leading '+'
+/// and out-of-range values all fail.
+template <typename Number>
+bool ParseNumber(const std::string& token, Number* out) {
+  const char* last = token.data() + token.size();
+  const std::from_chars_result parsed =
+      std::from_chars(token.data(), last, *out);
+  return parsed.ec == std::errc() && parsed.ptr == last;
+}
+
 Result<Value> ParseValueToken(const std::string& token, ValueType type,
                               bool quoted_string, const std::string& where) {
   if (!quoted_string && token == "null") return Value::Null();
-  try {
-    switch (type) {
-      case ValueType::kInt:
-        return Value(static_cast<std::int64_t>(std::stoll(token)));
-      case ValueType::kDouble:
-        return Value(std::stod(token));
-      case ValueType::kBool:
-        if (token == "true") return Value(true);
-        if (token == "false") return Value(false);
-        return Status::InvalidArgument(where + ": bad bool '" + token + "'");
-      case ValueType::kString:
-        return Value(token);
-      case ValueType::kNull:
-        break;
-    }
-  } catch (const std::exception&) {
+  const auto bad = [&]() {
     return Status::InvalidArgument(where + ": bad " +
                                    relational::ValueTypeName(type) + " '" +
                                    token + "'");
+  };
+  switch (type) {
+    case ValueType::kInt: {
+      std::int64_t v = 0;
+      if (!ParseNumber(token, &v)) return bad();
+      return Value(v);
+    }
+    case ValueType::kDouble: {
+      double v = 0;
+      if (!ParseNumber(token, &v)) return bad();
+      return Value(v);
+    }
+    case ValueType::kBool:
+      if (token == "true") return Value(true);
+      if (token == "false") return Value(false);
+      return bad();
+    case ValueType::kString:
+      return Value(token);
+    case ValueType::kNull:
+      break;
   }
   return Status::InvalidArgument(where + ": field of type null");
 }
@@ -164,11 +174,9 @@ Result<TupleElement> ParseRow(const std::string& line, const Schema& schema,
     return Status::InvalidArgument(where + ": expected exactly 'start end'");
   }
   Timestamp start = 0;
-  Timestamp end = 0;
-  try {
-    start = std::stoll(start_tok);
-    end = end_tok == "inf" ? kMaxTimestamp : std::stoll(end_tok);
-  } catch (const std::exception&) {
+  Timestamp end = kMaxTimestamp;
+  if (!ParseNumber(start_tok, &start) ||
+      (end_tok != "inf" && !ParseNumber(end_tok, &end))) {
     return Status::InvalidArgument(where + ": bad timestamp");
   }
   if (start >= end) {
@@ -368,9 +376,26 @@ Timestamp AlignUp(Timestamp t, Timestamp slide) {
   return ((t + slide - 1) / slide) * slide;
 }
 
+/// ROWS-n expiry over one arrival-ordered sequence: element i expires when
+/// its n-th successor arrives (at least one instant later); the last n live
+/// forever.
+std::vector<TupleElement> RowsWindow(const std::vector<TupleElement>& rows,
+                                     std::size_t n) {
+  std::vector<TupleElement> out;
+  out.reserve(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    Timestamp end = kMaxTimestamp;
+    if (i + n < rows.size()) {
+      end = std::max(rows[i + n].start(), rows[i].start() + 1);
+    }
+    out.emplace_back(rows[i].payload, rows[i].start(), end);
+  }
+  return out;
+}
+
 /// Window application over the raw rows, element-for-element identical to
-/// src/algebra/window.h (rows are in arrival order, as CountWindow
-/// requires).
+/// src/algebra/window.h (rows are in arrival order, as the ROWS windows
+/// require).
 std::vector<TupleElement> ApplyWindow(const std::vector<TupleElement>& rows,
                                       const optimizer::WindowSpec& window) {
   std::vector<TupleElement> out;
@@ -380,7 +405,8 @@ std::vector<TupleElement> ApplyWindow(const std::vector<TupleElement>& rows,
     case WindowKind::kRange:
       out.reserve(rows.size());
       for (const TupleElement& e : rows) {
-        out.emplace_back(e.payload, e.start(), e.start() + window.range);
+        out.emplace_back(e.payload, e.start(),
+                         SaturatingAdd(e.start(), window.range));
       }
       break;
     case WindowKind::kRangeSlide:
@@ -392,58 +418,99 @@ std::vector<TupleElement> ApplyWindow(const std::vector<TupleElement>& rows,
       }
       break;
     case WindowKind::kRows:
-      // Element i expires when its n-th successor arrives; the last n live
-      // forever.
-      out.reserve(rows.size());
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        Timestamp end = kMaxTimestamp;
-        if (i + window.rows < rows.size()) {
-          end = std::max(rows[i + window.rows].start(), rows[i].start() + 1);
-        }
-        out.emplace_back(rows[i].payload, rows[i].start(), end);
-      }
-      break;
+      return RowsWindow(rows, window.rows);
     case WindowKind::kUnbounded:
       out.reserve(rows.size());
       for (const TupleElement& e : rows) {
         out.emplace_back(e.payload, e.start(), kMaxTimestamp);
       }
       break;
+    case WindowKind::kPartitionedRows: {
+      // ROWS-n within each partition, in arrival order.
+      std::map<Tuple, std::vector<TupleElement>> partitions;
+      for (const TupleElement& e : rows) {
+        partitions[e.payload.Project(window.partition)].push_back(e);
+      }
+      for (const auto& [key, partition] : partitions) {
+        const std::vector<TupleElement> w = RowsWindow(partition, window.rows);
+        out.insert(out.end(), w.begin(), w.end());
+      }
+      break;
+    }
   }
   return out;
 }
 
-Result<std::vector<TupleElement>> EvalNode(const LogicalPlan& plan,
-                                           const Corpus& corpus) {
+/// Per payload, one row per elementary segment between the endpoints of
+/// either side, repeated max(0, l - r) times (difference) or min(l, r)
+/// times (intersect), where l and r count the left and right rows valid
+/// on the segment.
+std::vector<TupleElement> CoverageSweep(const std::vector<TupleElement>& left,
+                                        const std::vector<TupleElement>& right,
+                                        bool difference) {
+  std::map<Tuple, std::map<Timestamp, std::pair<int, int>>> deltas;
+  for (const TupleElement& e : left) {
+    ++deltas[e.payload][e.start()].first;
+    --deltas[e.payload][e.end()].first;
+  }
+  for (const TupleElement& e : right) {
+    ++deltas[e.payload][e.start()].second;
+    --deltas[e.payload][e.end()].second;
+  }
+  std::vector<TupleElement> out;
+  for (const auto& [payload, boundaries] : deltas) {
+    int l = 0;
+    int r = 0;
+    for (auto it = boundaries.begin(); it != boundaries.end(); ++it) {
+      l += it->second.first;
+      r += it->second.second;
+      const auto next = std::next(it);
+      if (next == boundaries.end()) break;
+      const int copies = difference ? std::max(0, l - r) : std::min(l, r);
+      for (int k = 0; k < copies; ++k) {
+        out.emplace_back(payload, it->first, next->first);
+      }
+    }
+  }
+  return out;
+}
+
+/// Evaluates one plan node; shared subplans (the plan is a DAG) are
+/// evaluated once through `memo`.
+Result<const std::vector<TupleElement>*> EvalNode(
+    const LogicalPlan& plan, const std::vector<CorpusStream>& streams,
+    std::map<const LogicalOp*, std::vector<TupleElement>>* memo) {
+  if (auto it = memo->find(plan.get()); it != memo->end()) {
+    return &it->second;
+  }
+  std::vector<const std::vector<TupleElement>*> in;
+  for (const LogicalPlan& child : plan->children) {
+    PIPES_ASSIGN_OR_RETURN(const std::vector<TupleElement>* rows,
+                           EvalNode(child, streams, memo));
+    in.push_back(rows);
+  }
+  std::vector<TupleElement> out;
   switch (plan->kind) {
     case LogicalOp::Kind::kStreamScan: {
-      for (const CorpusStream& s : corpus.streams) {
-        if (s.name == plan->stream_name) {
-          return ApplyWindow(s.rows, plan->window);
-        }
+      const auto s = std::find_if(
+          streams.begin(), streams.end(),
+          [&](const CorpusStream& c) { return c.name == plan->stream_name; });
+      if (s == streams.end()) {
+        return Status::NotFound("no stream '" + plan->stream_name + "'");
       }
-      return Status::NotFound("corpus has no stream '" + plan->stream_name +
-                              "'");
+      out = ApplyWindow(s->rows, plan->window);
+      break;
     }
 
-    case LogicalOp::Kind::kFilter: {
-      PIPES_ASSIGN_OR_RETURN(std::vector<TupleElement> in,
-                             EvalNode(plan->children[0], corpus));
-      std::vector<TupleElement> out;
-      for (TupleElement& e : in) {
-        if (plan->predicate->Eval(e.payload).Truthy()) {
-          out.push_back(std::move(e));
-        }
+    case LogicalOp::Kind::kFilter:
+      for (const TupleElement& e : *in[0]) {
+        if (plan->predicate->Eval(e.payload).Truthy()) out.push_back(e);
       }
-      return out;
-    }
+      break;
 
-    case LogicalOp::Kind::kProject: {
-      PIPES_ASSIGN_OR_RETURN(std::vector<TupleElement> in,
-                             EvalNode(plan->children[0], corpus));
-      std::vector<TupleElement> out;
-      out.reserve(in.size());
-      for (const TupleElement& e : in) {
+    case LogicalOp::Kind::kProject:
+      out.reserve(in[0]->size());
+      for (const TupleElement& e : *in[0]) {
         std::vector<Value> values;
         values.reserve(plan->exprs.size());
         for (const auto& expr : plan->exprs) {
@@ -451,53 +518,47 @@ Result<std::vector<TupleElement>> EvalNode(const LogicalPlan& plan,
         }
         out.emplace_back(Tuple(std::move(values)), e.interval);
       }
-      return out;
-    }
+      break;
 
     case LogicalOp::Kind::kJoin: {
-      PIPES_ASSIGN_OR_RETURN(std::vector<TupleElement> left,
-                             EvalNode(plan->children[0], corpus));
-      PIPES_ASSIGN_OR_RETURN(std::vector<TupleElement> right,
-                             EvalNode(plan->children[1], corpus));
       std::vector<std::size_t> lk;
       std::vector<std::size_t> rk;
       for (const auto& [l, r] : plan->equi_keys) {
         lk.push_back(l);
         rk.push_back(r);
       }
-      std::vector<TupleElement> out;
-      for (const TupleElement& l : left) {
-        for (const TupleElement& r : right) {
-          if (!l.interval.Overlaps(r.interval)) continue;
-          if (!lk.empty() &&
-              !(l.payload.Project(lk) == r.payload.Project(rk))) {
-            continue;
-          }
-          Tuple joined = l.payload.Concat(r.payload);
+      // Right rows by key (one bucket when there are no equi keys).
+      std::map<Tuple, std::vector<const TupleElement*>> by_key;
+      for (const TupleElement& r : *in[1]) {
+        by_key[r.payload.Project(rk)].push_back(&r);
+      }
+      for (const TupleElement& l : *in[0]) {
+        const auto bucket = by_key.find(l.payload.Project(lk));
+        if (bucket == by_key.end()) continue;
+        for (const TupleElement* r : bucket->second) {
+          if (!l.interval.Overlaps(r->interval)) continue;
+          Tuple joined = l.payload.Concat(r->payload);
           if (plan->predicate != nullptr &&
               !plan->predicate->Eval(joined).Truthy()) {
             continue;
           }
           out.emplace_back(std::move(joined),
-                           l.interval.Intersect(r.interval));
+                           l.interval.Intersect(r->interval));
         }
       }
-      return out;
+      break;
     }
 
     case LogicalOp::Kind::kGroupAggregate: {
-      PIPES_ASSIGN_OR_RETURN(std::vector<TupleElement> in,
-                             EvalNode(plan->children[0], corpus));
       // Per group: segment time at that group's interval endpoints, fold
       // the covering rows (in arrival order) into TupleAggPolicy — the
       // same accumulation order and state the physical sweep line uses,
       // so float results are bit-identical.
       const optimizer::TupleAggPolicy policy(plan->aggs);
       std::map<Tuple, std::vector<const TupleElement*>> groups;
-      for (const TupleElement& e : in) {
+      for (const TupleElement& e : *in[0]) {
         groups[e.payload.Project(plan->group_fields)].push_back(&e);
       }
-      std::vector<TupleElement> out;
       for (const auto& [key, rows] : groups) {
         std::set<Timestamp> boundary_set;
         for (const TupleElement* e : rows) {
@@ -522,18 +583,15 @@ Result<std::vector<TupleElement>> EvalNode(const LogicalPlan& plan,
           }
         }
       }
-      return out;
+      break;
     }
 
     case LogicalOp::Kind::kDistinct: {
-      PIPES_ASSIGN_OR_RETURN(std::vector<TupleElement> in,
-                             EvalNode(plan->children[0], corpus));
       // Per distinct payload: maximal coalesced validity intervals.
       std::map<Tuple, std::vector<TimeInterval>> by_payload;
-      for (const TupleElement& e : in) {
+      for (const TupleElement& e : *in[0]) {
         by_payload[e.payload].push_back(e.interval);
       }
-      std::vector<TupleElement> out;
       for (auto& [payload, intervals] : by_payload) {
         std::sort(intervals.begin(), intervals.end(),
                   [](const TimeInterval& a, const TimeInterval& b) {
@@ -550,52 +608,49 @@ Result<std::vector<TupleElement>> EvalNode(const LogicalPlan& plan,
         }
         out.emplace_back(payload, current);
       }
-      return out;
+      break;
     }
 
-    case LogicalOp::Kind::kUnion: {
-      PIPES_ASSIGN_OR_RETURN(std::vector<TupleElement> out,
-                             EvalNode(plan->children[0], corpus));
-      PIPES_ASSIGN_OR_RETURN(std::vector<TupleElement> right,
-                             EvalNode(plan->children[1], corpus));
-      out.insert(out.end(), right.begin(), right.end());
-      return out;
-    }
+    case LogicalOp::Kind::kUnion:
+      out = *in[0];
+      out.insert(out.end(), in[1]->begin(), in[1]->end());
+      break;
 
-    case LogicalOp::Kind::kIStream: {
-      PIPES_ASSIGN_OR_RETURN(std::vector<TupleElement> in,
-                             EvalNode(plan->children[0], corpus));
-      std::vector<TupleElement> out;
-      out.reserve(in.size());
-      for (const TupleElement& e : in) {
+    case LogicalOp::Kind::kDifference:
+    case LogicalOp::Kind::kIntersect:
+      out = CoverageSweep(*in[0], *in[1],
+                          plan->kind == LogicalOp::Kind::kDifference);
+      break;
+
+    case LogicalOp::Kind::kIStream:
+      out.reserve(in[0]->size());
+      for (const TupleElement& e : *in[0]) {
         out.push_back(TupleElement::Point(e.payload, e.start()));
       }
-      return out;
-    }
+      break;
 
-    case LogicalOp::Kind::kDStream: {
-      PIPES_ASSIGN_OR_RETURN(std::vector<TupleElement> in,
-                             EvalNode(plan->children[0], corpus));
-      std::vector<TupleElement> out;
-      for (const TupleElement& e : in) {
+    case LogicalOp::Kind::kDStream:
+      for (const TupleElement& e : *in[0]) {
         if (e.end() == kMaxTimestamp) continue;  // never expires
         out.push_back(TupleElement::Point(e.payload, e.end()));
       }
-      return out;
-    }
+      break;
   }
-  return Status::Internal("unhandled logical operator kind");
+  std::vector<TupleElement>& stored = (*memo)[plan.get()];
+  stored = std::move(out);
+  return &stored;
 }
 
 }  // namespace
 
 Result<IntervalTable> ReferenceEval(const LogicalPlan& plan,
-                                    const Corpus& corpus) {
-  PIPES_ASSIGN_OR_RETURN(std::vector<TupleElement> rows,
-                         EvalNode(plan, corpus));
+                                    const std::vector<CorpusStream>& streams) {
+  std::map<const LogicalOp*, std::vector<TupleElement>> memo;
+  PIPES_ASSIGN_OR_RETURN(const std::vector<TupleElement>* rows,
+                         EvalNode(plan, streams, &memo));
   IntervalTable table;
   table.schema = plan->schema;
-  table.rows = std::move(rows);
+  table.rows = *rows;
   return table;
 }
 
@@ -634,16 +689,19 @@ std::vector<Tuple> SnapshotAt(const IntervalTable& table, Timestamp t) {
   return snapshot;
 }
 
-/// Approximate multiset equality via greedy matching (robust when float
-/// jitter perturbs the sort order of near-equal tuples).
-bool ApproxMultisetEq(const std::vector<Tuple>& a,
-                      const std::vector<Tuple>& b) {
-  if (a.size() != b.size()) return false;
-  std::vector<bool> used(b.size(), false);
-  for (const Tuple& t : a) {
+/// Approximate multiset inclusion `part` <= `whole` via greedy matching
+/// (robust when float jitter perturbs the sort order of near-equal
+/// tuples); `equal` additionally requires equal sizes.
+bool ApproxMultisetIncludes(const std::vector<Tuple>& whole,
+                            const std::vector<Tuple>& part, bool equal) {
+  if (part.size() > whole.size() || (equal && part.size() != whole.size())) {
+    return false;
+  }
+  std::vector<bool> used(whole.size(), false);
+  for (const Tuple& t : part) {
     bool matched = false;
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      if (!used[i] && ApproxTupleEq(t, b[i])) {
+    for (std::size_t i = 0; i < whole.size(); ++i) {
+      if (!used[i] && ApproxTupleEq(t, whole[i])) {
         used[i] = true;
         matched = true;
         break;
@@ -701,7 +759,7 @@ IntervalTable Canonicalize(const IntervalTable& table) {
 }
 
 TableDiff SnapshotDiff(const IntervalTable& expected,
-                       const IntervalTable& actual) {
+                       const IntervalTable& actual, SnapRel rel) {
   TableDiff diff;
   if (!expected.rows.empty() && !actual.rows.empty() &&
       expected.rows.front().payload.arity() !=
@@ -713,26 +771,54 @@ TableDiff SnapshotDiff(const IntervalTable& expected,
         std::to_string(actual.rows.front().payload.arity());
     return diff;
   }
-  // The snapshot function of either table only changes at its own interval
-  // endpoints, so agreeing at the union of endpoints means agreeing
-  // everywhere.
-  std::set<Timestamp> instants;
-  for (const IntervalTable* table : {&expected, &actual}) {
-    for (const TupleElement& e : table->rows) {
-      instants.insert(e.start());
-      if (e.end() != kMaxTimestamp) instants.insert(e.end());
+  // Exact pass: per payload, sweep the (actual - expected) multiplicity and
+  // mark each segment where the relation fails. Every snapshot changes only
+  // at an endpoint, so this checks every instant.
+  std::map<Tuple, std::map<Timestamp, long>> deltas;
+  for (const TupleElement& e : actual.rows) {
+    ++deltas[e.payload][e.start()];
+    --deltas[e.payload][e.end()];
+  }
+  for (const TupleElement& e : expected.rows) {
+    --deltas[e.payload][e.start()];
+    ++deltas[e.payload][e.end()];
+  }
+  std::map<Timestamp, long> failing;  // +1/-1 at failing segments' ends
+  for (const auto& [payload, boundaries] : deltas) {
+    long running = 0;
+    for (auto it = boundaries.begin(); it != boundaries.end(); ++it) {
+      running += it->second;
+      const bool fails = rel == SnapRel::kEqual ? running != 0 : running > 0;
+      if (fails && std::next(it) != boundaries.end()) {
+        ++failing[it->first];
+        --failing[std::next(it)->first];
+      }
     }
   }
-  for (const Timestamp t : instants) {
+  if (failing.empty()) return diff;
+  // Tolerant pass, only where the exact one failed: doubles compare with a
+  // relative tolerance (corpus files hold rounded decimals), so the exact
+  // pass may fail on jitter alone. Every endpoint inside a failing segment
+  // is checked, since another payload's jitter can end there.
+  for (const IntervalTable* table : {&expected, &actual}) {
+    for (const TupleElement& e : table->rows) {
+      failing.emplace(e.start(), 0);
+      failing.emplace(e.end(), 0);
+    }
+  }
+  long depth = 0;
+  for (const auto& [t, d] : failing) {
+    depth += d;
+    if (depth == 0 || t == kMaxTimestamp) continue;
     const std::vector<Tuple> want = SnapshotAt(expected, t);
     const std::vector<Tuple> got = SnapshotAt(actual, t);
-    if (!ApproxMultisetEq(want, got)) {
-      diff.equivalent = false;
-      diff.message = "snapshots differ at t=" + std::to_string(t) +
-                     "\n  expected: " + RenderSnapshot(want) +
-                     "\n  actual:   " + RenderSnapshot(got);
-      return diff;
-    }
+    if (ApproxMultisetIncludes(want, got, rel == SnapRel::kEqual)) continue;
+    diff.equivalent = false;
+    diff.message = "snapshots differ at t=" + std::to_string(t) +
+                   (rel == SnapRel::kSubset ? " (subset required)" : "") +
+                   "\n  expected: " + RenderSnapshot(want) +
+                   "\n  actual:   " + RenderSnapshot(got);
+    return diff;
   }
   return diff;
 }
@@ -761,10 +847,6 @@ cql::Catalog MakeCatalog(const Corpus& corpus) {
   return catalog;
 }
 
-std::vector<TupleElement> Collected(CollectorSink<Tuple>& sink) {
-  return sink.elements();
-}
-
 Result<IntervalTable> RunEngineArm(const CorpusCase& c, const Corpus& corpus) {
   engine::Engine eng;
   for (const CorpusStream& s : corpus.streams) {
@@ -781,6 +863,16 @@ Result<IntervalTable> RunEngineArm(const CorpusCase& c, const Corpus& corpus) {
   return table;
 }
 
+/// The corpus streams as vector sources in `graph`, bound in `catalog`.
+void BindCorpus(const Corpus& corpus, std::size_t source_batch,
+                QueryGraph* graph, cql::Catalog* catalog) {
+  for (const CorpusStream& s : corpus.streams) {
+    auto& src = graph->Add<VectorSource<Tuple>>(
+        s.rows, "corpus(" + s.name + ")", source_batch);
+    catalog->RegisterStream(s.name, s.schema, &src, s.rate_hint);
+  }
+}
+
 /// Shared scaffolding of the executor-driven arms: vector sources wired
 /// through the catalog, a PlanManager-installed query, a collector sink.
 Result<IntervalTable> RunManagedArm(const CorpusCase& c, const Corpus& corpus,
@@ -788,11 +880,7 @@ Result<IntervalTable> RunManagedArm(const CorpusCase& c, const Corpus& corpus,
                                     std::size_t drive_batch) {
   QueryGraph graph;
   cql::Catalog catalog;
-  for (const CorpusStream& s : corpus.streams) {
-    auto& src = graph.Add<VectorSource<Tuple>>(
-        s.rows, "corpus(" + s.name + ")", source_batch);
-    catalog.RegisterStream(s.name, s.schema, &src, s.rate_hint);
-  }
+  BindCorpus(corpus, source_batch, &graph, &catalog);
   optimizer::PlanManager manager(&graph, &catalog);
   PIPES_ASSIGN_OR_RETURN(optimizer::PlanManager::InstalledQuery installed,
                          manager.InstallQuery(c.query));
@@ -802,195 +890,15 @@ Result<IntervalTable> RunManagedArm(const CorpusCase& c, const Corpus& corpus,
   scheduler::PipeExecutor(graph, strategy, drive_batch).RunToCompletion();
   IntervalTable table;
   table.schema = installed.schema;
-  table.rows = Collected(sink);
+  table.rows = sink.elements();
   return table;
-}
-
-struct TupleIdentity {
-  const Tuple& operator()(const Tuple& t) const { return t; }
-};
-
-/// (group key, agg results) -> flat output tuple, as in PhysicalBuilder.
-struct PairConcat {
-  Tuple operator()(const std::pair<Tuple, Tuple>& p) const {
-    return p.first.Concat(p.second);
-  }
-};
-
-/// Recursive physical materializer for the keyed-parallel arm: the same
-/// lowering as PhysicalBuilder::BuildNode, except every key-partitionable
-/// operator (grouped aggregate, distinct, hash equi-join) is replicated
-/// across two keyed replicas via MakeKeyedParallel / MakeParallelHashJoin.
-Result<Source<Tuple>*> ParallelBuild(QueryGraph& graph,
-                                     const cql::Catalog& catalog,
-                                     const LogicalPlan& plan) {
-  using optimizer::ExprPredicate;
-  using optimizer::ExprProjector;
-  using optimizer::FieldsKey;
-  using optimizer::TupleConcatCombine;
-  constexpr std::size_t kReplicas = 2;
-
-  switch (plan->kind) {
-    case LogicalOp::Kind::kStreamScan: {
-      PIPES_ASSIGN_OR_RETURN(const cql::Catalog::StreamInfo* info,
-                             catalog.Lookup(plan->stream_name));
-      if (info->source == nullptr) {
-        return Status::FailedPrecondition("stream '" + plan->stream_name +
-                                          "' has no physical source");
-      }
-      Source<Tuple>* source = info->source;
-      switch (plan->window.kind) {
-        case WindowKind::kNow:
-          return source;
-        case WindowKind::kRange: {
-          auto& window = graph.Add<algebra::TimeWindow<Tuple>>(
-              plan->window.range, "window(" + plan->stream_name + ")");
-          source->AddSubscriber(window.input());
-          return &window;
-        }
-        case WindowKind::kRangeSlide: {
-          auto& window = graph.Add<algebra::SlideWindow<Tuple>>(
-              plan->window.range, plan->window.slide,
-              "slide-window(" + plan->stream_name + ")");
-          source->AddSubscriber(window.input());
-          return &window;
-        }
-        case WindowKind::kRows: {
-          auto& window = graph.Add<algebra::CountWindow<Tuple>>(
-              plan->window.rows, "rows-window(" + plan->stream_name + ")");
-          source->AddSubscriber(window.input());
-          return &window;
-        }
-        case WindowKind::kUnbounded: {
-          auto& window = graph.Add<algebra::UnboundedWindow<Tuple>>(
-              "unbounded-window(" + plan->stream_name + ")");
-          source->AddSubscriber(window.input());
-          return &window;
-        }
-      }
-      return Status::Internal("unhandled window kind");
-    }
-
-    case LogicalOp::Kind::kFilter: {
-      PIPES_ASSIGN_OR_RETURN(Source<Tuple>* child,
-                             ParallelBuild(graph, catalog, plan->children[0]));
-      auto& filter = graph.Add<algebra::Filter<Tuple, ExprPredicate>>(
-          ExprPredicate{plan->predicate},
-          "filter[" + plan->predicate->ToString() + "]");
-      child->AddSubscriber(filter.input());
-      return &filter;
-    }
-
-    case LogicalOp::Kind::kProject: {
-      PIPES_ASSIGN_OR_RETURN(Source<Tuple>* child,
-                             ParallelBuild(graph, catalog, plan->children[0]));
-      auto& project = graph.Add<algebra::Map<Tuple, Tuple, ExprProjector>>(
-          ExprProjector{plan->exprs}, "project");
-      child->AddSubscriber(project.input());
-      return &project;
-    }
-
-    case LogicalOp::Kind::kJoin: {
-      PIPES_ASSIGN_OR_RETURN(Source<Tuple>* left,
-                             ParallelBuild(graph, catalog, plan->children[0]));
-      PIPES_ASSIGN_OR_RETURN(Source<Tuple>* right,
-                             ParallelBuild(graph, catalog, plan->children[1]));
-      if (plan->equi_keys.empty()) {
-        auto join = algebra::MakeNestedLoopsJoin<Tuple, Tuple>(
-            optimizer::ConcatPredicate{plan->predicate}, TupleConcatCombine{},
-            plan->predicate == nullptr ? "cross-join" : "nl-join");
-        auto& node = graph.Add(std::move(join));
-        left->AddSubscriber(node.left());
-        right->AddSubscriber(node.right());
-        return &node;
-      }
-      FieldsKey left_key;
-      FieldsKey right_key;
-      for (const auto& [l, r] : plan->equi_keys) {
-        left_key.fields.push_back(l);
-        right_key.fields.push_back(r);
-      }
-      auto chain = algebra::MakeParallelHashJoin<Tuple, Tuple>(
-          graph, kReplicas, left_key, right_key, TupleConcatCombine{},
-          "parallel-hash-join");
-      left->AddSubscriber(*chain.left);
-      right->AddSubscriber(*chain.right);
-      Source<Tuple>* out = chain.output;
-      if (plan->predicate != nullptr) {
-        auto& residual = graph.Add<algebra::Filter<Tuple, ExprPredicate>>(
-            ExprPredicate{plan->predicate}, "join-residual");
-        out->AddSubscriber(residual.input());
-        out = &residual;
-      }
-      return out;
-    }
-
-    case LogicalOp::Kind::kGroupAggregate: {
-      PIPES_ASSIGN_OR_RETURN(Source<Tuple>* child,
-                             ParallelBuild(graph, catalog, plan->children[0]));
-      using Grouped =
-          algebra::GroupedAggregate<Tuple, optimizer::TupleAggPolicy,
-                                    FieldsKey, TupleIdentity>;
-      auto chain = algebra::MakeKeyedParallel<Grouped>(
-          graph, kReplicas, FieldsKey{plan->group_fields},
-          FieldsKey{plan->group_fields}, TupleIdentity{}, "group-aggregate",
-          optimizer::TupleAggPolicy(plan->aggs));
-      child->AddSubscriber(*chain.input);
-      auto& flatten =
-          graph.Add<algebra::Map<std::pair<Tuple, Tuple>, Tuple, PairConcat>>(
-              PairConcat{}, "flatten-groups");
-      chain.output->AddSubscriber(flatten.input());
-      return &flatten;
-    }
-
-    case LogicalOp::Kind::kDistinct: {
-      PIPES_ASSIGN_OR_RETURN(Source<Tuple>* child,
-                             ParallelBuild(graph, catalog, plan->children[0]));
-      auto chain = algebra::MakeKeyedParallel<algebra::Distinct<Tuple>>(
-          graph, kReplicas, TupleIdentity{}, "distinct");
-      child->AddSubscriber(*chain.input);
-      return chain.output;
-    }
-
-    case LogicalOp::Kind::kUnion: {
-      PIPES_ASSIGN_OR_RETURN(Source<Tuple>* left,
-                             ParallelBuild(graph, catalog, plan->children[0]));
-      PIPES_ASSIGN_OR_RETURN(Source<Tuple>* right,
-                             ParallelBuild(graph, catalog, plan->children[1]));
-      auto& unite = graph.Add<algebra::Union<Tuple>>("union");
-      left->AddSubscriber(unite.left());
-      right->AddSubscriber(unite.right());
-      return &unite;
-    }
-
-    case LogicalOp::Kind::kIStream: {
-      PIPES_ASSIGN_OR_RETURN(Source<Tuple>* child,
-                             ParallelBuild(graph, catalog, plan->children[0]));
-      auto& node = graph.Add<algebra::IStream<Tuple>>("istream");
-      child->AddSubscriber(node.input());
-      return &node;
-    }
-
-    case LogicalOp::Kind::kDStream: {
-      PIPES_ASSIGN_OR_RETURN(Source<Tuple>* child,
-                             ParallelBuild(graph, catalog, plan->children[0]));
-      auto& node = graph.Add<algebra::DStream<Tuple>>("dstream");
-      child->AddSubscriber(node.input());
-      return &node;
-    }
-  }
-  return Status::Internal("unhandled logical operator kind");
 }
 
 Result<IntervalTable> RunKeyedParallelArm(const CorpusCase& c,
                                           const Corpus& corpus) {
   QueryGraph graph;
   cql::Catalog catalog;
-  for (const CorpusStream& s : corpus.streams) {
-    auto& src = graph.Add<VectorSource<Tuple>>(
-        s.rows, "corpus(" + s.name + ")", /*batch_size=*/4);
-    catalog.RegisterStream(s.name, s.schema, &src, s.rate_hint);
-  }
+  BindCorpus(corpus, /*source_batch=*/4, &graph, &catalog);
   PIPES_ASSIGN_OR_RETURN(cql::CompiledQuery compiled,
                          cql::Compile(c.query, catalog));
   // Optimize first: equi-key extraction is what turns the analyzer's cross
@@ -998,14 +906,14 @@ Result<IntervalTable> RunKeyedParallelArm(const CorpusCase& c,
   const optimizer::Optimizer optimizer(&catalog);
   const LogicalPlan plan = optimizer.Optimize(compiled.plan).plan;
   PIPES_ASSIGN_OR_RETURN(Source<Tuple>* output,
-                         ParallelBuild(graph, catalog, plan));
+                         LowerKeyed(graph, catalog, plan));
   auto& sink = graph.Add<CollectorSink<Tuple>>("conformance-sink");
   output->AddSubscriber(sink.input());
   scheduler::RoundRobinStrategy strategy;
   scheduler::PipeExecutor(graph, strategy, 8).RunToCompletion();
   IntervalTable table;
   table.schema = plan->schema;
-  table.rows = Collected(sink);
+  table.rows = sink.elements();
   return table;
 }
 
@@ -1039,7 +947,7 @@ Result<IntervalTable> RunArm(Arm arm, const CorpusCase& c,
       const cql::Catalog catalog = MakeCatalog(corpus);
       PIPES_ASSIGN_OR_RETURN(cql::CompiledQuery compiled,
                              cql::Compile(c.query, catalog));
-      return ReferenceEval(compiled.plan, corpus);
+      return ReferenceEval(compiled.plan, corpus.streams);
     }
     case Arm::kEngine:
       return RunEngineArm(c, corpus);

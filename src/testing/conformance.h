@@ -26,7 +26,8 @@
 /// The reference evaluator here is a second, independent implementation of
 /// the temporal algebra straight from the logical plan — materialized
 /// vectors, no operator code from src/algebra/, no scheduling — so an
-/// algebra bug has to be made twice to slip through.
+/// algebra bug has to be made twice to slip through. It and `SnapshotDiff`
+/// are also the fuzzer's reference and comparator (src/testing/harness.h).
 
 namespace pipes::testing::conformance {
 
@@ -88,13 +89,16 @@ Result<std::vector<Corpus>> LoadCorpusDir(const std::string& dir);
 
 // --- Reference evaluation ---------------------------------------------------
 
-/// Evaluates the (unoptimized) logical plan over the corpus streams,
-/// straight from the snapshot semantics of every operator. Window
-/// semantics mirror src/algebra/window.h element-for-element; aggregation
-/// reuses `optimizer::TupleAggPolicy` so numeric results are bit-identical
-/// to the physical sweep-line path.
+/// The one reference evaluator, called by the conformance corpus and the
+/// fuzzer alike: evaluates `plan` over `streams` (its scans resolve by
+/// name) straight from the snapshot semantics of every operator, one node
+/// at a time over materialized vectors. Window semantics mirror
+/// src/algebra/window.h element-for-element; aggregation reuses
+/// `optimizer::TupleAggPolicy` so numeric results are bit-identical to the
+/// physical sweep-line path. Adding a `LogicalOp` kind means adding its
+/// rule here.
 Result<IntervalTable> ReferenceEval(const optimizer::LogicalPlan& plan,
-                                    const Corpus& corpus);
+                                    const std::vector<CorpusStream>& streams);
 
 // --- Snapshot comparison ----------------------------------------------------
 
@@ -113,11 +117,18 @@ struct TableDiff {
   std::string message;
 };
 
-/// Coalescing-insensitive comparison: at every critical instant of either
-/// table, the payload multisets must match. Doubles compare with relative
-/// tolerance 1e-9 (corpus files hold rounded decimals).
+/// How `actual` must relate to `expected` at every instant.
+enum class SnapRel {
+  kEqual,   ///< the same payload multiset
+  kSubset,  ///< a sub-multiset (arms that may shed input)
+};
+
+/// The one comparator: coalescing-insensitive, at every instant the payload
+/// multisets must stand in `rel`. Doubles compare with relative tolerance
+/// 1e-9 (corpus files hold rounded decimals).
 TableDiff SnapshotDiff(const IntervalTable& expected,
-                       const IntervalTable& actual);
+                       const IntervalTable& actual,
+                       SnapRel rel = SnapRel::kEqual);
 
 /// Renders the canonical form, one `start end | values` row per line
 /// (the failing-case artifact format).

@@ -9,101 +9,384 @@ namespace pipes::testing {
 
 namespace {
 
-struct KindWeight {
-  OpKind kind;
+using optimizer::AggKind;
+using optimizer::LogicalPlan;
+using optimizer::WindowKind;
+using optimizer::WindowSpec;
+using relational::BinaryOp;
+using relational::ExprPtr;
+
+/// What one draw adds to the plan.
+enum class Draw {
+  kFilter,
+  kMap,
+  kRangeWindow,
+  kSlideWindow,
+  kUnboundedWindow,
+  kRowsWindow,
+  kPartitionedWindow,
+  kUnion,
+  kHashJoin,
+  kSum,
+  kGroupSum,
+  kDistinct,
+  kDifference,
+  kIntersect,
+  kIStream,
+  kDStream,
+};
+
+struct DrawWeight {
+  Draw draw;
   int weight;
 };
 
 // Cheap, common shapes dominate; blocking binaries are rare enough that the
 // size estimator rarely has to reroll them.
-constexpr KindWeight kKindWeights[] = {
-    {OpKind::kFilter, 3},        {OpKind::kMap, 3},
-    {OpKind::kTimeWindow, 2},    {OpKind::kSlideWindow, 2},
-    {OpKind::kUnboundedWindow, 1}, {OpKind::kCountWindow, 1},
-    {OpKind::kPartitionedWindow, 1}, {OpKind::kUnion, 2},
-    {OpKind::kHashJoin, 1},      {OpKind::kSum, 1},
-    {OpKind::kGroupSum, 1},      {OpKind::kDistinct, 2},
-    {OpKind::kDifference, 1},    {OpKind::kIntersect, 1},
-    {OpKind::kIStream, 1},       {OpKind::kDStream, 1},
+constexpr DrawWeight kWeights[] = {
+    {Draw::kFilter, 3},          {Draw::kMap, 3},
+    {Draw::kRangeWindow, 2},     {Draw::kSlideWindow, 2},
+    {Draw::kUnboundedWindow, 1}, {Draw::kRowsWindow, 1},
+    {Draw::kPartitionedWindow, 1}, {Draw::kUnion, 2},
+    {Draw::kHashJoin, 1},        {Draw::kSum, 1},
+    {Draw::kGroupSum, 1},        {Draw::kDistinct, 2},
+    {Draw::kDifference, 1},      {Draw::kIntersect, 1},
+    {Draw::kIStream, 1},         {Draw::kDStream, 1},
 };
 
-OpKind PickKind(Random& rng) {
+Draw PickDraw(Random& rng) {
   int total = 0;
-  for (const KindWeight& kw : kKindWeights) total += kw.weight;
+  for (const DrawWeight& w : kWeights) total += w.weight;
   int roll = static_cast<int>(rng.NextBounded(total));
-  for (const KindWeight& kw : kKindWeights) {
-    roll -= kw.weight;
-    if (roll < 0) return kw.kind;
+  for (const DrawWeight& w : kWeights) {
+    roll -= w.weight;
+    if (roll < 0) return w.draw;
   }
-  return OpKind::kFilter;
+  return Draw::kFilter;
 }
 
-void FillParams(Random& rng, SpecNode& n) {
-  switch (n.kind) {
-    case OpKind::kFilter:
-      n.p0 = rng.UniformInt(1, 7);
-      n.p1 = rng.UniformInt(0, 7);
-      n.p2 = rng.UniformInt(2, 16);
-      n.p3 = rng.UniformInt(1, n.p2 - 1);
-      break;
-    case OpKind::kMap:
-      n.p0 = rng.UniformInt(1, 5);
-      n.p1 = rng.UniformInt(0, 999);
-      break;
-    case OpKind::kTimeWindow:
-      n.p0 = rng.UniformInt(1, 64);
-      break;
-    case OpKind::kSlideWindow:
-      n.p0 = rng.UniformInt(1, 48);
-      n.p1 = rng.UniformInt(1, 16);
-      break;
-    case OpKind::kCountWindow:
-      n.p0 = rng.UniformInt(1, 8);
-      break;
-    case OpKind::kPartitionedWindow:
-      n.p0 = rng.UniformInt(1, 4);
-      n.p1 = rng.UniformInt(2, 8);
-      break;
-    case OpKind::kHashJoin:
-      n.p0 = rng.UniformInt(2, 6);
-      break;
-    case OpKind::kGroupSum:
-      n.p0 = rng.UniformInt(2, 8);
-      break;
-    default:
-      break;
-  }
+bool IsWindow(Draw d) {
+  return d == Draw::kRangeWindow || d == Draw::kSlideWindow ||
+         d == Draw::kUnboundedWindow || d == Draw::kRowsWindow ||
+         d == Draw::kPartitionedWindow;
 }
 
-/// Upper-bound estimate of a node's output cardinality, used to keep the
-/// materializing reference's quadratic sweeps within budget.
-std::size_t EstimateSize(const SpecNode& n, std::size_t in0, std::size_t in1) {
-  switch (n.kind) {
-    case OpKind::kUnion:
-      return in0 + in1;
-    case OpKind::kHashJoin:
-      return in0 * in1 / std::max<std::size_t>(1, n.p0) + 1;
-    case OpKind::kSum:
-    case OpKind::kGroupSum:
-      return 2 * in0 + 1;
-    case OpKind::kDifference:
-    case OpKind::kIntersect:
-      return 2 * (in0 + in1) + 1;
-    default:
-      return in0;
+bool IsBinary(Draw d) {
+  return d == Draw::kUnion || d == Draw::kHashJoin ||
+         d == Draw::kDifference || d == Draw::kIntersect;
+}
+
+ExprPtr Int(std::int64_t v) {
+  return relational::MakeLiteral(relational::Value(v));
+}
+
+ExprPtr Field(const LogicalPlan& plan, std::size_t i) {
+  return relational::MakeField(i, plan->schema.field(i).name);
+}
+
+ExprPtr Bin(BinaryOp op, ExprPtr l, ExprPtr r) {
+  return relational::MakeBinary(op, std::move(l), std::move(r));
+}
+
+/// (x + y) % kValModulus.
+ExprPtr ModSum(ExprPtr x, ExprPtr y) {
+  return Bin(BinaryOp::kMod, Bin(BinaryOp::kAdd, std::move(x), std::move(y)),
+             Int(kValModulus));
+}
+
+/// (a * x + b) % kValModulus.
+ExprPtr Affine(std::int64_t a, ExprPtr x, std::int64_t b) {
+  return ModSum(Bin(BinaryOp::kMul, Int(a), std::move(x)), Int(b));
+}
+
+/// `child` projected to `(expr AS v)`.
+LogicalPlan AsV(const LogicalPlan& child, ExprPtr expr) {
+  return optimizer::ProjectOp(child, {std::move(expr)}, {"v"});
+}
+
+LogicalPlan Scan(std::size_t stream, WindowSpec window) {
+  return optimizer::ScanOp(StreamName(stream), StreamSchema(),
+                           std::move(window));
+}
+
+/// Equi-join of `l` and `r` on (v % modulus): both sides project the key
+/// column, join on it — as an equi-join or, in the CQL analyzer's shape, as
+/// a cross join under an equality filter the optimizer turns into a key —
+/// and each pair folds back into one value.
+LogicalPlan HashJoin(const LogicalPlan& l, const LogicalPlan& r,
+                     std::int64_t modulus, bool cross) {
+  const auto keyed = [&](const LogicalPlan& side, const std::string& alias) {
+    return optimizer::ProjectOp(
+        side,
+        {Field(side, 0), Bin(BinaryOp::kMod, Field(side, 0), Int(modulus))},
+        {alias + ".v", alias + ".k"});
+  };
+  const LogicalPlan kl = keyed(l, "l");
+  const LogicalPlan kr = keyed(r, "r");
+  LogicalPlan join;
+  if (cross) {
+    const LogicalPlan product = optimizer::JoinOp(kl, kr, {}, nullptr);
+    join = optimizer::FilterOp(
+        product, Bin(BinaryOp::kEq, Field(product, 1), Field(product, 3)));
+  } else {
+    join = optimizer::JoinOp(kl, kr, {{1, 1}}, nullptr);
   }
+  return AsV(join, ModSum(Bin(BinaryOp::kMul, Int(31), Field(join, 0)),
+                          Affine(131, Field(join, 2), 7)));
+}
+
+/// One pool entry: a subplan with output `(v)` plus its size estimate.
+struct Entry {
+  LogicalPlan plan;
+  std::size_t est = 0;
+  /// The subplan contains a Distinct, whose interval decomposition depends
+  /// on the schedule (how far it coalesces depends on watermark timing).
+  /// IStream/DStream read boundaries, so they never consume one.
+  bool resegmented = false;
+  bool consumed = false;
+};
+
+LogicalPlan DrawPlan(Random& rng, const GenOptions& opts,
+                     const std::vector<StreamProfile>& profiles) {
+  const std::size_t num_streams = profiles.size();
+  std::vector<Entry> pool;
+  for (std::size_t s = 0; s < num_streams; ++s) {
+    pool.push_back(Entry{Scan(s, WindowSpec{}), profiles[s].num_elements});
+  }
+  // Folds every accepted draw, so the enrichment appendix below is derived
+  // without touching the rng.
+  std::uint64_t h = 0x9e3779b97f4a7c15ull;
+
+  const int num_ops =
+      static_cast<int>(rng.UniformInt(opts.min_ops, opts.max_ops));
+  for (int k = 0; k < num_ops; ++k) {
+    for (int attempt = 0; attempt < 8; ++attempt) {
+      const Draw d = PickDraw(rng);
+      // Windows are scan windows, attached to a stream; everything else
+      // consumes any subplan drawn so far.
+      const std::size_t in0 = rng.NextBounded(IsWindow(d) ? num_streams
+                                                          : pool.size());
+      const std::size_t in1 = IsBinary(d) ? rng.NextBounded(pool.size()) : 0;
+      const LogicalPlan& a = pool[in0].plan;
+      const LogicalPlan& b = pool[in1].plan;
+      // Upper-bound estimate of the output cardinality, which keeps the
+      // reference's sweeps within budget.
+      std::size_t est = pool[in0].est;
+      LogicalPlan plan;
+      WindowSpec window;
+      switch (d) {
+        case Draw::kFilter: {
+          const std::int64_t p0 = rng.UniformInt(1, 7);
+          const std::int64_t p1 = rng.UniformInt(0, 7);
+          const std::int64_t p2 = rng.UniformInt(2, 16);
+          const std::int64_t p3 = rng.UniformInt(1, p2 - 1);
+          plan = optimizer::FilterOp(
+              a, Bin(BinaryOp::kLt,
+                     Bin(BinaryOp::kMod, Affine(p0, Field(a, 0), p1), Int(p2)),
+                     Int(p3)));
+          break;
+        }
+        case Draw::kMap: {
+          const std::int64_t p0 = rng.UniformInt(1, 5);
+          plan = AsV(a, Affine(p0, Field(a, 0), rng.UniformInt(0, 999)));
+          break;
+        }
+        case Draw::kRangeWindow:
+          window.kind = WindowKind::kRange;
+          window.range = rng.UniformInt(1, 64);
+          break;
+        case Draw::kSlideWindow:
+          window.kind = WindowKind::kRangeSlide;
+          window.range = rng.UniformInt(1, 48);
+          window.slide = rng.UniformInt(1, 16);
+          break;
+        case Draw::kUnboundedWindow:
+          window.kind = WindowKind::kUnbounded;
+          break;
+        case Draw::kRowsWindow:
+          window.kind = WindowKind::kRows;
+          window.rows = static_cast<std::size_t>(rng.UniformInt(1, 8));
+          break;
+        case Draw::kPartitionedWindow:
+          window.kind = WindowKind::kPartitionedRows;
+          window.rows = static_cast<std::size_t>(rng.UniformInt(1, 4));
+          window.partition = {0};
+          break;
+        case Draw::kUnion:
+          plan = optimizer::UnionOp(a, b);
+          est += pool[in1].est;
+          break;
+        case Draw::kHashJoin: {
+          const std::int64_t modulus = rng.UniformInt(2, 6);
+          plan = HashJoin(a, b, modulus, rng.Bernoulli(0.5));
+          est = est * pool[in1].est / static_cast<std::size_t>(modulus) + 1;
+          break;
+        }
+        case Draw::kSum: {
+          const LogicalPlan sum = optimizer::GroupAggregateOp(
+              a, {}, {{AggKind::kSum, Field(a, 0), "s"}});
+          plan = AsV(sum, Bin(BinaryOp::kMod, Field(sum, 0), Int(kValModulus)));
+          est = 2 * est + 1;
+          break;
+        }
+        case Draw::kGroupSum: {
+          const LogicalPlan keyed = optimizer::ProjectOp(
+              a, {Bin(BinaryOp::kMod, Field(a, 0), Int(rng.UniformInt(2, 8))),
+                  Field(a, 0)},
+              {"g", "x"});
+          const LogicalPlan sums = optimizer::GroupAggregateOp(
+              keyed, {0}, {{AggKind::kSum, Field(keyed, 1), "s"}});
+          plan = AsV(sums, ModSum(Bin(BinaryOp::kMul, Int(131071),
+                                      Field(sums, 0)),
+                                  Field(sums, 1)));
+          est = 2 * est + 1;
+          break;
+        }
+        case Draw::kDistinct:
+          plan = optimizer::DistinctOp(a);
+          break;
+        case Draw::kDifference:
+          plan = optimizer::DifferenceOp(a, b);
+          est = 2 * (est + pool[in1].est) + 1;
+          break;
+        case Draw::kIntersect:
+          plan = optimizer::IntersectOp(a, b);
+          est = 2 * (est + pool[in1].est) + 1;
+          break;
+        case Draw::kIStream:
+          plan = optimizer::IStreamOp(a);
+          break;
+        case Draw::kDStream:
+          plan = optimizer::DStreamOp(a);
+          break;
+      }
+      if ((d == Draw::kIStream || d == Draw::kDStream) &&
+          pool[in0].resegmented) {
+        continue;  // reroll
+      }
+      if (est > opts.max_est_size) continue;  // reroll: too expensive
+      // A window scan consumes its stream's raw scan (pool entry `in0`).
+      Entry entry{IsWindow(d) ? Scan(in0, window) : plan, est};
+      pool[in0].consumed = true;
+      if (IsBinary(d)) pool[in1].consumed = true;
+      entry.resegmented = d == Draw::kDistinct || pool[in0].resegmented ||
+                          (IsBinary(d) && pool[in1].resegmented);
+      pool.push_back(std::move(entry));
+      h ^= (static_cast<std::uint64_t>(d) + 1) * 0x100000001b3ull;
+      h = (h << 7) | (h >> 57);
+      h ^= static_cast<std::uint64_t>(est + 3) +
+           static_cast<std::uint64_t>(in0 + 7) * 0xbf58476d1ce4e5b9ull;
+      break;
+    }
+  }
+
+  // ESPBench-shaped enrichment appendix: stream <-> relation join (the
+  // telemetry-x-ERP-dimension mix of the enterprise workload). The relation
+  // side is a stream held entirely open by an unbounded window — rows stay
+  // valid once seen, exactly how the workload feeds dimension relations —
+  // and a raw telemetry stream probes it through a modular-key hash join.
+  // Parameters are folded out of the draws instead of the rng, so the rng
+  // cursor (and with it the input streams) is untouched.
+  if (opts.enrichment) {
+    for (const StreamProfile& p : profiles) {
+      h = h * 0x100000001b3ull ^ static_cast<std::uint64_t>(p.num_elements);
+    }
+    if ((h & 3) == 0) {  // ~one case in four carries the enrichment mix
+      const std::size_t relation = (h >> 2) % num_streams;
+      const std::size_t probe = (h >> 9) % num_streams;
+      const std::int64_t modulus =
+          3 + static_cast<std::int64_t>((h >> 17) % 5);
+      const std::size_t est =
+          pool[probe].est * pool[relation].est /
+              static_cast<std::size_t>(modulus) +
+          1;
+      if (est <= opts.max_est_size) {
+        WindowSpec unbounded;
+        unbounded.kind = WindowKind::kUnbounded;
+        pool[probe].consumed = true;
+        pool.push_back(Entry{HashJoin(pool[probe].plan,
+                                      Scan(relation, unbounded), modulus,
+                                      ((h >> 23) & 1) == 1),
+                             est});
+      }
+    }
+  }
+
+  // Union dangling subplans until exactly one root remains, so every drawn
+  // operator is reachable from the root and no generated work is dead.
+  std::vector<LogicalPlan> dangling;
+  for (const Entry& e : pool) {
+    if (!e.consumed) dangling.push_back(e.plan);
+  }
+  PIPES_CHECK(!dangling.empty());
+  while (dangling.size() > 1) {
+    LogicalPlan right = std::move(dangling.back());
+    dangling.pop_back();
+    LogicalPlan left = std::move(dangling.back());
+    dangling.pop_back();
+    dangling.push_back(optimizer::UnionOp(std::move(left), std::move(right)));
+  }
+  return dangling.front();
 }
 
 }  // namespace
 
+Stream GenerateStream(Random& rng, const StreamProfile& profile) {
+  Stream out;
+  out.reserve(profile.num_elements);
+  ZipfDistribution zipf(
+      static_cast<std::size_t>(std::max<std::int64_t>(profile.domain, 1)),
+      profile.zipf_theta > 0 ? profile.zipf_theta : 0.5);
+  Timestamp t = 0;
+  for (std::size_t i = 0; i < profile.num_elements; ++i) {
+    std::int64_t payload;
+    if (profile.zipf_theta > 0) {
+      payload = static_cast<std::int64_t>(zipf.Sample(rng));
+    } else {
+      payload =
+          rng.UniformInt(0, std::max<std::int64_t>(profile.domain - 1, 0));
+    }
+    out.push_back(StreamElement<relational::Tuple>::Point(
+        relational::Tuple{relational::Value(payload)}, t));
+    const double roll = rng.UniformDouble();
+    if (roll < profile.burst_prob) {
+      // Burst: stay on (or right next to) the current instant.
+      t += rng.UniformInt(0, 1);
+    } else if (roll < profile.burst_prob + profile.lull_prob) {
+      t += rng.UniformInt(profile.lull_step / 2,
+                          std::max<Timestamp>(profile.lull_step, 1));
+    } else {
+      t += rng.UniformInt(1, std::max<Timestamp>(profile.max_step, 1));
+    }
+  }
+  if (profile.disorder > 0) {
+    for (auto& e : out) {
+      const Timestamp back = rng.UniformInt(0, profile.disorder);
+      const Timestamp s = std::max<Timestamp>(0, e.start() - back);
+      e.interval = TimeInterval(s, s + 1);
+    }
+  }
+  return out;
+}
+
+Stream SortByStart(const Stream& raw) {
+  Stream out = raw;
+  std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.start() < b.start();
+  });
+  return out;
+}
+
+std::string StreamName(std::size_t index) {
+  return "s" + std::to_string(index);
+}
+
+relational::Schema StreamSchema() {
+  return relational::Schema({{"v", relational::ValueType::kInt}});
+}
+
 GeneratedCase GenerateCase(Random& rng, const GenOptions& opts) {
   GeneratedCase out;
-  std::vector<std::size_t> est;
-  // reseg[i]: node i's subplan contains a resegmenting op, so its interval
-  // decomposition is schedule-dependent. Segmentation-sensitive ops
-  // (windows, istream/dstream) must not consume such subplans.
-  std::vector<bool> reseg;
-
   const int num_streams = static_cast<int>(rng.UniformInt(1, opts.max_streams));
   for (int s = 0; s < num_streams; ++s) {
     StreamProfile p;
@@ -119,273 +402,14 @@ GeneratedCase GenerateCase(Random& rng, const GenOptions& opts) {
     p.disorder =
         (opts.allow_disorder && rng.Bernoulli(0.3)) ? rng.UniformInt(1, 12) : 0;
     out.profiles.push_back(p);
-
-    SpecNode src;
-    src.kind = OpKind::kSource;
-    src.stream = s;
-    out.spec.nodes.push_back(src);
-    est.push_back(p.num_elements);
-    reseg.push_back(false);
   }
-
-  const int num_ops =
-      static_cast<int>(rng.UniformInt(opts.min_ops, opts.max_ops));
-  for (int k = 0; k < num_ops; ++k) {
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      SpecNode n;
-      n.kind = PickKind(rng);
-      FillParams(rng, n);
-      const OpTraits& t = TraitsOf(n.kind);
-      const int size = static_cast<int>(out.spec.nodes.size());
-      if (t.source_attached) {
-        n.in0 = static_cast<int>(rng.NextBounded(num_streams));
-      } else {
-        n.in0 = static_cast<int>(rng.NextBounded(size));
-      }
-      if (t.arity == 2) n.in1 = static_cast<int>(rng.NextBounded(size));
-      if (t.segmentation_sensitive && reseg[n.in0]) continue;  // reroll
-      const std::size_t e = EstimateSize(
-          n, est[n.in0], n.in1 >= 0 ? est[n.in1] : 0);
-      if (e > opts.max_est_size) continue;  // reroll: too expensive
-      out.spec.nodes.push_back(n);
-      est.push_back(e);
-      reseg.push_back(t.resegmenting || reseg[n.in0] ||
-                      (n.in1 >= 0 && reseg[n.in1]));
-      break;
-    }
-  }
-
-  // ESPBench-shaped enrichment appendix: stream <-> relation join (the
-  // telemetry-x-ERP-dimension mix of the enterprise workload). The relation
-  // side is a source held entirely open by an unbounded window — rows stay
-  // valid once seen, exactly how the workload feeds dimension relations —
-  // and a raw telemetry source probes it through a modular-key hash join.
-  // Parameters are folded out of the already-drawn plan instead of the rng,
-  // so the rng cursor (and with it every pre-existing seed's operator draws
-  // AND input streams) is untouched: old corpus seeds replay byte-for-byte
-  // modulo this deterministic appendix.
-  if (opts.enrichment) {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const SpecNode& n : out.spec.nodes) {
-      h ^= (static_cast<std::uint64_t>(n.kind) + 1) * 0x100000001b3ull;
-      h = (h << 7) | (h >> 57);
-      h ^= static_cast<std::uint64_t>(n.p0 + 3) +
-           static_cast<std::uint64_t>(n.p1 + 7) * 0xbf58476d1ce4e5b9ull;
-    }
-    for (const StreamProfile& p : out.profiles) {
-      h = h * 0x100000001b3ull ^ static_cast<std::uint64_t>(p.num_elements);
-    }
-    if ((h & 3) == 0) {  // ~one case in four carries the enrichment mix
-      const int relation =
-          static_cast<int>((h >> 2) % static_cast<std::uint64_t>(num_streams));
-      const int probe =
-          static_cast<int>((h >> 9) % static_cast<std::uint64_t>(num_streams));
-      SpecNode rel;
-      rel.kind = OpKind::kUnboundedWindow;
-      rel.in0 = relation;  // sources occupy indices [0, num_streams)
-      SpecNode join;
-      join.kind = OpKind::kHashJoin;
-      join.p0 = 3 + static_cast<std::int64_t>((h >> 17) % 5);
-      join.in0 = probe;
-      join.in1 = static_cast<int>(out.spec.nodes.size());
-      const std::size_t e = EstimateSize(join, est[probe], est[relation]);
-      if (e <= opts.max_est_size) {
-        out.spec.nodes.push_back(rel);
-        est.push_back(est[relation]);
-        reseg.push_back(false);
-        out.spec.nodes.push_back(join);
-        est.push_back(e);
-        reseg.push_back(false);
-      }
-    }
-  }
-
-  // Union dangling subplans until exactly one root remains, so every node is
-  // reachable from the root and no generated work is dead.
-  std::vector<bool> consumed(out.spec.nodes.size(), false);
-  for (const SpecNode& n : out.spec.nodes) {
-    if (n.in0 >= 0) consumed[n.in0] = true;
-    if (n.in1 >= 0) consumed[n.in1] = true;
-  }
-  std::vector<int> dangling;
-  for (std::size_t i = 0; i < out.spec.nodes.size(); ++i) {
-    if (!consumed[i]) dangling.push_back(static_cast<int>(i));
-  }
-  PIPES_CHECK(!dangling.empty());
-  while (dangling.size() > 1) {
-    SpecNode u;
-    u.kind = OpKind::kUnion;
-    u.in1 = dangling.back();
-    dangling.pop_back();
-    u.in0 = dangling.back();
-    dangling.pop_back();
-    out.spec.nodes.push_back(u);
-    dangling.push_back(static_cast<int>(out.spec.nodes.size()) - 1);
-  }
-  out.spec.root = dangling.front();
-
-  out.spec.CheckValid();
+  out.plan = DrawPlan(rng, opts, out.profiles);
   return out;
 }
 
-namespace {
-
-bool PayloadOnly(OpKind k) {
-  return k == OpKind::kFilter || k == OpKind::kMap;
-}
-
-/// Operators that transform intervals but never read or write payloads, so
-/// they commute with the payload-only ones.
-bool IntervalOnly(OpKind k) {
-  return k == OpKind::kTimeWindow || k == OpKind::kSlideWindow ||
-         k == OpKind::kUnboundedWindow || k == OpKind::kIStream ||
-         k == OpKind::kDStream;
-}
-
-enum class RewriteKind {
-  kSwapPlain,        // parent/child commute verbatim
-  kSwapFilterMap,    // filter-over-map -> map-over-(filter ∘ map)
-  kFuseMapMap,       // map-over-map -> identity + fused map
-  kUnionSwap,        // swap union operands
-  kAppendIdentity,   // identity map above the root
-  kAppendDistinct,   // distinct idempotence above a distinct root
-};
-
-struct RewriteSite {
-  RewriteKind kind;
-  int parent = -1;  // index of the upper node (or the union / root)
-  int child = -1;   // index of the lower node for swaps/fusion
-};
-
-constexpr std::uint64_t kMod = static_cast<std::uint64_t>(kValModulus);
-
-/// (a2*x + b2) ∘ (a1*x + b1) folded into [0, kValModulus). Exact because
-/// every payload and coefficient is < kValModulus, so no uint64 overflow.
-std::pair<std::int64_t, std::int64_t> ComposeAffine(std::int64_t a2,
-                                                    std::int64_t b2,
-                                                    std::int64_t a1,
-                                                    std::int64_t b1) {
-  const std::uint64_t ua2 = static_cast<std::uint64_t>(PosMod(a2, kValModulus));
-  const std::uint64_t ub2 = static_cast<std::uint64_t>(PosMod(b2, kValModulus));
-  const std::uint64_t ua1 = static_cast<std::uint64_t>(PosMod(a1, kValModulus));
-  const std::uint64_t ub1 = static_cast<std::uint64_t>(PosMod(b1, kValModulus));
-  return {static_cast<std::int64_t>((ua2 * ua1) % kMod),
-          static_cast<std::int64_t>((ua2 * ub1 + ub2) % kMod)};
-}
-
-std::vector<RewriteSite> CollectSites(const PlanSpec& spec,
-                                      bool allow_append) {
-  std::vector<int> consumers(spec.nodes.size(), 0);
-  for (const SpecNode& n : spec.nodes) {
-    if (n.in0 >= 0) ++consumers[n.in0];
-    if (n.in1 >= 0) ++consumers[n.in1];
-  }
-  std::vector<RewriteSite> sites;
-  for (std::size_t j = 0; j < spec.nodes.size(); ++j) {
-    const SpecNode& p = spec.nodes[j];
-    if (p.kind == OpKind::kUnion) {
-      sites.push_back({RewriteKind::kUnionSwap, static_cast<int>(j), -1});
-    }
-    if (TraitsOf(p.kind).arity != 1) continue;
-    const int i = p.in0;
-    const SpecNode& c = spec.nodes[i];
-    if (TraitsOf(c.kind).arity != 1 || consumers[i] != 1) continue;
-    const bool commute =
-        (p.kind == OpKind::kFilter && c.kind == OpKind::kFilter) ||
-        (PayloadOnly(p.kind) && IntervalOnly(c.kind)) ||
-        (IntervalOnly(p.kind) && PayloadOnly(c.kind)) ||
-        (p.kind == OpKind::kFilter && c.kind == OpKind::kDistinct) ||
-        (p.kind == OpKind::kDistinct && c.kind == OpKind::kFilter);
-    if (commute) {
-      sites.push_back({RewriteKind::kSwapPlain, static_cast<int>(j), i});
-    } else if (p.kind == OpKind::kFilter && c.kind == OpKind::kMap) {
-      sites.push_back({RewriteKind::kSwapFilterMap, static_cast<int>(j), i});
-    } else if (p.kind == OpKind::kMap && c.kind == OpKind::kMap) {
-      sites.push_back({RewriteKind::kFuseMapMap, static_cast<int>(j), i});
-    }
-  }
-  if (allow_append) {
-    sites.push_back({RewriteKind::kAppendIdentity, spec.root, -1});
-    if (spec.nodes[spec.root].kind == OpKind::kDistinct) {
-      sites.push_back({RewriteKind::kAppendDistinct, spec.root, -1});
-    }
-  }
-  return sites;
-}
-
-void ApplySite(PlanSpec& spec, const RewriteSite& site) {
-  switch (site.kind) {
-    case RewriteKind::kSwapPlain:
-    case RewriteKind::kSwapFilterMap: {
-      SpecNode& lower = spec.nodes[site.child];
-      SpecNode& upper = spec.nodes[site.parent];
-      SpecNode new_lower = upper;   // parent's op moves below...
-      SpecNode new_upper = lower;   // ...child's op moves above
-      new_lower.in0 = lower.in0;
-      new_upper.in0 = site.child;
-      if (site.kind == RewriteKind::kSwapFilterMap) {
-        // filter(map(x)) == map(filter'(x)) with filter' = pred ∘ affine.
-        const auto [a, b] =
-            ComposeAffine(upper.p0, upper.p1, lower.p0, lower.p1);
-        new_lower.p0 = a;
-        new_lower.p1 = b;
-      }
-      lower = new_lower;
-      upper = new_upper;
-      break;
-    }
-    case RewriteKind::kFuseMapMap: {
-      SpecNode& lower = spec.nodes[site.child];
-      SpecNode& upper = spec.nodes[site.parent];
-      const auto [a, b] = ComposeAffine(upper.p0, upper.p1, lower.p0, lower.p1);
-      upper.p0 = a;
-      upper.p1 = b;
-      lower.p0 = 1;  // child degrades to the identity map
-      lower.p1 = 0;
-      break;
-    }
-    case RewriteKind::kUnionSwap:
-      std::swap(spec.nodes[site.parent].in0, spec.nodes[site.parent].in1);
-      break;
-    case RewriteKind::kAppendIdentity: {
-      SpecNode id;
-      id.kind = OpKind::kMap;
-      id.p0 = 1;
-      id.p1 = 0;
-      id.in0 = spec.root;
-      spec.nodes.push_back(id);
-      spec.root = static_cast<int>(spec.nodes.size()) - 1;
-      break;
-    }
-    case RewriteKind::kAppendDistinct: {
-      SpecNode d;
-      d.kind = OpKind::kDistinct;
-      d.in0 = spec.root;
-      spec.nodes.push_back(d);
-      spec.root = static_cast<int>(spec.nodes.size()) - 1;
-      break;
-    }
-  }
-}
-
-}  // namespace
-
-PlanSpec ApplyRandomRewrites(Random& rng, const PlanSpec& spec,
-                             int max_rewrites) {
-  PlanSpec out = spec;
-  bool appended = false;
-  for (int r = 0; r < max_rewrites; ++r) {
-    const std::vector<RewriteSite> sites = CollectSites(out, !appended);
-    if (sites.empty()) break;
-    const RewriteSite& site = sites[rng.NextBounded(sites.size())];
-    if (site.kind == RewriteKind::kAppendIdentity ||
-        site.kind == RewriteKind::kAppendDistinct) {
-      appended = true;
-    }
-    ApplySite(out, site);
-  }
-  out.CheckValid();
-  return out;
+LogicalPlan GeneratePlan(Random& rng, const GenOptions& opts,
+                         const std::vector<StreamProfile>& profiles) {
+  return DrawPlan(rng, opts, profiles);
 }
 
 }  // namespace pipes::testing

@@ -1,10 +1,7 @@
 #include "src/testing/oracles.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
-
-#include "src/testing/reference.h"
 
 namespace pipes::testing {
 
@@ -16,7 +13,7 @@ constexpr std::size_t kMaxRecordedViolations = 8;
 
 std::string FormatElem(const Elem& e) {
   std::ostringstream out;
-  out << e.payload << "@[" << e.start() << ", ";
+  out << e.payload.ToString() << "@[" << e.start() << ", ";
   if (e.end() == kMaxTimestamp) {
     out << "inf";
   } else {
@@ -26,79 +23,46 @@ std::string FormatElem(const Elem& e) {
   return out.str();
 }
 
-// Multiplicity of `payload` in the snapshot of `s` at instant `t`.
-long CountAt(const Stream& s, Val payload, Timestamp t) {
-  long n = 0;
-  for (const Elem& e : s) {
-    if (e.payload == payload && e.start() <= t && t < e.end()) ++n;
-  }
-  return n;
-}
-
 }  // namespace
 
-std::optional<std::string> CompareSnapshots(const Stream& actual,
-                                            const Stream& expected,
-                                            SnapRel rel) {
-  // Per-payload boundary sweep over (actual - expected) multiplicities.
-  // Snapshot counts only change at interval endpoints, so checking the
-  // running sum at each boundary checks every instant.
-  std::map<Val, std::map<Timestamp, long>> delta;
-  for (const Elem& e : actual) {
-    delta[e.payload][e.start()] += 1;
-    if (e.end() != kMaxTimestamp) delta[e.payload][e.end()] -= 1;
+const char* CanaryKindName(CanaryKind kind) {
+  switch (kind) {
+    case CanaryKind::kNone:
+      return "none";
+    case CanaryKind::kDropElement:
+      return "drop-element";
+    case CanaryKind::kDuplicateElement:
+      return "duplicate-element";
+    case CanaryKind::kCorruptPayload:
+      return "corrupt-payload";
+    case CanaryKind::kWidenInterval:
+      return "widen-interval";
+    case CanaryKind::kStaleReplay:
+      return "stale-replay";
+    case CanaryKind::kHeartbeatOvershoot:
+      return "heartbeat-overshoot";
   }
-  for (const Elem& e : expected) {
-    delta[e.payload][e.start()] -= 1;
-    if (e.end() != kMaxTimestamp) delta[e.payload][e.end()] += 1;
-  }
-  for (const auto& [payload, boundaries] : delta) {
-    long running = 0;
-    for (const auto& [t, d] : boundaries) {
-      running += d;
-      const bool bad =
-          rel == SnapRel::kEqual ? running != 0 : running > 0;
-      if (bad) {
-        std::ostringstream out;
-        out << "snapshot mismatch at t=" << t << ": payload " << payload
-            << " has multiplicity " << CountAt(actual, payload, t)
-            << ", reference has " << CountAt(expected, payload, t)
-            << (rel == SnapRel::kSubset ? " (subset relation required)" : "");
-        return out.str();
-      }
-    }
-  }
-  return std::nullopt;
+  return "unknown";
 }
 
-std::optional<std::string> CompareMultisets(const Stream& actual,
-                                            const Stream& expected) {
-  Stream a = actual;
-  Stream e = expected;
-  SortCanonical(a);
-  SortCanonical(e);
-  const std::size_t n = std::min(a.size(), e.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i].payload == e[i].payload && a[i].interval == e[i].interval) {
-      continue;
-    }
-    std::ostringstream out;
-    out << "multiset mismatch at canonical index " << i << ": got "
-        << FormatElem(a[i]) << ", reference has " << FormatElem(e[i]);
-    return out.str();
+ConservationRule RuleFor(const NodeDescriptor& descriptor) {
+  const std::string& op = descriptor.op;
+  if (op == "map" || op == "time-window" || op == "unbounded-window" ||
+      op == "count-window" || op == "partitioned-window" || op == "union" ||
+      op == "istream" || op == "partition" || op == "merge") {
+    return ConservationRule::kExact;
   }
-  if (a.size() != e.size()) {
-    std::ostringstream out;
-    out << "multiset size mismatch: got " << a.size() << " elements, "
-        << "reference has " << e.size();
-    if (a.size() > e.size()) {
-      out << "; first extra element " << FormatElem(a[n]);
-    } else {
-      out << "; first missing element " << FormatElem(e[n]);
-    }
-    return out.str();
+  // Slide windows drop degenerate (first >= last) windows; dstream skips
+  // never-expiring elements.
+  if (op == "filter" || op == "slide-window" || op == "distinct" ||
+      op == "dstream") {
+    return ConservationRule::kAtMostIn;
   }
-  return std::nullopt;
+  if (op == "group-aggregate" || op == "aggregate") {
+    return ConservationRule::kAtMostDoubleIn;
+  }
+  if (op == "buffer") return ConservationRule::kExactPlusShed;
+  return ConservationRule::kNone;
 }
 
 std::optional<std::string> CheckConservation(ConservationRule rule,
@@ -107,54 +71,33 @@ std::optional<std::string> CheckConservation(ConservationRule rule,
                                              std::uint64_t shed,
                                              std::uint64_t queued,
                                              const std::string& node_name) {
-  std::ostringstream msg;
+  bool holds = true;
+  const char* law = "";
   switch (rule) {
     case ConservationRule::kNone:
-      return std::nullopt;
+      break;
     case ConservationRule::kExact:
-      if (out == in) return std::nullopt;
-      msg << node_name << ": expected out == in, got in=" << in
-          << " out=" << out;
-      return msg.str();
+      holds = out == in;
+      law = "out == in";
+      break;
     case ConservationRule::kAtMostIn:
-      if (out <= in) return std::nullopt;
-      msg << node_name << ": expected out <= in, got in=" << in
-          << " out=" << out;
-      return msg.str();
+      holds = out <= in;
+      law = "out <= in";
+      break;
     case ConservationRule::kExactPlusShed:
-      if (in == out + shed + queued) return std::nullopt;
-      msg << node_name << ": expected in == out + shed + queued, got in="
-          << in << " out=" << out << " shed=" << shed
-          << " queued=" << queued;
-      return msg.str();
+      holds = in == out + shed + queued;
+      law = "in == out + shed + queued";
+      break;
     case ConservationRule::kAtMostDoubleIn:
-      if (out <= 2 * in + 1) return std::nullopt;
-      msg << node_name << ": expected out <= 2*in + 1, got in=" << in
-          << " out=" << out;
-      return msg.str();
+      holds = out <= 2 * in + 1;
+      law = "out <= 2*in + 1";
+      break;
   }
-  return std::nullopt;
-}
-
-std::optional<std::string> CheckDescriptor(OpKind kind,
-                                           const NodeDescriptor& descriptor,
-                                           const std::string& node_name) {
-  const OpTraits& traits = TraitsOf(kind);
-  if (descriptor.blocking != traits.blocking) {
-    std::ostringstream out;
-    out << node_name << " (" << traits.name << "): catalog says blocking="
-        << traits.blocking << " but Describe() reports "
-        << descriptor.blocking;
-    return out.str();
-  }
-  if (descriptor.key_partitionable != traits.key_partitionable) {
-    std::ostringstream out;
-    out << node_name << " (" << traits.name
-        << "): catalog says key_partitionable=" << traits.key_partitionable
-        << " but Describe() reports " << descriptor.key_partitionable;
-    return out.str();
-  }
-  return std::nullopt;
+  if (holds) return std::nullopt;
+  std::ostringstream msg;
+  msg << node_name << ": expected " << law << ", got in=" << in
+      << " out=" << out << " shed=" << shed << " queued=" << queued;
+  return msg.str();
 }
 
 void OracleSink::PortElement(int /*port_id*/, const Elem& e) {
@@ -195,7 +138,7 @@ void OracleSink::PortProgress(int /*port_id*/, Timestamp watermark) {
 
 void OracleSink::PortDone(int port_id) {
   done_seen_ = true;
-  Sink<Val>::PortDone(port_id);
+  Sink<relational::Tuple>::PortDone(port_id);
 }
 
 void OracleSink::Violate(const char* oracle, std::string detail) {

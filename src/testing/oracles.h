@@ -6,18 +6,21 @@
 #include <string>
 #include <vector>
 
+#include "src/core/descriptor.h"
 #include "src/core/sink.h"
-#include "src/testing/spec.h"
+#include "src/relational/tuple.h"
 
 /// \file
-/// The oracle layer of the simulation harness: everything that can declare a
-/// run wrong. Differential comparisons (multiset-exact and
-/// snapshot-equivalent, the algebra's two correctness granularities), the
-/// streaming invariants observed at the sink (ordered output, elements never
-/// behind the watermark, nothing after end-of-stream), per-node metrics
-/// conservation, and the catalog-vs-`Describe()` contract cross-check.
+/// The runtime oracles of the simulation harness: the streaming invariants
+/// observed at the sink (ordered output, elements never behind the
+/// watermark, nothing after end-of-stream) and per-node metrics
+/// conservation. The differential oracle — the run against the reference —
+/// is `conformance::SnapshotDiff`, the comparator the conformance corpus
+/// uses too.
 
 namespace pipes::testing {
+
+using Elem = StreamElement<relational::Tuple>;
 
 /// One oracle violation. `oracle` is a stable short tag (used by the
 /// self-check to assert *which* oracle fired), `detail` is for humans.
@@ -26,37 +29,35 @@ struct Failure {
   std::string detail;
 };
 
-/// How an arm's output must relate to the reference snapshot-wise.
-enum class SnapRel {
-  /// Identical snapshot at every instant.
-  kEqual,
-  /// `actual`'s snapshot is a sub-multiset of `expected`'s at every instant
-  /// (the lossy arms: shedding may only ever remove).
-  kSubset,
+/// A deliberate bug planted between the plan's output and the sink. The
+/// self-check runs otherwise-correct cases with each canary in turn and
+/// asserts that some oracle catches every kind.
+enum class CanaryKind {
+  kNone,
+  kDropElement,         ///< Silently drops every 17th element.
+  kDuplicateElement,    ///< Emits every 13th element twice.
+  kCorruptPayload,      ///< Adds 1 to the first field of every 19th element.
+  kWidenInterval,       ///< Extends every 11th element's validity by 5.
+  kStaleReplay,         ///< Re-emits an old payload at the current instant.
+  kHeartbeatOvershoot,  ///< Forwards watermarks 7 ticks into the future.
 };
+inline constexpr int kNumCanaryKinds =
+    static_cast<int>(CanaryKind::kHeartbeatOvershoot) + 1;
 
-/// Compares snapshots at every instant via a per-payload boundary sweep.
-/// Returns a description of the first violating (payload, instant) or
-/// nullopt when the relation holds.
-std::optional<std::string> CompareSnapshots(const Stream& actual,
-                                            const Stream& expected,
-                                            SnapRel rel);
-
-/// Element-multiset equality under the canonical (start, end, payload)
-/// order. Strictly stronger than CompareSnapshots(..., kEqual); only valid
-/// for plans without resegmenting operators.
-std::optional<std::string> CompareMultisets(const Stream& actual,
-                                            const Stream& expected);
+const char* CanaryKindName(CanaryKind kind);
 
 /// What the elements-in/out/shed counters of one physical node must satisfy
 /// after a fully drained run.
 enum class ConservationRule {
-  kNone,            // sweep-expanding binaries: no useful linear bound
+  kNone,            // sources, sinks, sweep-expanding binaries
   kExact,           // out == in (maps, windows, union, istream, merge)
-  kAtMostIn,        // out <= in (filter, distinct, dstream, slide < size)
+  kAtMostIn,        // out <= in (filter, distinct, dstream, slide windows)
   kExactPlusShed,   // in == out + shed (buffers after drain)
   kAtMostDoubleIn,  // out <= 2*in + 1 (sweep-line aggregates' segments)
 };
+
+/// The rule for a node, by its descriptor's operator name.
+ConservationRule RuleFor(const NodeDescriptor& descriptor);
 
 std::optional<std::string> CheckConservation(ConservationRule rule,
                                              std::uint64_t in,
@@ -65,29 +66,22 @@ std::optional<std::string> CheckConservation(ConservationRule rule,
                                              std::uint64_t queued,
                                              const std::string& node_name);
 
-/// Cross-checks the generator catalog's contract card against the live
-/// operator's `Describe()`: blocking and key-partitionability must agree,
-/// or the generator is composing plans from stale metadata.
-std::optional<std::string> CheckDescriptor(OpKind kind,
-                                           const NodeDescriptor& descriptor,
-                                           const std::string& node_name);
-
 /// Terminal sink that records the output stream while checking the
 /// streaming invariants on the fly:
 ///   * non-decreasing element starts (per-run ordered output),
 ///   * no element behind a previously notified watermark,
 ///   * watermark monotonicity,
 ///   * silence after end-of-stream.
-class OracleSink : public Sink<Val> {
+class OracleSink : public Sink<relational::Tuple> {
  public:
   explicit OracleSink(std::string name = "oracle-sink")
-      : Sink<Val>(std::move(name)) {}
+      : Sink<relational::Tuple>(std::move(name)) {}
 
-  const Stream& collected() const { return collected_; }
+  const std::vector<Elem>& collected() const { return collected_; }
   const std::vector<Failure>& violations() const { return violations_; }
 
   NodeDescriptor Describe() const override {
-    NodeDescriptor d = Sink<Val>::Describe();
+    NodeDescriptor d = Sink<relational::Tuple>::Describe();
     d.op = "oracle-sink";
     return d;
   }
@@ -100,7 +94,7 @@ class OracleSink : public Sink<Val> {
  private:
   void Violate(const char* oracle, std::string detail);
 
-  Stream collected_;
+  std::vector<Elem> collected_;
   std::vector<Failure> violations_;
   Timestamp last_start_ = kMinTimestamp;
   Timestamp max_watermark_ = kMinTimestamp;

@@ -89,6 +89,18 @@ TEST(CorpusFormat, RejectsMalformedInput) {
   EXPECT_FALSE(
       ParseCorpus("stream s (a:int)\n  3 5 | 1\n  0 5 | 2\nend\n", "f").ok())
       << "rows out of start order";
+  // Numbers parse whole: trailing characters are errors, not truncated.
+  for (const char* row : {"10x 20 | 5abc 1.5zz", "0 20 | 5abc 1.5",
+                          "0 20 | 5 1.5zz", "0 20x | 5 1.5"}) {
+    EXPECT_FALSE(ParseCorpus("stream s (a:int, b:double)\n  " +
+                                 std::string(row) + "\nend\n",
+                             "f")
+                     .ok())
+        << row;
+  }
+  EXPECT_TRUE(
+      ParseCorpus("stream s (a:int, b:double)\n  0 20 | 5 1.5\nend\n", "f")
+          .ok());
   EXPECT_FALSE(ParseCorpus("bogus directive\n", "f").ok());
   EXPECT_FALSE(ParseCorpus("stream s (a:int)\n  0 5 | 1\nend\n"
                            "case c\nexpect (a:int)\nend\n",

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -519,6 +520,80 @@ TEST_F(EngineTest, OutOfRangeDoubleLiteralFailsRegister) {
   ExpectRegisterFails(
       "SELECT * FROM trades WHERE price > 1" + std::string(400, '0') + ".5",
       StatusCode::kParseError);
+}
+
+// --- Integer arithmetic wraps (Java long semantics) --------------------------
+
+/// Registers `SELECT <expr> AS x FROM trades`, pushes one trade with
+/// symbol 2, and returns the one INT the query produced.
+std::int64_t EvalOnOneTrade(const std::string& expr) {
+  Engine engine;
+  auto writer =
+      engine.AddStream("trades", TradesSchema(), /*rate_hint=*/10.0);
+  EXPECT_TRUE(writer.ok());
+  auto handle = engine.Register("SELECT " + expr + " AS x FROM trades");
+  EXPECT_TRUE(handle.ok()) << handle.status().ToString();
+  if (!writer.ok() || !handle.ok()) return 0;
+  EXPECT_TRUE(
+      writer->Push(Tuple{Value(std::int64_t{2}), Value(10.0)}, 5).ok());
+  engine.Pump();
+  const std::vector<QueryHandle::Element> rows = handle->Poll();
+  EXPECT_EQ(rows.size(), 1u);
+  return rows.empty() ? 0 : rows[0].payload.field(0).AsInt();
+}
+
+TEST_F(EngineTest, IntegerArithmeticWrapsInsteadOfTrapping) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(EvalOnOneTrade("(-9223372036854775807 - 1) / -1"), kMin);
+  EXPECT_EQ(EvalOnOneTrade("(-9223372036854775807 - 1) % -1"), 0);
+  EXPECT_EQ(EvalOnOneTrade("symbol * 9223372036854775807"), -2);
+  EXPECT_EQ(EvalOnOneTrade("-(-9223372036854775807 - 1)"), kMin);
+}
+
+// --- Ill-typed expressions fail Register -------------------------------------
+
+/// Registers `cql` over `people (name STRING, age INT)` and expects
+/// InvalidArgument mentioning `culprit`, with the graph untouched.
+void ExpectIllTyped(const std::string& cql, const std::string& culprit) {
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .AddStream("people", Schema({{"name", ValueType::kString},
+                                               {"age", ValueType::kInt}}))
+                  .ok());
+  const std::size_t nodes = engine.stats().graph_nodes;
+  auto handle = engine.Register(cql);
+  ASSERT_FALSE(handle.ok());
+  EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument)
+      << handle.status().ToString();
+  EXPECT_NE(handle.status().message().find(culprit), std::string::npos)
+      << handle.status().ToString();
+  EXPECT_EQ(engine.stats().graph_nodes, nodes);
+  // Comparisons keep their results: strings compare with anything.
+  EXPECT_TRUE(engine.Register("SELECT * FROM people WHERE name > 1").ok());
+}
+
+TEST_F(EngineTest, StringPlusIntFailsRegister) {
+  ExpectIllTyped("SELECT name + 1 AS x FROM people", "(people.name + 1)");
+}
+
+TEST_F(EngineTest, NegatedStringFailsRegister) {
+  ExpectIllTyped("SELECT -name AS x FROM people", "-people.name");
+}
+
+TEST_F(EngineTest, NotStringFailsRegister) {
+  ExpectIllTyped("SELECT NOT name AS x FROM people", "NOT people.name");
+}
+
+TEST_F(EngineTest, StringWherePredicateFailsRegister) {
+  ExpectIllTyped("SELECT * FROM people WHERE name", "predicate people.name");
+}
+
+TEST_F(EngineTest, SumOfStringFailsRegister) {
+  ExpectIllTyped("SELECT SUM(name) AS s FROM people", "SUM(people.name)");
+}
+
+TEST_F(EngineTest, AvgOfStringFailsRegister) {
+  ExpectIllTyped("SELECT AVG(name) AS a FROM people", "AVG(people.name)");
 }
 
 TEST_F(EngineTest, NonPositiveWindowInLogicalPlanIsRejected) {

@@ -37,7 +37,7 @@ std::vector<std::uint64_t> LoadCorpus(const std::string& path) {
 
 TEST(FuzzCorpus, HasDiverseSeeds) {
   const std::vector<std::uint64_t> seeds = LoadCorpus(FUZZ_CORPUS_PATH);
-  EXPECT_GE(seeds.size(), 10u) << "corpus shrank; keep it structurally "
+  EXPECT_GE(seeds.size(), 20u) << "corpus shrank; keep it structurally "
                                   "diverse (see the file header)";
 }
 

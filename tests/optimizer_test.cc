@@ -16,6 +16,7 @@
 #include "src/optimizer/plan_manager.h"
 #include "src/optimizer/rules.h"
 #include "src/scheduler/scheduler.h"
+#include "src/testing/conformance.h"
 
 namespace pipes::optimizer {
 namespace {
@@ -293,6 +294,84 @@ TEST_F(EndToEnd, SharingDisabledBuildsEverythingTwice) {
 TEST_F(EndToEnd, InstallFailsForUnknownStream) {
   PlanManager manager(&graph_, &catalog_);
   EXPECT_FALSE(manager.InstallQuery("SELECT * FROM nosuch").ok());
+}
+
+// --- The operators without CQL syntax ---------------------------------------
+
+/// `plan` built by PhysicalBuilder over `rows` bound as stream `s (k, v)`,
+/// drained, and compared with the reference evaluator.
+void ExpectBuildsLikeReference(
+    const LogicalPlan& plan,
+    const std::vector<StreamElement<Tuple>>& rows, const char* op) {
+  QueryGraph graph;
+  cql::Catalog catalog;
+  const Schema schema({{"k", ValueType::kInt}, {"v", ValueType::kInt}});
+  auto& source = graph.Add<VectorSource<Tuple>>(rows, "s", 3);
+  ASSERT_TRUE(catalog.RegisterStream("s", schema, &source).ok());
+  auto output = PhysicalBuilder(&graph, &catalog).Build(plan);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  auto& sink = graph.Add<CollectorSink<Tuple>>();
+  (*output)->AddSubscriber(sink.input());
+  bool found = false;
+  for (const Node* node : graph.nodes()) found |= node->Describe().op == op;
+  EXPECT_TRUE(found) << "no " << op << " operator in the built graph";
+  scheduler::RoundRobinStrategy strategy;
+  scheduler::PipeExecutor(graph, strategy, 4).RunToCompletion();
+
+  auto expected = testing::conformance::ReferenceEval(
+      plan, {{"s", schema, rows}});
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  testing::conformance::IntervalTable actual;
+  actual.rows = sink.elements();
+  const auto diff = testing::conformance::SnapshotDiff(*expected, actual);
+  EXPECT_TRUE(diff.equivalent) << plan->ToString() << diff.message;
+}
+
+std::vector<StreamElement<Tuple>> KeyedRows() {
+  std::vector<StreamElement<Tuple>> rows;
+  for (std::int64_t i = 0; i < 40; ++i) {
+    rows.push_back(StreamElement<Tuple>::Point(
+        Tuple{Value(i % 3), Value(i % 5)}, i / 2));
+  }
+  return rows;
+}
+
+TEST(PhysicalBuilder, BuildsDifferenceIntersectAndPartitionedWindow) {
+  const Schema schema({{"k", ValueType::kInt}, {"v", ValueType::kInt}});
+  WindowSpec wide;
+  wide.kind = WindowKind::kRange;
+  wide.range = 6;
+  WindowSpec narrow = wide;
+  narrow.range = 2;
+  WindowSpec partitioned;
+  partitioned.kind = WindowKind::kPartitionedRows;
+  partitioned.rows = 2;
+  partitioned.partition = {0};
+  const LogicalPlan a = ScanOp("s", schema, wide);
+  const LogicalPlan b = ScanOp("s", schema, narrow);
+  ExpectBuildsLikeReference(DifferenceOp(a, b), KeyedRows(), "difference");
+  ExpectBuildsLikeReference(IntersectOp(a, b), KeyedRows(), "intersect");
+  ExpectBuildsLikeReference(ScanOp("s", schema, partitioned), KeyedRows(),
+                            "partitioned-window");
+}
+
+TEST(PhysicalBuilder, RejectsPartitionOnMissingField) {
+  QueryGraph graph;
+  cql::Catalog catalog;
+  const Schema schema({{"k", ValueType::kInt}});
+  auto& source = graph.Add<VectorSource<Tuple>>(
+      std::vector<StreamElement<Tuple>>{}, "s");
+  ASSERT_TRUE(catalog.RegisterStream("s", schema, &source).ok());
+  WindowSpec partitioned;
+  partitioned.kind = WindowKind::kPartitionedRows;
+  partitioned.rows = 2;
+  partitioned.partition = {3};
+  const std::size_t nodes = graph.size();
+  auto output = PhysicalBuilder(&graph, &catalog)
+                    .Build(ScanOp("s", schema, partitioned));
+  ASSERT_FALSE(output.ok());
+  EXPECT_EQ(output.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(graph.size(), nodes);
 }
 
 }  // namespace

@@ -38,18 +38,21 @@ cql::Catalog MakeCatalog() {
   return catalog;
 }
 
+void ExpectPlanRoundTrip(const LogicalPlan& plan) {
+  const std::string xml = ToXml(plan);
+  auto revived = FromXml(xml);
+  ASSERT_TRUE(revived.ok()) << revived.status().ToString() << "\n" << xml;
+  EXPECT_EQ((*revived)->Signature(), plan->Signature()) << xml;
+  EXPECT_EQ((*revived)->schema, plan->schema);
+  // Serialization is stable: a second trip produces identical XML.
+  EXPECT_EQ(ToXml(*revived), xml);
+}
+
 void ExpectRoundTrip(const std::string& query_text) {
   cql::Catalog catalog = MakeCatalog();
   auto plan = cql::Compile(query_text, catalog);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-
-  const std::string xml = ToXml(plan->plan);
-  auto revived = FromXml(xml);
-  ASSERT_TRUE(revived.ok()) << revived.status().ToString() << "\n" << xml;
-  EXPECT_EQ((*revived)->Signature(), (plan->plan)->Signature()) << xml;
-  EXPECT_EQ((*revived)->schema, (plan->plan)->schema);
-  // Serialization is stable: a second trip produces identical XML.
-  EXPECT_EQ(ToXml(*revived), xml);
+  ExpectPlanRoundTrip(plan->plan);
 }
 
 TEST(PlanXml, RoundTripsScanVariants) {
@@ -82,6 +85,37 @@ TEST(PlanXml, RoundTripsJoinGroupDistinctStreams) {
   ExpectRoundTrip("SELECT DISTINCT bidder FROM bids");
   ExpectRoundTrip("SELECT ISTREAM auction FROM bids [RANGE 1 MINUTES]");
   ExpectRoundTrip("SELECT DSTREAM auction FROM bids [RANGE 1 MINUTES]");
+}
+
+// The operators without CQL syntax: bag difference, intersect, and the
+// partitioned-rows scan window.
+TEST(PlanXml, RoundTripsSetOperatorsAndPartitionedWindows) {
+  const Schema bids({{"auction", ValueType::kInt},
+                     {"bidder", ValueType::kInt},
+                     {"price", ValueType::kDouble}});
+  WindowSpec range;
+  range.kind = WindowKind::kRange;
+  range.range = 5000;
+  WindowSpec partitioned;
+  partitioned.kind = WindowKind::kPartitionedRows;
+  partitioned.rows = 3;
+  partitioned.partition = {0, 1};
+  const LogicalPlan now = ScanOp("bids", bids, WindowSpec{});
+  const LogicalPlan last3 = ScanOp("bids", bids, partitioned);
+  ExpectPlanRoundTrip(last3);
+  ExpectPlanRoundTrip(DifferenceOp(ScanOp("bids", bids, range), now));
+  ExpectPlanRoundTrip(IntersectOp(last3, DifferenceOp(now, last3)));
+
+  // Set operators need equal arities; a partitioned window needs its rows.
+  EXPECT_FALSE(FromXml("<plan><op kind=\"difference\">"
+                       "<op kind=\"scan\" stream=\"a\" window=\"NOW\">"
+                       "<out name=\"x\" type=\"INT\"/></op>"
+                       "<op kind=\"scan\" stream=\"b\" window=\"NOW\"></op>"
+                       "</op></plan>")
+                   .ok());
+  EXPECT_FALSE(FromXml("<plan><op kind=\"scan\" stream=\"a\" "
+                       "window=\"PARTITIONED_ROWS\"></op></plan>")
+                   .ok());
 }
 
 TEST(PlanXml, RoundTripsOptimizedPlans) {

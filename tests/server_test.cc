@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/engine/engine.h"
@@ -219,6 +221,59 @@ TEST_F(ServerTest, NonPositiveWindowIsAnErrorNotACrash) {
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument)
       << bad.status().ToString();
   EXPECT_TRUE(client->Ping().ok());
+  EXPECT_EQ(engine_->stats().graph_nodes, nodes);
+}
+
+TEST_F(ServerTest, OverflowingArithmeticWrapsAndServerStaysUp) {
+  auto client = Client::Connect("127.0.0.1", server_->port(), "acme");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  // Each query sees one trade with symbol 0 and yields INT64_MIN or 0.
+  const std::pair<const char*, const char*> cases[] = {
+      {"(-9223372036854775807 - 1) / -1", "(-9223372036854775808)"},
+      {"(-9223372036854775807 - 1) % -1", "(0)"},
+      {"(symbol + 2) * 9223372036854775807", "(-2)"},
+      {"-(-9223372036854775807 - 1)", "(-9223372036854775808)"},
+  };
+  std::vector<std::uint64_t> ids;
+  for (const auto& [expr, want] : cases) {
+    auto q = client->Register(std::string("SELECT ") + expr +
+                              " AS x FROM trades");
+    ASSERT_TRUE(q.ok()) << expr << ": " << q.status().ToString();
+    ids.push_back(q->query_id);
+  }
+  Feed(1, 0);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    std::vector<Client::Row> rows;
+    for (int attempt = 0; attempt < 500 && rows.empty(); ++attempt) {
+      auto fetched = client->Fetch(ids[i], 16);
+      ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+      rows = *fetched;
+      if (rows.empty()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    }
+    ASSERT_EQ(rows.size(), 1u) << cases[i].first;
+    EXPECT_EQ(rows[0].tuple, cases[i].second) << cases[i].first;
+    EXPECT_TRUE(client->Ping().ok());
+  }
+}
+
+TEST_F(ServerTest, IllTypedQueriesAreErrorsNotCrashes) {
+  auto client = Client::Connect("127.0.0.1", server_->port(), "acme");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const std::size_t nodes = engine_->stats().graph_nodes;
+  for (const char* query :
+       {"SELECT symbol + 'x' AS bad FROM trades",
+        "SELECT -'x' AS bad FROM trades", "SELECT NOT 'x' AS bad FROM trades",
+        "SELECT * FROM trades WHERE 'x'",
+        "SELECT SUM('x') AS bad FROM trades",
+        "SELECT AVG('x') AS bad FROM trades"}) {
+    auto bad = client->Register(query);
+    ASSERT_FALSE(bad.ok()) << query;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument)
+        << query << ": " << bad.status().ToString();
+    EXPECT_TRUE(client->Ping().ok()) << query;
+  }
   EXPECT_EQ(engine_->stats().graph_nodes, nodes);
 }
 

@@ -400,6 +400,107 @@ TEST_P(SnapshotProperty, OperatorCompositionIsSnapshotEquivalent) {
       });
 }
 
+// --- Windows over derived streams --------------------------------------------
+// CQL and LogicalPlan attach windows to stream scans only, so neither the
+// conformance corpus nor the fuzzer can put one over a join or a union.
+// These typed tests do: the reference is each window's per-element interval
+// map applied to the upstream's expected elements.
+
+/// Hangs a time, a slide and an unbounded window off `upstream`, drains the
+/// graph, and checks each window's output against its interval map applied
+/// to `upstream_elements` (what `upstream` emits, in any order).
+void ExpectWindowsOverDerived(
+    QueryGraph& graph, Source<int>& upstream,
+    const std::vector<StreamElement<int>>& upstream_elements,
+    std::uint64_t seed) {
+  const Timestamp range = 3 + static_cast<Timestamp>(seed % 11);
+  const Timestamp size = 4 + static_cast<Timestamp>(seed % 9);
+  const Timestamp slide = 1 + static_cast<Timestamp>(seed % 5);
+  auto& time = graph.Add<TimeWindow<int>>(range);
+  auto& sliding = graph.Add<SlideWindow<int>>(size, slide);
+  auto& unbounded = graph.Add<UnboundedWindow<int>>();
+  std::vector<CollectorSink<int>*> sinks;
+  for (UnaryPipe<int, int>* window :
+       std::initializer_list<UnaryPipe<int, int>*>{&time, &sliding,
+                                                   &unbounded}) {
+    upstream.AddSubscriber(window->input());
+    sinks.push_back(&graph.Add<CollectorSink<int>>());
+    window->AddSubscriber(sinks.back()->input());
+  }
+  DrainRandomized(graph, seed);
+
+  const auto align = [&](Timestamp t) {
+    return (t + slide - 1) / slide * slide;
+  };
+  std::vector<std::vector<StreamElement<int>>> expected(3);
+  for (const auto& e : upstream_elements) {
+    expected[0].emplace_back(e.payload, e.start(), e.start() + range);
+    if (align(e.start()) < align(e.start() + size)) {
+      expected[1].emplace_back(e.payload, align(e.start()),
+                               align(e.start() + size));
+    }
+    expected[2].emplace_back(e.payload, e.start(), kMaxTimestamp);
+  }
+  for (std::size_t w = 0; w < sinks.size(); ++w) {
+    SCOPED_TRACE(w == 0 ? "time window" : w == 1 ? "slide window"
+                                                 : "unbounded window");
+    ExpectStartOrdered(sinks[w]->elements());
+    ExpectSnapshotsEqual<int>(
+        CriticalInstants<int>({&expected[w], &sinks[w]->elements()}),
+        sinks[w]->elements(),
+        [&](Timestamp t) { return SnapshotAt(expected[w], t); });
+  }
+}
+
+TEST_P(SnapshotProperty, WindowsOverHashJoinAreSnapshotEquivalent) {
+  Random rng(GetParam());
+  RandomStreamOptions options;
+  options.count = 80;
+  options.payload_domain = 5;
+  const auto left = RandomIntStream(rng, options);
+  const auto right = RandomIntStream(rng, options);
+
+  QueryGraph graph;
+  auto& sl = graph.Add<VectorSource<int>>(left);
+  auto& sr = graph.Add<VectorSource<int>>(right);
+  auto identity = [](int v) { return v; };
+  auto combine = [](int a, int b) { return a * 100 + b; };
+  auto& join =
+      graph.Add(MakeHashJoin<int, int>(identity, identity, combine));
+  sl.AddSubscriber(join.left());
+  sr.AddSubscriber(join.right());
+
+  // The join emits one element per matching overlapping pair, valid on the
+  // intersection.
+  std::vector<StreamElement<int>> joined;
+  for (const auto& l : left) {
+    for (const auto& r : right) {
+      if (l.payload == r.payload && l.interval.Overlaps(r.interval)) {
+        joined.emplace_back(combine(l.payload, r.payload),
+                            l.interval.Intersect(r.interval));
+      }
+    }
+  }
+  ExpectWindowsOverDerived(graph, join, joined, GetParam());
+}
+
+TEST_P(SnapshotProperty, WindowsOverUnionAreSnapshotEquivalent) {
+  Random rng(GetParam());
+  const auto a = RandomIntStream(rng);
+  const auto b = RandomIntStream(rng);
+
+  QueryGraph graph;
+  auto& sa = graph.Add<VectorSource<int>>(a);
+  auto& sb = graph.Add<VectorSource<int>>(b);
+  auto& u = graph.Add<Union<int>>();
+  sa.AddSubscriber(u.left());
+  sb.AddSubscriber(u.right());
+
+  std::vector<StreamElement<int>> both = a;
+  both.insert(both.end(), b.begin(), b.end());
+  ExpectWindowsOverDerived(graph, u, both, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55,
                                            89));
