@@ -1,11 +1,11 @@
 // B1 — Run transfer path.
 //
 // The queue-less pub-sub core pays one virtual call, one subscription loop,
-// and one watermark merge per element on the per-element path. The run
-// path (`TransferRun`/`ReceiveRun`/`PortRun`) amortizes all three over a
+// and one watermark merge per delivered run. The run path
+// (`TransferRun`/`ReceiveRun`/`PortRun`) amortizes all three over a
 // columnar run of elements. This bench sweeps the source batch size over
-// {1, 8, 64, 512}; batch = 1 is the per-element path, larger batches
-// quantify the amortization. Every harness but the cross-thread one runs on
+// {1, 8, 64, 512}; batch = 1 delivers runs of 1, larger batches quantify
+// the amortization. Every harness but the cross-thread one runs on
 // the `PipeExecutor`.
 //
 // Run with `--benchmark_format=json` for machine-readable output; the

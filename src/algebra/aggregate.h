@@ -127,7 +127,6 @@ class TemporalAggregate : public UnaryPipe<In, typename Agg::Output> {
     NodeDescriptor d = UnaryPipe<In, Output>::Describe();
     d.op = "aggregate";
     d.blocking = true;
-    d.has_columnar_kernel = true;
     // Each input element opens at most two sweep-line boundaries, each a
     // potential output segment; one trailing gap boundary may linger.
     d.dataflow.output_factor = 2.0;
@@ -138,10 +137,6 @@ class TemporalAggregate : public UnaryPipe<In, typename Agg::Output> {
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<In>& e) override {
-    core_.Add(e.start(), e.end(), value_fn_(e.payload));
-  }
-
   /// Columnar kernel: feeds the sweep-line straight from the columns — the
   /// value function walks the payload column while the interval columns are
   /// read positionally, with no `StreamElement` rematerialization.
@@ -212,7 +207,6 @@ class GroupedAggregate
     d.op = "group-aggregate";
     d.blocking = true;
     d.key_partitionable = true;
-    d.has_columnar_kernel = true;
     // Per input element: at most one new group entry plus two sweep-line
     // boundaries in that group's aggregator (see ApproxMemoryBytes).
     d.dataflow.output_factor = 2.0;
@@ -222,12 +216,6 @@ class GroupedAggregate
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<In>& e) override {
-    auto [it, inserted] = groups_.try_emplace(
-        key_fn_(e.payload), SweepLineAggregator<Agg>(agg_));
-    it->second.Add(e.start(), e.end(), value_fn_(e.payload));
-  }
-
   /// Columnar kernel: group lookup and sweep-line accumulation straight
   /// from the columns.
   void PortRun(int /*port_id*/, const ColumnarRun<In>& run) override {

@@ -31,7 +31,6 @@ class Coalesce : public UnaryPipe<T, T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = UnaryPipe<T, T>::Describe();
     d.op = "coalesce";
-    d.has_columnar_kernel = true;
     // Merging abutting equal-payload intervals can extend validity without
     // static bound.
     d.dataflow.extends_validity = true;
@@ -39,12 +38,6 @@ class Coalesce : public UnaryPipe<T, T> {
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    if (MergeIntoHeld(e.payload, e.start(), e.end())) return;
-    if (held_.has_value()) this->Transfer(*held_);
-    held_ = e;
-  }
-
   /// Columnar kernel: runs the merge loop over the whole run against the
   /// held element and emits every released element as one downstream run
   /// (released elements leave in arrival order, which is start order).

@@ -44,16 +44,20 @@ class Difference : public BinaryPipe<T, T, T> {
   }
 
  protected:
-  void OnElementLeft(const StreamElement<T>& e) override {
-    auto& state = payloads_[e.payload];
-    state.deltas[e.start()].first += 1;
-    state.deltas[e.end()].first -= 1;
+  void OnRunLeft(const ColumnarRun<T>& run) override {
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      auto& state = payloads_[run.payloads[i]];
+      state.deltas[run.starts[i]].first += 1;
+      state.deltas[run.ends[i]].first -= 1;
+    }
   }
 
-  void OnElementRight(const StreamElement<T>& e) override {
-    auto& state = payloads_[e.payload];
-    state.deltas[e.start()].second += 1;
-    state.deltas[e.end()].second -= 1;
+  void OnRunRight(const ColumnarRun<T>& run) override {
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      auto& state = payloads_[run.payloads[i]];
+      state.deltas[run.starts[i]].second += 1;
+      state.deltas[run.ends[i]].second -= 1;
+    }
   }
 
   void OnProgressSide(int /*side*/, Timestamp /*watermark*/) override {

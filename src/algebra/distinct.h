@@ -49,8 +49,11 @@ class Distinct : public UnaryPipe<T, T> {
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    Merge(pending_[e.payload], e.interval);
+  void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      Merge(pending_[run.payloads[i]],
+            TimeInterval(run.starts[i], run.ends[i]));
+    }
   }
 
   void PortProgress(int /*port_id*/, Timestamp watermark) override {

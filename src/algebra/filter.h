@@ -25,17 +25,10 @@ class Filter : public UnaryPipe<T, T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = UnaryPipe<T, T>::Describe();
     d.op = "filter";
-    d.has_columnar_kernel = true;
     return d;
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    if (pred_(e.payload)) {
-      this->Transfer(e);
-    }
-  }
-
   /// Columnar kernel: the predicate runs over the payload column alone
   /// (exactly once per element), and each maximal run of survivors is
   /// copied as one contiguous range per column — a selective filter pays

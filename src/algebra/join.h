@@ -142,7 +142,6 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
     // equi-probes — must mirror the `algebra::KeyPartitionable` trait
     // specialization (checked in tests/analysis_test.cc).
     d.key_partitionable = LeftSA::kKeyedEquiProbe && RightSA::kKeyedEquiProbe;
-    d.has_columnar_kernel = true;
     d.spill_capable = kSpillable;
     d.shedding_enabled = shed_policy_ != ShedPolicy::kNone;
     d.dataflow.output_per_pair = true;
@@ -156,35 +155,17 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
   }
 
  protected:
-  void OnElementLeft(const StreamElement<L>& e) override {
-    right_sa_.Query(e, [&](const StreamElement<R>& r) {
-      staged_.Push(StreamElement<Out>(combine_(e.payload, r.payload),
-                                      e.interval.Intersect(r.interval)));
-    });
-    left_sa_.Insert(e);
-    EnforceBudget();
-    Flush();
-  }
-
-  void OnElementRight(const StreamElement<R>& e) override {
-    left_sa_.Query(e, [&](const StreamElement<L>& l) {
-      staged_.Push(StreamElement<Out>(combine_(l.payload, e.payload),
-                                      l.interval.Intersect(e.interval)));
-    });
-    right_sa_.Insert(e);
-    EnforceBudget();
-    Flush();
-  }
-
   /// Columnar kernels: probe the whole run against the opposite SweepArea,
   /// then bulk-insert it and flush once. Probing everything before inserting
-  /// is equivalent to the per-element interleave — a run's elements go into
+  /// is equivalent to the per-row interleave — a run's elements go into
   /// their *own* side's area, which its probes never touch. Under an active
-  /// memory limit the kernels fall back to the default row-by-row path so
-  /// shedding decisions (which depend on the interleave) are bit-identical.
+  /// memory limit the kernels fall back to probing row by row so shedding
+  /// decisions (which depend on the interleave) match runs of 1.
   void OnRunLeft(const ColumnarRun<L>& run) override {
     if (ShedActive()) {
-      BinaryPipe<L, R, Out>::OnRunLeft(run);
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        ProbeLeft(run.ElementAt(i));
+      }
       return;
     }
     right_sa_.QueryRun(run, [&](std::size_t i, const StreamElement<R>& r) {
@@ -201,7 +182,9 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
 
   void OnRunRight(const ColumnarRun<R>& run) override {
     if (ShedActive()) {
-      BinaryPipe<L, R, Out>::OnRunRight(run);
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        ProbeRight(run.ElementAt(i));
+      }
       return;
     }
     left_sa_.QueryRun(run, [&](std::size_t i, const StreamElement<L>& l) {
@@ -246,6 +229,27 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
   }
 
  private:
+  /// The shed fallback's per-row step: probe, insert, shed, flush.
+  void ProbeLeft(const StreamElement<L>& e) {
+    right_sa_.Query(e, [&](const StreamElement<R>& r) {
+      staged_.Push(StreamElement<Out>(combine_(e.payload, r.payload),
+                                      e.interval.Intersect(r.interval)));
+    });
+    left_sa_.Insert(e);
+    EnforceBudget();
+    Flush();
+  }
+
+  void ProbeRight(const StreamElement<R>& e) {
+    left_sa_.Query(e, [&](const StreamElement<L>& l) {
+      staged_.Push(StreamElement<Out>(combine_(l.payload, e.payload),
+                                      l.interval.Intersect(e.interval)));
+    });
+    right_sa_.Insert(e);
+    EnforceBudget();
+    Flush();
+  }
+
   /// True when the memory limit can actually trigger eviction.
   bool ShedActive() const {
     return shed_policy_ != ShedPolicy::kNone &&

@@ -22,15 +22,10 @@ class Map : public UnaryPipe<In, Out> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = UnaryPipe<In, Out>::Describe();
     d.op = "map";
-    d.has_columnar_kernel = true;
     return d;
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<In>& e) override {
-    this->Transfer(StreamElement<Out>(fn_(e.payload), e.interval));
-  }
-
   /// Columnar kernel: both timestamp columns are bulk-copied (memcpy) and
   /// the user function runs in a tight loop over the payload column only.
   void PortRun(int /*port_id*/, const ColumnarRun<In>& run) override {

@@ -36,8 +36,10 @@ class IStream : public UnaryPipe<T, T> {
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    this->Transfer(StreamElement<T>::Point(e.payload, e.start()));
+  void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      this->Transfer(StreamElement<T>::Point(run.payloads[i], run.starts[i]));
+    }
   }
 };
 
@@ -65,9 +67,11 @@ class DStream : public UnaryPipe<T, T> {
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    if (e.end() == kMaxTimestamp) return;
-    staged_.Push(StreamElement<T>::Point(e.payload, e.end()));
+  void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      if (run.ends[i] == kMaxTimestamp) continue;
+      staged_.Push(StreamElement<T>::Point(run.payloads[i], run.ends[i]));
+    }
   }
 
   void PortProgress(int /*port_id*/, Timestamp watermark) override {

@@ -44,14 +44,10 @@ class Union : public BinaryPipe<T, T, T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = BinaryPipe<T, T, T>::Describe();
     d.op = "union";
-    d.has_columnar_kernel = true;
     return d;
   }
 
  protected:
-  void OnElementLeft(const StreamElement<T>& e) override { Stage(0, e); }
-  void OnElementRight(const StreamElement<T>& e) override { Stage(1, e); }
-
   /// Columnar kernels: stage straight from the columns — the common case
   /// (run continues the side's start order) is one bulk append per run with
   /// no intermediate `StreamElement` materialization — and the single
@@ -104,19 +100,6 @@ class Union : public BinaryPipe<T, T, T> {
       }
     }
   };
-
-  void Stage(int side, const StreamElement<T>& e) {
-    if (!spilled_) {
-      SideQueue& q = queue_[side];
-      if (q.empty() || q.cols.starts.back() <= e.start()) {
-        q.cols.Append(e);
-        q.seqs.push_back(next_seq_++);
-        return;
-      }
-      SpillToHeap();
-    }
-    staged_.Push(e);
-  }
 
   /// Stages a whole columnar run on one side. A run is internally ordered,
   /// so only its first start can break the side's order (fan-in), checked

@@ -46,18 +46,12 @@ class TimeWindow : public UnaryPipe<T, T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = UnaryPipe<T, T>::Describe();
     d.op = "time-window";
-    d.has_columnar_kernel = true;
     d.bounds_validity = true;
     d.dataflow.validity_extent = size_;
     return d;
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    this->Transfer(StreamElement<T>(e.payload, e.start(),
-                                    SaturatingAdd(e.start(), size_)));
-  }
-
   /// Columnar kernel: payloads and starts are bulk-copied; only the ends
   /// column is rewritten, in a loop over one plain timestamp array.
   void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
@@ -100,7 +94,6 @@ class SlideWindow : public UnaryPipe<T, T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = UnaryPipe<T, T>::Describe();
     d.op = "slide-window";
-    d.has_columnar_kernel = true;
     d.bounds_validity = true;
     // AlignUp(t + size) - AlignUp(t) < size + slide.
     d.dataflow.validity_extent = SaturatingAdd(size_, slide_);
@@ -108,18 +101,10 @@ class SlideWindow : public UnaryPipe<T, T> {
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    const Timestamp first = AlignUp(e.start());
-    const Timestamp last = AlignUp(SaturatingAdd(e.start(), size_));
-    if (first < last) {
-      this->Transfer(StreamElement<T>(e.payload, first, last));
-    }
-    // else: the element falls between grid points entirely — no instant
-    // ever observes it. (Cannot happen when size_ >= slide_.)
-  }
-
   /// Columnar kernel: grid-aligns both timestamp columns in one pass.
-  /// AlignUp is monotone, so survivor starts stay non-decreasing.
+  /// AlignUp is monotone, so survivor starts stay non-decreasing. A row
+  /// that falls between grid points entirely is dropped — no instant ever
+  /// observes it (cannot happen when size_ >= slide_).
   void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
     run_out_.clear();
     run_out_.reserve(run.size());
@@ -160,16 +145,11 @@ class UnboundedWindow : public UnaryPipe<T, T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = UnaryPipe<T, T>::Describe();
     d.op = "unbounded-window";
-    d.has_columnar_kernel = true;
     d.unbounded_validity = true;
     return d;
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    this->Transfer(StreamElement<T>(e.payload, e.start(), kMaxTimestamp));
-  }
-
   /// Columnar kernel: copy starts and payloads, fill ends with +inf.
   void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
     run_out_.clear();
@@ -210,15 +190,18 @@ class CountWindow : public UnaryPipe<T, T> {
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    pending_.push_back(e);
-    if (pending_.size() > rows_) {
-      StreamElement<T> out = std::move(pending_.front());
-      pending_.pop_front();
-      // Valid from its own start until the start of its n-th successor.
-      const Timestamp expiry = std::max(e.start(), out.start() + 1);
-      this->Transfer(StreamElement<T>(std::move(out.payload), out.start(),
-                                      expiry));
+  /// Row at a time: each arrival releases the element `rows_` back.
+  void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      pending_.push_back(run.ElementAt(i));
+      if (pending_.size() > rows_) {
+        StreamElement<T> out = std::move(pending_.front());
+        pending_.pop_front();
+        // Valid from its own start until the start of its n-th successor.
+        const Timestamp expiry = std::max(run.starts[i], out.start() + 1);
+        this->Transfer(StreamElement<T>(std::move(out.payload), out.start(),
+                                        expiry));
+      }
     }
   }
 
@@ -277,17 +260,21 @@ class PartitionedWindow : public UnaryPipe<T, T> {
   using Key = std::decay_t<decltype(std::declval<KeyFn>()(
       std::declval<const T&>()))>;
 
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    auto& partition = partitions_[key_fn_(e.payload)];
-    partition.push_back(e);
-    if (partition.size() > rows_) {
-      StreamElement<T> out = std::move(partition.front());
-      partition.pop_front();
-      const Timestamp expiry = std::max(e.start(), out.start() + 1);
-      staged_.Push(StreamElement<T>(std::move(out.payload), out.start(),
-                                    expiry));
+  /// Row at a time: each arrival may expire its partition's oldest row,
+  /// and staged expiries release as far as the retained starts allow.
+  void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      auto& partition = partitions_[key_fn_(run.payloads[i])];
+      partition.push_back(run.ElementAt(i));
+      if (partition.size() > rows_) {
+        StreamElement<T> out = std::move(partition.front());
+        partition.pop_front();
+        const Timestamp expiry = std::max(run.starts[i], out.start() + 1);
+        staged_.Push(StreamElement<T>(std::move(out.payload), out.start(),
+                                      expiry));
+      }
+      Release();
     }
-    Release();
   }
 
   void PortProgress(int /*port_id*/, Timestamp watermark) override {

@@ -417,27 +417,6 @@ void CheckPartitionStages(const GraphModel& m, Linter& lint) {  // P007-P009
   }
 }
 
-void CheckBatchPathBreaks(const GraphModel& m, Linter& lint) {  // P013
-  for (const NodeInfo& info : m.info) {
-    if (info.desc.kind != Kind::kOperator) continue;
-    if (info.desc.has_columnar_kernel || info.desc.blocking) continue;
-    const auto columnar = [&](std::size_t j) {
-      return m.info[j].desc.has_columnar_kernel;
-    };
-    const bool columnar_up = std::any_of(info.ups.begin(), info.ups.end(),
-                                         columnar);
-    const bool columnar_down = std::any_of(info.downs.begin(),
-                                           info.downs.end(), columnar);
-    if (!columnar_up || !columnar_down) continue;
-    lint.Emit("P013", Severity::kNote, info.node, "",
-              "operator sits between columnar stages but has no columnar "
-              "kernel: upstream runs are replayed element-by-element here "
-              "and downstream batching restarts from scratch",
-              "override PortRun with a columnar kernel (DESIGN.md 'Run "
-              "delivery') if this operator is on a hot path");
-  }
-}
-
 void CheckStalledInputs(const GraphModel& m, Linter& lint) {  // P014
   if (m.has_cycle) return;
   // advances[i]: the node's output watermark can move before end-of-stream.
@@ -627,9 +606,6 @@ const std::vector<RuleInfo>& RuleCatalog() {
       {"P012", Severity::kWarning,
        "replica chains share a worker while another worker is idle (lost "
        "parallelism)"},
-      {"P013", Severity::kNote,
-       "operator without a columnar kernel between columnar stages "
-       "(batching benefit lost)"},
       {"P014", Severity::kError,
        "fan-in merging progress from an input that can never advance "
        "(results withheld until end-of-stream)"},
@@ -672,7 +648,6 @@ std::vector<Diagnostic> Lint(const QueryGraph& graph) {
   CheckSinkReachability(m, lint);
   CheckUnboundedBlocking(m, lint);
   CheckPartitionStages(m, lint);
-  CheckBatchPathBreaks(m, lint);
   CheckStalledInputs(m, lint);
   CheckOrphanedTenantOutputs(m, lint);
   CheckSheddingWithSpillTier(m, lint);

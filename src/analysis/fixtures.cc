@@ -38,19 +38,6 @@ struct CombineSum {
   int operator()(const int& l, const int& r) const { return l + r; }
 };
 
-/// A correct-but-undeclared operator: forwards elements element-by-element
-/// and (deliberately) overrides no columnar kernel — the P013 subject.
-class PlainRelay : public UnaryPipe<int, int> {
- public:
-  explicit PlainRelay(std::string name = "relay")
-      : UnaryPipe<int, int>(std::move(name)) {}
-
- protected:
-  void PortElement(int /*port_id*/, const StreamElement<int>& e) override {
-    this->Transfer(e);
-  }
-};
-
 /// A source that never heartbeats (e.g. a raw network tap with no progress
 /// protocol) — the P014 subject.
 class SilentSource : public VectorSource<int> {
@@ -282,21 +269,6 @@ LintSubject BuildReplicaCollision() {  // P012
   return s;
 }
 
-LintSubject BuildBatchPathBreak() {  // P013
-  LintSubject s;
-  s.graph = NewGraph();
-  auto& src = s.graph->Add<VectorSource<int>>(
-      std::vector<StreamElement<int>>{}, "src", /*batch_size=*/8);
-  auto& relay = s.graph->Add<PlainRelay>("relay");
-  auto& filter =
-      s.graph->Add<algebra::Filter<int, AlwaysTrue>>(AlwaysTrue{}, "filter");
-  auto& sink = s.graph->Add<CountingSink<int>>("sink");
-  src.AddSubscriber(relay.input());
-  relay.AddSubscriber(filter.input());
-  filter.AddSubscriber(sink.input());
-  return s;
-}
-
 LintSubject BuildStalledInput() {  // P014
   LintSubject s;
   s.graph = NewGraph();
@@ -508,8 +480,6 @@ const std::vector<LintFixture>& BrokenGraphFixtures() {
        "hash-join-partition-l -> hash-join-0", BuildReplicaSplit},
       {"replica-collision", "P012", Severity::kWarning, "partition", "",
        BuildReplicaCollision},
-      {"batch-path-break", "P013", Severity::kNote, "relay", "",
-       BuildBatchPathBreak},
       {"stalled-input", "P014", Severity::kError, "union",
        "silent -> union", BuildStalledInput},
       {"deprecated-api", "P015", Severity::kWarning, "src", "",

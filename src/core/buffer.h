@@ -68,7 +68,6 @@ class BasicBuffer : public UnaryPipe<T, T> {
     NodeDescriptor d = UnaryPipe<T, T>::Describe();
     d.kind = NodeDescriptor::Kind::kBuffer;
     d.op = "buffer";
-    d.has_columnar_kernel = true;
     // Queue occupancy depends on scheduling, not on watermark progress.
     d.dataflow.transient_state = true;
     if (capacity_ > 0) {
@@ -161,16 +160,6 @@ class BasicBuffer : public UnaryPipe<T, T> {
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    std::lock_guard<Mutex> lock(mu_);
-    last_element_start_ = e.start();
-    TailChunk(e.start()).Append(e);
-    elements_ += 1;
-    if (capacity_ > 0) {
-      ShedToCapacity();
-    }
-  }
-
   /// Columnar enqueue: one lock acquisition (and one shed pass) and three
   /// bulk column appends for the whole run — the queue stays SoA end to
   /// end.

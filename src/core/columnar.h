@@ -106,8 +106,8 @@ struct ColumnarRun {
 
   /// Re-materializes the run as AoS elements, appended to `out` — for sinks
   /// that keep their results as elements (collector, engine result queue).
+  /// `out` grows geometrically, so appending many runs stays linear.
   void MaterializeTo(std::vector<StreamElement<T>>& out) const {
-    out.reserve(out.size() + size());
     for (std::size_t i = 0; i < size(); ++i) {
       out.emplace_back(payloads[i], starts[i], ends[i]);
     }

@@ -53,13 +53,6 @@ struct NodeDescriptor {
   /// (join, aggregate, distinct, difference, intersect, multiway join).
   bool blocking = false;
 
-  /// Overrides the run delivery path (`PortRun` kernel operating on SoA
-  /// runs, or a source emitting `TransferRun`s; DESIGN.md "Run delivery"
-  /// and §4f). Operators without one still run correctly — the default
-  /// `PortRun` hands the rows to `PortElement` one at a time — but their
-  /// output leaves element by element. Lint rule P013 keys off this flag.
-  bool has_columnar_kernel = false;
-
   /// Safe to clone into keyed shared-nothing replicas — must agree with
   /// `algebra::KeyPartitionable` where the compile-time trait exists.
   bool key_partitionable = false;

@@ -64,8 +64,6 @@ class GeneratorSource : public Source<T> {
     NodeDescriptor d;
     d.kind = NodeDescriptor::Kind::kSource;
     d.op = "generator-source";
-    // Above batch size 1 every poll leaves as one `TransferRun`.
-    d.has_columnar_kernel = batch_size_ > 1;
     // Monotone element starts advance downstream watermarks implicitly.
     d.emits_heartbeats = true;
     d.dataflow = declared_;
@@ -176,8 +174,8 @@ class VectorSource : public GeneratorSource<T> {
   /// onto `out` in one contiguous-range append instead of element-wise
   /// `Generate` calls. End-of-stream is reported only when the fill comes
   /// up short — exactly when the `Generate` loop would have observed
-  /// nullopt — so the done signal lands on the same scheduler poll as in
-  /// the per-element path.
+  /// nullopt — so the done signal lands on the same scheduler poll as with
+  /// batch size 1.
   bool FillRun(ColumnarRun<T>& out, std::size_t want) override {
     const std::size_t take = std::min(want, elements_.size() - next_);
     out.reserve(out.size() + take);

@@ -17,8 +17,8 @@
 ///
 /// Cost model (see `bench/bench_observability`):
 ///  * Counters (elements, batches, progress) are always on: one relaxed
-///    fetch_add / store per *batch*, amortized to nothing on the batched
-///    path and bounded on the per-element path.
+///    fetch_add / store per *batch*, amortized to nothing on long runs and
+///    bounded on runs of 1.
 ///  * Latency histograms are gated behind the global `MetricsEnabled()`
 ///    flag and additionally *sampled* (1 in `kLatencySamplePeriod`
 ///    deliveries), so the steady-state enabled cost is one relaxed load and

@@ -112,7 +112,6 @@ class Partition : public Node, public PortOwner<T> {
     d.kind = NodeDescriptor::Kind::kPartition;
     d.op = "partition";
     d.port_upstreams = {input_.num_upstreams()};
-    d.has_columnar_kernel = true;
     d.fan_out = outputs_.size();
     d.output_subscribers.resize(outputs_.size());
     for (std::size_t i = 0; i < outputs_.size(); ++i) {
@@ -124,18 +123,6 @@ class Partition : public Node, public PortOwner<T> {
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    const std::size_t p = PartitionIndex(e.payload);
-    counts_[p].fetch_add(1, std::memory_order_relaxed);
-    CountOut();
-    PartitionOutput& out = outputs_[p];
-    PIPES_DCHECK(e.start() >= out.level || out.level == kMinTimestamp);
-    out.level = std::max(out.level, e.start());
-    for (const Subscription& s : out.subscriptions) {
-      s.port->Receive(s.slot, e);
-    }
-  }
-
   /// Columnar kernel: routes the run into per-partition columnar sub-runs
   /// and delivers one `ReceiveRun` per non-empty partition. A subsequence
   /// of an ordered run is ordered, so every sub-run satisfies the run
@@ -244,7 +231,6 @@ class Merge : public Source<T>, public PortOwner<T> {
     for (const auto& port : ports_) {
       d.port_upstreams.push_back(port->num_upstreams());
     }
-    d.has_columnar_kernel = true;
     d.fan_in = ports_.size();
     // Order-restoring staging: occupancy tracks replica scheduling skew,
     // not watermark progress.
@@ -253,10 +239,6 @@ class Merge : public Source<T>, public PortOwner<T> {
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    staged_.Push(e);
-  }
-
   /// Columnar kernel: stage straight from the columns; the one progress
   /// notification that follows the run does a single flush.
   void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {

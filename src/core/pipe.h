@@ -20,8 +20,8 @@
 /// the ready-to-use operator algebra in `src/algebra/` derives from them.
 ///
 /// The *edge* objects of the executor-polled execution model — the
-/// three-state `Pipe<T>` (Idle/Request/Supply) that owns a source's staged
-/// columnar run, plus its type-erased `PipeBase` — live in
+/// `Pipe<T>` that owns a source's staged columnar runs, plus its
+/// type-erased `PipeBase` — live in
 /// `src/core/pipe_edge.h` (re-exported here): every `Source<T>` owns one
 /// and `scheduler::PipeExecutor` polls it, so it sits below these operator
 /// bases in the include order.
@@ -30,7 +30,7 @@ namespace pipes {
 
 /// An operator with one input of type `In` and one output of type `Out`.
 ///
-/// Subclasses implement `PortElement` and may override `PortProgress` /
+/// Subclasses implement `PortRun` and may override `PortProgress` /
 /// `PortDone`; the defaults forward progress and end-of-stream downstream,
 /// which is correct for stateless operators.
 template <typename In, typename Out>
@@ -78,31 +78,12 @@ class BinaryDispatch : public PortOwner<L>, public PortOwner<R> {
   static constexpr int kLeft = 0;
   static constexpr int kRight = 1;
 
-  virtual void OnElementLeft(const StreamElement<L>& element) = 0;
-  virtual void OnElementRight(const StreamElement<R>& element) = 0;
-  /// Columnar variants; the defaults hand the rows to the element hooks
-  /// one at a time (same as `PortOwner<T>::PortRun`), so binary operators
-  /// keep working unmodified on the run path.
-  virtual void OnRunLeft(const ColumnarRun<L>& run) {
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      OnElementLeft(run.ElementAt(i));
-    }
-  }
-  virtual void OnRunRight(const ColumnarRun<R>& run) {
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      OnElementRight(run.ElementAt(i));
-    }
-  }
+  virtual void OnRunLeft(const ColumnarRun<L>& run) = 0;
+  virtual void OnRunRight(const ColumnarRun<R>& run) = 0;
   virtual void OnProgressSide(int side, Timestamp watermark) = 0;
   virtual void OnDoneSide(int side) = 0;
 
  private:
-  void PortElement(int /*port_id*/, const StreamElement<L>& e) final {
-    OnElementLeft(e);
-  }
-  void PortElement(int /*port_id*/, const StreamElement<R>& e) final {
-    OnElementRight(e);
-  }
   void PortRun(int /*port_id*/, const ColumnarRun<L>& run) final {
     OnRunLeft(run);
   }
@@ -122,29 +103,12 @@ class BinaryDispatch<T, T> : public PortOwner<T> {
   static constexpr int kLeft = 0;
   static constexpr int kRight = 1;
 
-  virtual void OnElementLeft(const StreamElement<T>& element) = 0;
-  virtual void OnElementRight(const StreamElement<T>& element) = 0;
-  virtual void OnRunLeft(const ColumnarRun<T>& run) {
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      OnElementLeft(run.ElementAt(i));
-    }
-  }
-  virtual void OnRunRight(const ColumnarRun<T>& run) {
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      OnElementRight(run.ElementAt(i));
-    }
-  }
+  virtual void OnRunLeft(const ColumnarRun<T>& run) = 0;
+  virtual void OnRunRight(const ColumnarRun<T>& run) = 0;
   virtual void OnProgressSide(int side, Timestamp watermark) = 0;
   virtual void OnDoneSide(int side) = 0;
 
  private:
-  void PortElement(int port_id, const StreamElement<T>& e) final {
-    if (port_id == kLeft) {
-      OnElementLeft(e);
-    } else {
-      OnElementRight(e);
-    }
-  }
   void PortRun(int port_id, const ColumnarRun<T>& run) final {
     if (port_id == kLeft) {
       OnRunLeft(run);
@@ -162,7 +126,7 @@ class BinaryDispatch<T, T> : public PortOwner<T> {
 
 /// An operator with two inputs (`left`, `right`) and one output.
 ///
-/// Subclasses implement the `OnElement{Left,Right}` hooks plus
+/// Subclasses implement the `OnRun{Left,Right}` hooks plus
 /// `OnProgressSide`/`OnDoneSide`. `CombinedWatermark()` gives the merged
 /// progress over both inputs — the point up to which stateful operators may
 /// finalize results — and `BothDone()` signals global end-of-stream.

@@ -19,18 +19,9 @@
 /// operators stage into *their* pipes, so a chain of any depth drains
 /// iteratively with constant stack.
 ///
-/// A pipe is a three-state machine (after fleximg's IDEA_PIPELINE_V2):
-///
-///     Idle ──poll──▶ Request ──stage──▶ Supply ──deliver──▶ Idle
-///              ▲                          │
-///              └────────── stage ─────────┘   (passive producers skip
-///                                              Request: Idle → Supply)
-///
-/// * `Idle`    — nothing staged; the edge is quiescent.
-/// * `Request` — the executor has polled the producer (`DoWork`) and the
-///               edge awaits its supply.
-/// * `Supply`  — staged runs/control signals await delivery; the pipe is in
-///               (or headed for) the executor's ready queue.
+/// Staging into an empty pipe puts it in the executor's ready queue, once;
+/// `Deliver()` empties it again. The executor's bookkeeping is exactly
+/// `in_queue()` and `staged_units()`.
 ///
 /// A pipe is *linked* to at most one executor at a time. Content staged
 /// while no executor is linked stays in the pipe; the next executor to link
@@ -45,27 +36,7 @@ class PipeBase;
 template <typename T>
 class Source;
 
-/// State of a pipe edge.
-enum class PipeState {
-  kIdle,     ///< Nothing staged.
-  kRequest,  ///< Producer polled; awaiting its supply.
-  kSupply,   ///< Staged content awaits delivery.
-};
-
-/// Readable name of a pipe state ("idle", "request", "supply").
-inline const char* PipeStateName(PipeState s) {
-  switch (s) {
-    case PipeState::kIdle:
-      return "idle";
-    case PipeState::kRequest:
-      return "request";
-    case PipeState::kSupply:
-      return "supply";
-  }
-  return "?";
-}
-
-/// The executor's face toward pipes: a pipe whose state turned `Supply`
+/// The executor's face toward pipes: a pipe that gained staged content
 /// announces itself here (enqueue only — never a downstream call).
 class ExecutorLink {
  public:
@@ -92,8 +63,6 @@ class PipeBase {
   /// The node whose output this edge carries.
   Node* producer() const { return producer_; }
 
-  PipeState state() const { return state_; }
-
   /// True while the pipe sits in the executor's ready queue.
   bool in_queue() const { return in_queue_; }
 
@@ -106,7 +75,7 @@ class PipeBase {
   bool linked() const { return link_ != nullptr; }
 
   /// Delivers everything staged to the producer's subscribers, in staging
-  /// order, and returns to `Idle`. Returns the number of units delivered.
+  /// order, and empties the pipe. Returns the number of units delivered.
   /// Called by the executor only; downstream operators invoked from here
   /// stage into their own pipes instead of recursing further.
   virtual std::size_t Deliver() = 0;
@@ -129,31 +98,18 @@ class PipeBase {
     ReleasePool();
   }
 
-  /// The executor is about to poll the producer: `Idle` → `Request`.
-  void MarkPolled() {
-    if (state_ == PipeState::kIdle) state_ = PipeState::kRequest;
-  }
-
-  /// The producer was polled but supplied nothing: `Request` → `Idle`.
-  void MarkPollDone() {
-    if (state_ == PipeState::kRequest) state_ = PipeState::kIdle;
-  }
-
   /// The executor dequeued this pipe (immediately before `Deliver`).
   void ClearInQueue() { in_queue_ = false; }
 
  protected:
-  /// Content was staged: state turns `Supply` and a linked executor is
-  /// notified exactly once until the pipe is dequeued again.
+  /// Content was staged: a linked executor is notified exactly once until
+  /// the pipe is dequeued again.
   void NotifyReady() {
-    state_ = PipeState::kSupply;
     if (!in_queue_ && link_ != nullptr) {
       in_queue_ = true;
       link_->PipeReady(this);
     }
   }
-
-  void ResetToIdle() { state_ = PipeState::kIdle; }
 
   /// Drops recycled entries (and their column capacity).
   virtual void ReleasePool() = 0;
@@ -163,7 +119,6 @@ class PipeBase {
  private:
   Node* producer_;
   ExecutorLink* link_ = nullptr;
-  PipeState state_ = PipeState::kIdle;
   bool in_queue_ = false;
 };
 

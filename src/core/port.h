@@ -41,23 +41,12 @@ class PortOwner {
  public:
   virtual ~PortOwner() = default;
 
-  /// A new element arrived on port `port_id`. Elements on one port are
-  /// ordered by non-decreasing interval start *per upstream*; use
-  /// `PortProgress` for a cross-upstream ordering guarantee.
-  virtual void PortElement(int port_id, const StreamElement<T>& element) = 0;
-
   /// A columnar run arrived on port `port_id` — a non-empty run from one
   /// upstream, ordered by non-decreasing start, carrying no control signals
-  /// (DESIGN.md "Run delivery"). The default hands the rows to `PortElement`
-  /// one at a time, so owners that never override this behave exactly as on
-  /// the per-element path; the hot operators override it with
-  /// column-at-a-time kernels that forward a columnar run downstream
-  /// (DESIGN.md §4f).
-  virtual void PortRun(int port_id, const ColumnarRun<T>& run) {
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      PortElement(port_id, run.ElementAt(i));
-    }
-  }
+  /// (DESIGN.md "Run delivery"). This is the only way rows reach an owner: a
+  /// single row is a run of one. Runs on one port are ordered per upstream;
+  /// use `PortProgress` for a cross-upstream ordering guarantee.
+  virtual void PortRun(int port_id, const ColumnarRun<T>& run) = 0;
 
   /// The port's merged watermark advanced to `watermark`: no future element
   /// on this port will have `start() < watermark`.
@@ -88,8 +77,8 @@ class InputPort {
 
   /// Watermark merged over all upstreams; `kMinTimestamp` until every
   /// upstream has reported progress, `kMaxTimestamp` once all are done.
-  /// O(1): the merge is cached and maintained incrementally, so per-element
-  /// delivery does not rescan all upstream slots.
+  /// O(1): the merge is cached and maintained incrementally, so a delivery
+  /// does not rescan all upstream slots.
   Timestamp watermark() const { return merged_cache_; }
 
   /// True once every upstream signalled done (and at least one was ever
@@ -129,30 +118,10 @@ class InputPort {
     MaybeNotifyDone();
   }
 
-  void Receive(int slot, const StreamElement<T>& element) {
-    PIPES_DCHECK(ValidSlot(slot) && slots_[slot].live);
-    Upstream& up = slots_[slot];
-    PIPES_DCHECK(element.start() >= up.watermark ||
-                 up.watermark == kMinTimestamp);
-    RaiseSlotWatermark(up, element.start());
-    owner_node_->CountIn();
-    trace::RecordHop(owner_node_->id(), element.start(), trace::Hop::kReceive);
-    if (obs::MetricsEnabled() && --latency_countdown_ == 0) {
-      latency_countdown_ = obs::kLatencySamplePeriod;
-      const std::int64_t t0 = obs::SteadyNowNs();
-      owner_->PortElement(port_id_, element);
-      owner_node_->service_histogram().Record(
-          static_cast<std::uint64_t>(obs::SteadyNowNs() - t0));
-    } else {
-      owner_->PortElement(port_id_, element);
-    }
-    NotifyProgress();
-  }
-
   /// Run delivery: `run` is a non-empty columnar run from one upstream,
   /// ordered by non-decreasing start. Order is validated once, and exactly
-  /// one merge + progress notification happens per run (after the owner saw
-  /// the elements, mirroring the element-then-progress order of `Receive`).
+  /// one merge + progress notification happens per run, after the owner saw
+  /// the rows.
   ///
   /// The slot watermark is raised in two steps: to the *front* start before
   /// delivery (which the front element itself proves) and to the *back*

@@ -64,15 +64,10 @@ class CollectorSink : public Sink<T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = Sink<T>::Describe();
     d.op = "collector-sink";
-    d.has_columnar_kernel = true;
     return d;
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    elements_.push_back(e);
-  }
-
   void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
     run.MaterializeTo(elements_);
   }
@@ -94,18 +89,12 @@ class CountingSink : public Sink<T> {
   NodeDescriptor Describe() const override {
     NodeDescriptor d = Sink<T>::Describe();
     d.op = "counting-sink";
-    d.has_columnar_kernel = true;
     return d;
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    ++count_;
-    // Defeat dead-code elimination of the whole upstream pipeline.
-    checksum_ ^= static_cast<std::uint64_t>(e.start());
-  }
-
-  /// Columnar kernel: one pass over the starts column alone.
+  /// Columnar kernel: one pass over the starts column alone; the checksum
+  /// defeats dead-code elimination of the whole upstream pipeline.
   void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
     count_ += run.size();
     for (const Timestamp s : run.starts) {
@@ -135,8 +124,8 @@ class CallbackSink : public Sink<T> {
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    callback_(e);
+  void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
+    for (std::size_t i = 0; i < run.size(); ++i) callback_(run.ElementAt(i));
   }
 
  private:

@@ -230,7 +230,6 @@ std::size_t Pipe<T>::Deliver() {
   delivering_.swap(entries_);
   const std::size_t units = staged_units_;
   staged_units_ = 0;
-  ResetToIdle();
   for (Entry& entry : delivering_) {
     switch (entry.kind) {
       case Entry::kRun:

@@ -73,13 +73,16 @@ class StreamArchive : public Sink<T> {
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    if (e.end() != kMaxTimestamp) {
-      max_validity_ = std::max(max_validity_, e.interval.Length());
-    } else {
-      max_validity_ = kMaxTimestamp;
+  void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      const StreamElement<T> e = run.ElementAt(i);
+      if (e.end() != kMaxTimestamp) {
+        max_validity_ = std::max(max_validity_, e.interval.Length());
+      } else {
+        max_validity_ = kMaxTimestamp;
+      }
+      index_.emplace(e.start(), e);
     }
-    index_.emplace(e.start(), e);
   }
 
  private:

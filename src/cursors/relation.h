@@ -76,10 +76,14 @@ class StreamRelationJoin
         combine_(std::move(combine)) {}
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    CursorPtr<V> matches = relation_->Lookup(key_fn_(e.payload));
-    while (auto v = matches->Next()) {
-      this->Transfer(StreamElement<Out>(combine_(e.payload, *v), e.interval));
+  void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      const T& payload = run.payloads[i];
+      CursorPtr<V> matches = relation_->Lookup(key_fn_(payload));
+      while (auto v = matches->Next()) {
+        this->Transfer(StreamElement<Out>(combine_(payload, *v),
+                                          run.starts[i], run.ends[i]));
+      }
     }
   }
 

@@ -67,8 +67,10 @@ class StreamBufferSink : public Sink<T> {
   std::size_t buffered() const { return buffer_.size(); }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<T>& e) override {
-    buffer_.push_back(e);
+  void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      buffer_.push_back(run.ElementAt(i));
+    }
   }
 
  private:

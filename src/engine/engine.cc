@@ -1,6 +1,7 @@
 #include "src/engine/engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <utility>
 
@@ -19,9 +20,26 @@ class Engine::ResultSink : public Sink<relational::Tuple> {
 
   explicit ResultSink(std::string name) : Sink(std::move(name)) {}
 
-  std::vector<Element> Drain() {
-    std::vector<Element> out;
-    out.swap(queue_);
+  /// Takes up to `max_rows` of the oldest queued results; the rest stay
+  /// queued. The consumed prefix is compacted away once it is at least
+  /// half the queue, so paging through a backlog stays linear.
+  std::vector<Element> Drain(std::size_t max_rows) {
+    const std::size_t n = std::min(max_rows, queue_.size() - head_);
+    if (head_ == 0 && n == queue_.size()) {
+      std::vector<Element> out;
+      out.swap(queue_);
+      return out;
+    }
+    const auto first = queue_.begin() + static_cast<std::ptrdiff_t>(head_);
+    std::vector<Element> out(
+        std::make_move_iterator(first),
+        std::make_move_iterator(first + static_cast<std::ptrdiff_t>(n)));
+    head_ += n;
+    if (head_ * 2 >= queue_.size()) {
+      queue_.erase(queue_.begin(),
+                   queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
     return out;
   }
 
@@ -32,42 +50,33 @@ class Engine::ResultSink : public Sink<relational::Tuple> {
     if (callback_) {
       // Anything already queued replays through the new callback, so the
       // subscriber never misses results produced before it attached.
-      for (const Element& e : queue_) callback_(e);
+      for (std::size_t i = head_; i < queue_.size(); ++i) callback_(queue_[i]);
       queue_.clear();
+      head_ = 0;
     }
   }
 
   NodeDescriptor Describe() const override {
     NodeDescriptor d = Sink::Describe();
     d.op = "engine-result-sink";
-    d.has_columnar_kernel = true;
     return d;
   }
 
  protected:
-  void PortElement(int /*port_id*/, const Element& e) override { Deliver(e); }
-
   void PortRun(int /*port_id*/,
                const ColumnarRun<relational::Tuple>& run) override {
+    delivered_ += run.size();
     if (callback_ == nullptr) {
-      delivered_ += run.size();
       run.MaterializeTo(queue_);
       return;
     }
-    for (std::size_t i = 0; i < run.size(); ++i) Deliver(run.ElementAt(i));
+    for (std::size_t i = 0; i < run.size(); ++i) callback_(run.ElementAt(i));
   }
 
  private:
-  void Deliver(const Element& e) {
-    ++delivered_;
-    if (callback_) {
-      callback_(e);
-    } else {
-      queue_.push_back(e);
-    }
-  }
-
   std::vector<Element> queue_;
+  /// Rows before `head_` were already taken by `Drain`.
+  std::size_t head_ = 0;
   std::uint64_t delivered_ = 0;
   QueryHandle::Callback callback_;
 };
@@ -691,7 +700,7 @@ Status QueryHandle::Cancel() {
   return engine_->Cancel(id_);
 }
 
-std::vector<QueryHandle::Element> QueryHandle::Poll() {
+std::vector<QueryHandle::Element> QueryHandle::Poll(std::size_t max_rows) {
   if (engine_ == nullptr) return {};
   std::lock_guard<std::mutex> lock(engine_->mu_);
   auto it = engine_->queries_.find(id_);
@@ -699,7 +708,7 @@ std::vector<QueryHandle::Element> QueryHandle::Poll() {
       it->second.state != QueryState::kRunning) {
     return {};
   }
-  return it->second.sink->Drain();
+  return it->second.sink->Drain(max_rows);
 }
 
 Status QueryHandle::OnResult(Callback callback) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -198,9 +199,11 @@ class QueryHandle {
   /// never quiesces it.
   Status Cancel();
 
-  /// Drains every result accumulated since the last Poll (pull mode).
-  /// Empty once a callback is attached.
-  std::vector<Element> Poll();
+  /// Takes up to `max_rows` of the oldest results accumulated since the
+  /// last Poll (pull mode), all of them by default; the rest stay queued
+  /// for the next Poll. Empty once a callback is attached.
+  std::vector<Element> Poll(
+      std::size_t max_rows = std::numeric_limits<std::size_t>::max());
 
   /// Switches to push mode: `callback` fires for every result from the
   /// next pump on (with the engine lock held — do not re-enter the

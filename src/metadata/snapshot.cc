@@ -218,11 +218,7 @@ std::string ToJson(const MetricsSnapshot& snapshot,
   return FinishJson(std::move(out), snap);
 }
 
-std::string ToJson(const MetricsSnapshot& snapshot) {
-  return ToJson(snapshot, SnapshotOptions{});
-}
-
-/// The node/edge/memory tail shared by both ToJson entry points; `out`
+/// The node/edge/memory tail of `ToJson`; `out`
 /// arrives with the document open through `"nodes":[`.
 static std::string FinishJson(std::string out,
                               const MetricsSnapshot& snapshot) {
@@ -753,17 +749,6 @@ std::string ToDot(const MetricsSnapshot& snapshot,
   }
   out << "}\n";
   return out.str();
-}
-
-std::string ToDot(const MetricsSnapshot& snapshot) {
-  return ToDot(snapshot, SnapshotOptions{});
-}
-
-std::string ToDot(const MetricsSnapshot& snapshot, const DotOptions& options) {
-  SnapshotOptions unified;
-  unified.previous = options.previous;
-  unified.elapsed_seconds = options.elapsed_seconds;
-  return ToDot(snapshot, unified);
 }
 
 }  // namespace pipes::metadata

@@ -179,23 +179,12 @@ MetricsSnapshot FilterSnapshot(const MetricsSnapshot& snapshot,
 /// JSON document (single object; keys are stable, doubles round-trip
 /// exactly). Filtering and scope come from `options`.
 std::string ToJson(const MetricsSnapshot& snapshot,
-                   const SnapshotOptions& options);
+                   const SnapshotOptions& options = {});
 
-/// Back-compat shim for the original no-options spelling; delegates to the
-/// `SnapshotOptions` overload.
-std::string ToJson(const MetricsSnapshot& snapshot);
-
-///// Parses a document produced by `ToJson`. Round-trip guarantee:
+/// Parses a document produced by `ToJson`. Round-trip guarantee:
 /// `SnapshotFromJson(ToJson(s)) == s` (the optional `"scope"` key is
 /// accepted and ignored).
 Result<MetricsSnapshot> SnapshotFromJson(const std::string& json);
-
-/// Deprecated spelling of the DOT exporter options; `SnapshotOptions`
-/// subsumes it. Kept as a thin back-compat shim.
-struct DotOptions {
-  const MetricsSnapshot* previous = nullptr;
-  double elapsed_seconds = 0.0;
-};
 
 /// Graphviz rendering with the monitoring overlay: nodes show element
 /// counts, queue/state sizes, and watermark lag; edges show the producing
@@ -203,12 +192,7 @@ struct DotOptions {
 /// monitoring tool as a DOT document. Filtering, scope label, and the rate
 /// overlay all come from `options`.
 std::string ToDot(const MetricsSnapshot& snapshot,
-                  const SnapshotOptions& options);
-
-/// Back-compat shims for the original positional spellings; both delegate
-/// to the `SnapshotOptions` overload.
-std::string ToDot(const MetricsSnapshot& snapshot);
-std::string ToDot(const MetricsSnapshot& snapshot, const DotOptions& options);
+                  const SnapshotOptions& options = {});
 
 }  // namespace pipes::metadata
 

@@ -82,10 +82,7 @@ bool PipeExecutor::Step() {
   const std::size_t pick = strategy_.Select(candidates_);
   PIPES_CHECK(pick < candidates_.size());
   Node* chosen = candidates_[pick];
-  // Idle → Request on the polled node's pipe (if it owns one); staging
-  // flips it to Supply and enqueues it.
-  PipeBase* pipe = chosen->output_pipe();
-  if (pipe != nullptr) pipe->MarkPolled();
+  // Whatever the poll stages enqueues the node's pipe.
   if (profiler_ != nullptr) {
     const std::int64_t t0 = obs::SteadyNowNs();
     const std::size_t units = chosen->DoWork(batch_size_);
@@ -96,7 +93,6 @@ bool PipeExecutor::Step() {
   } else {
     stats_.units += chosen->DoWork(batch_size_);
   }
-  if (pipe != nullptr) pipe->MarkPollDone();
   ++stats_.polls;
   ++stats_.iterations;
   return true;

@@ -95,7 +95,8 @@ class PipeExecutor : public ExecutorLink {
   std::size_t max_deliver_nesting() const { return max_deliver_nesting_; }
 
  private:
-  /// ExecutorLink: a pipe turned Supply — enqueue it (nothing else).
+  /// ExecutorLink: a pipe gained staged content — enqueue it (nothing
+  /// else).
   void PipeReady(PipeBase* pipe) override;
 
   /// Pops and delivers the front ready pipe; returns the units delivered.

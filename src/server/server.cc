@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <iterator>
 #include <map>
 #include <utility>
 
@@ -33,16 +32,23 @@ bool SendAll(int fd, const std::string& bytes) {
   return true;
 }
 
+/// The reply to a CANCEL or FETCH naming a query this connection did not
+/// register.
+Message NotRegisteredHere(std::uint64_t id) {
+  return ErrorMessage(Status::NotFound("query " + std::to_string(id) +
+                                       " is not registered on this "
+                                       "connection"));
+}
+
 }  // namespace
 
-/// Everything one connection accumulates: its tenant (after HELLO), the
-/// handles of the queries it registered, and rows a FETCH polled but could
-/// not return yet because of the max_results cap.
+/// Everything one connection accumulates: its tenant (after HELLO) and the
+/// handles of the queries it registered. Rows wait in each query's result
+/// queue until a FETCH takes them.
 struct PipesServer::Connection {
   bool has_tenant = false;
   std::string tenant;
   std::map<std::uint64_t, engine::QueryHandle> handles;
-  std::map<std::uint64_t, std::vector<engine::QueryHandle::Element>> spill;
   bool shutdown_requested = false;
 };
 
@@ -235,10 +241,11 @@ Message PipesServer::Handle(Connection& conn, const Message& request) {
       auto id = reader.U64();
       if (!id.ok()) return ErrorMessage(id.status());
       if (const Status s = reader.Finish(); !s.ok()) return ErrorMessage(s);
-      const Status status = engine_.Cancel(*id);
+      auto it = conn.handles.find(*id);
+      if (it == conn.handles.end()) return NotRegisteredHere(*id);
+      const Status status = it->second.Cancel();
       if (!status.ok()) return ErrorMessage(status);
-      conn.handles.erase(*id);
-      conn.spill.erase(*id);
+      conn.handles.erase(it);
       return {MsgType::kOk, {}};
     }
     case MsgType::kFetch: {
@@ -249,29 +256,16 @@ Message PipesServer::Handle(Connection& conn, const Message& request) {
       if (!max.ok()) return ErrorMessage(max.status());
       if (const Status s = reader.Finish(); !s.ok()) return ErrorMessage(s);
       auto it = conn.handles.find(*id);
-      if (it == conn.handles.end()) {
-        return ErrorMessage(Status::NotFound(
-            "query " + std::to_string(*id) + " is not registered on this "
-            "connection"));
-      }
-      std::vector<engine::QueryHandle::Element>& rows = conn.spill[*id];
-      {
-        auto polled = it->second.Poll();
-        rows.insert(rows.end(), std::make_move_iterator(polled.begin()),
-                    std::make_move_iterator(polled.end()));
-      }
-      const std::size_t limit = std::min<std::size_t>(
-          rows.size(), std::min<std::uint32_t>(*max,
-                                               options_.max_fetch_results));
+      if (it == conn.handles.end()) return NotRegisteredHere(*id);
+      const std::vector<engine::QueryHandle::Element> rows = it->second.Poll(
+          std::min<std::uint32_t>(*max, options_.max_fetch_results));
       BodyWriter writer;
-      writer.PutU32(static_cast<std::uint32_t>(limit));
-      for (std::size_t i = 0; i < limit; ++i) {
-        writer.PutTimestamp(rows[i].start())
-            .PutTimestamp(rows[i].end())
-            .PutString(rows[i].payload.ToString());
+      writer.PutU32(static_cast<std::uint32_t>(rows.size()));
+      for (const engine::QueryHandle::Element& row : rows) {
+        writer.PutTimestamp(row.start())
+            .PutTimestamp(row.end())
+            .PutString(row.payload.ToString());
       }
-      rows.erase(rows.begin(),
-                 rows.begin() + static_cast<std::ptrdiff_t>(limit));
       return {MsgType::kResults, writer.Take()};
     }
     case MsgType::kSnapshot: {

@@ -70,22 +70,27 @@ class MultiwayJoin : public Source<std::vector<T>>, public PortOwner<T> {
   }
 
  protected:
-  void PortElement(int port_id, const StreamElement<T>& e) override {
+  /// Row at a time: each row probes the other areas, then joins its own.
+  void PortRun(int port_id, const ColumnarRun<T>& run) override {
     const auto origin = static_cast<std::size_t>(port_id);
-    // Probe order: remaining inputs by ascending SweepArea size — the
-    // cheapest probe first prunes candidate combinations earliest.
     std::vector<std::size_t> order;
-    for (std::size_t i = 0; i < areas_.size(); ++i) {
-      if (i != origin) order.push_back(i);
-    }
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return areas_[a].size() < areas_[b].size();
-    });
-
     std::vector<const StreamElement<T>*> partial(areas_.size(), nullptr);
-    ExtendProbe(e, origin, order, 0, e.interval, partial);
-    areas_[origin].Insert(e);
-    Flush();
+    for (std::size_t r = 0; r < run.size(); ++r) {
+      const StreamElement<T> e = run.ElementAt(r);
+      // Probe order: remaining inputs by ascending SweepArea size — the
+      // cheapest probe first prunes candidate combinations earliest.
+      order.clear();
+      for (std::size_t i = 0; i < areas_.size(); ++i) {
+        if (i != origin) order.push_back(i);
+      }
+      std::sort(order.begin(), order.end(),
+                [&](std::size_t a, std::size_t b) {
+                  return areas_[a].size() < areas_[b].size();
+                });
+      ExtendProbe(e, origin, order, 0, e.interval, partial);
+      areas_[origin].Insert(e);
+      Flush();
+    }
   }
 
   void PortProgress(int /*port_id*/, Timestamp /*watermark*/) override {

@@ -132,7 +132,23 @@ class CanaryPipe : public UnaryPipe<Tuple, Tuple> {
   }
 
  protected:
-  void PortElement(int /*port_id*/, const Elem& e) override {
+  void PortRun(int /*port_id*/, const ColumnarRun<Tuple>& run) override {
+    for (std::size_t i = 0; i < run.size(); ++i) Relay(run.ElementAt(i));
+  }
+
+  void PortProgress(int port_id, Timestamp watermark) override {
+    if (kind_ == CanaryKind::kHeartbeatOvershoot) {
+      // Falsely promise that the next 7 ticks are element-free (saturated:
+      // end-of-stream already promises everything).
+      this->TransferHeartbeat(SaturatingAdd(watermark, 7));
+      return;
+    }
+    UnaryPipe<Tuple, Tuple>::PortProgress(port_id, watermark);
+  }
+
+ private:
+  /// Forwards one row, applying the canary's bug to every k-th.
+  void Relay(const Elem& e) {
     ++n_;
     switch (kind_) {
       case CanaryKind::kDropElement:
@@ -168,17 +184,6 @@ class CanaryPipe : public UnaryPipe<Tuple, Tuple> {
     this->Transfer(e);
   }
 
-  void PortProgress(int port_id, Timestamp watermark) override {
-    if (kind_ == CanaryKind::kHeartbeatOvershoot) {
-      // Falsely promise that the next 7 ticks are element-free (saturated:
-      // end-of-stream already promises everything).
-      this->TransferHeartbeat(SaturatingAdd(watermark, 7));
-      return;
-    }
-    UnaryPipe<Tuple, Tuple>::PortProgress(port_id, watermark);
-  }
-
- private:
   CanaryKind kind_;
   std::uint64_t n_ = 0;
   std::optional<Tuple> stale_;

@@ -100,7 +100,12 @@ std::optional<std::string> CheckConservation(ConservationRule rule,
   return msg.str();
 }
 
-void OracleSink::PortElement(int /*port_id*/, const Elem& e) {
+void OracleSink::PortRun(int /*port_id*/,
+                         const ColumnarRun<relational::Tuple>& run) {
+  for (std::size_t i = 0; i < run.size(); ++i) Check(run.ElementAt(i));
+}
+
+void OracleSink::Check(const Elem& e) {
   if (done_seen_) {
     Violate("post-done", "element " + FormatElem(e) + " after end-of-stream");
   }

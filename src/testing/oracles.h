@@ -87,11 +87,13 @@ class OracleSink : public Sink<relational::Tuple> {
   }
 
  protected:
-  void PortElement(int port_id, const Elem& e) override;
+  void PortRun(int port_id,
+               const ColumnarRun<relational::Tuple>& run) override;
   void PortProgress(int port_id, Timestamp watermark) override;
   void PortDone(int port_id) override;
 
  private:
+  void Check(const Elem& e);
   void Violate(const char* oracle, std::string detail);
 
   std::vector<Elem> collected_;

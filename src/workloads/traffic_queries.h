@@ -64,7 +64,6 @@ class SustainedConditionDetector
   NodeDescriptor Describe() const override {
     NodeDescriptor d = UnaryPipe<In, Alarm>::Describe();
     d.op = "sustained-condition";
-    d.has_columnar_kernel = true;
     // At most one Run entry per key, one key per input element; at most
     // one alarm per run.
     d.dataflow.state_bytes_per_element = sizeof(Key) + 64 + 32;
@@ -72,12 +71,6 @@ class SustainedConditionDetector
   }
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<In>& e) override {
-    if (std::optional<Alarm> alarm = Observe(e.payload, e.start(), e.end())) {
-      this->Transfer(StreamElement<Alarm>(*alarm, e.interval));
-    }
-  }
-
   /// Columnar kernel: the alarms a run raises leave as one output run.
   void PortRun(int /*port_id*/, const ColumnarRun<In>& run) override {
     alarms_.clear();

@@ -10,6 +10,7 @@
 #include "src/algebra/map.h"
 #include "src/algebra/union.h"
 #include "src/core/buffer.h"
+#include "src/core/columnar.h"
 #include "src/core/generator_source.h"
 #include "src/core/graph.h"
 #include "src/core/ordered_buffer.h"
@@ -38,6 +39,23 @@ void Drain(QueryGraph& graph) {
 void DeliverStaged(QueryGraph& graph) {
   scheduler::RoundRobinStrategy strategy;
   scheduler::PipeExecutor executor(graph, strategy);
+}
+
+// Appending many runs to one result vector stays linear: the destination
+// grows geometrically instead of being resized to fit each run exactly.
+TEST(ColumnarRun, MaterializeToGrowsGeometrically) {
+  ColumnarRun<int> run;
+  for (int i = 0; i < 64; ++i) run.Append(i, i, i + 1);
+  std::vector<StreamElement<int>> out;
+  std::size_t reallocations = 0;
+  for (int r = 0; r < 3125; ++r) {
+    const std::size_t capacity = out.capacity();
+    run.MaterializeTo(out);
+    if (out.capacity() != capacity) ++reallocations;
+  }
+  EXPECT_EQ(out.size(), 3125u * 64u);
+  EXPECT_EQ(out.back(), run.ElementAt(63));
+  EXPECT_LE(reallocations, 40u);
 }
 
 TEST(Core, SourceDeliversDirectlyToSubscribedSink) {

@@ -439,6 +439,41 @@ TEST_F(EngineTest, PushAfterRegisterWaitsForPump) {
   EXPECT_EQ(handle->results_delivered(), 1u);
 }
 
+// --- Pull mode pages a backlog ----------------------------------------------
+
+// Poll(max_rows) takes the oldest rows and leaves the rest queued: paging
+// a backlog 16 rows at a time, with more rows arriving in between, yields
+// every row exactly once and in order.
+TEST_F(EngineTest, PollPagesTheBacklogInOrder) {
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  auto handle = engine.Register("SELECT symbol, price FROM trades");
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+
+  std::vector<QueryHandle::Element> paged;
+  const auto take_page = [&] {
+    const std::vector<QueryHandle::Element> rows = handle->Poll(16);
+    EXPECT_LE(rows.size(), 16u);
+    paged.insert(paged.end(), rows.begin(), rows.end());
+    return rows.size();
+  };
+  PushTrades(*writer, 100, 0);
+  engine.Pump();
+  for (int page = 0; page < 3; ++page) EXPECT_EQ(take_page(), 16u);
+  PushTrades(*writer, 100, 100 * 100);
+  engine.Pump();
+  while (take_page() > 0) {
+  }
+
+  ASSERT_EQ(paged.size(), 200u);
+  for (std::size_t i = 0; i < paged.size(); ++i) {
+    EXPECT_EQ(paged[i].start(), static_cast<Timestamp>(i) * 100) << i;
+  }
+  EXPECT_EQ(handle->results_delivered(), 200u);
+  EXPECT_TRUE(handle->Poll().empty());
+}
+
 // --- Windows reaching past the last timestamp -------------------------------
 
 TEST_F(EngineTest, WindowEndsSaturateAtMaxTimestamp) {

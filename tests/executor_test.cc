@@ -1,5 +1,5 @@
 // Tests for the executor-polled execution model (DESIGN.md §4f): the
-// `Pipe` edge three-state machine and its link/unlink lifecycle, staged
+// `Pipe` edge's ready-queue notification and its link/unlink lifecycle, staged
 // delivery with preserved element/control interleaving, the `PipeExecutor`
 // driver, stack safety on deep chains (the non-recursion argument), and
 // end-state equivalence with the snapshot reference.
@@ -32,7 +32,7 @@ using namespace pipes::testing;    // NOLINT: test-local convenience
 using scheduler::PipeExecutor;
 using scheduler::RoundRobinStrategy;
 
-/// A source staged by hand, for driving the pipe state machine directly.
+/// A source staged by hand, for driving a pipe edge directly.
 class ManualSource : public Source<int> {
  public:
   explicit ManualSource(std::string name = "manual")
@@ -61,8 +61,8 @@ class ProbeSink : public Sink<int> {
   std::vector<Timestamp> progress;
 
  protected:
-  void PortElement(int /*port_id*/, const StreamElement<int>& e) override {
-    elements.push_back(e);
+  void PortRun(int /*port_id*/, const ColumnarRun<int>& run) override {
+    run.MaterializeTo(elements);
   }
   void PortProgress(int port_id, Timestamp watermark) override {
     progress.push_back(watermark);
@@ -70,7 +70,7 @@ class ProbeSink : public Sink<int> {
   }
 };
 
-TEST(PipeStateMachine, PollRequestSupplyDeliverCycle) {
+TEST(PipeEdge, StagingQueuesOnceAndDeliverDrains) {
   ManualSource source;
   ProbeSink sink;
   source.AddSubscriber(sink.input());
@@ -80,33 +80,21 @@ TEST(PipeStateMachine, PollRequestSupplyDeliverCycle) {
   ASSERT_NE(pipe, nullptr);
   pipe->Link(&link);
   EXPECT_TRUE(pipe->linked());
-  EXPECT_EQ(pipe->state(), PipeState::kIdle);
   EXPECT_FALSE(pipe->HasStaged());
 
-  // Poll with no supply: Idle -> Request -> Idle.
-  pipe->MarkPolled();
-  EXPECT_EQ(pipe->state(), PipeState::kRequest);
-  pipe->MarkPollDone();
-  EXPECT_EQ(pipe->state(), PipeState::kIdle);
-
-  // Staging flips to Supply and notifies exactly once until dequeued.
-  pipe->MarkPolled();
+  // Staging notifies exactly once until dequeued.
   source.Emit(1, 10);
-  EXPECT_EQ(pipe->state(), PipeState::kSupply);
   EXPECT_TRUE(pipe->in_queue());
   ASSERT_EQ(link.ready.size(), 1u);
   EXPECT_EQ(link.ready[0], pipe);
   source.Emit(2, 11);
   EXPECT_EQ(link.ready.size(), 1u);  // already queued: no second notify
-  pipe->MarkPollDone();               // Supply is sticky through poll end
-  EXPECT_EQ(pipe->state(), PipeState::kSupply);
   EXPECT_EQ(pipe->staged_units(), 2u);
   EXPECT_TRUE(sink.elements.empty());  // nothing delivered downstream yet
 
-  // Deliver drains everything and returns to Idle.
+  // Deliver drains everything.
   pipe->ClearInQueue();
   EXPECT_EQ(pipe->Deliver(), 2u);
-  EXPECT_EQ(pipe->state(), PipeState::kIdle);
   EXPECT_FALSE(pipe->HasStaged());
   ASSERT_EQ(sink.elements.size(), 2u);
   EXPECT_EQ(sink.elements[0].payload, 1);
@@ -116,7 +104,7 @@ TEST(PipeStateMachine, PollRequestSupplyDeliverCycle) {
   EXPECT_FALSE(pipe->linked());
 }
 
-TEST(PipeStateMachine, PassiveProducerSkipsRequest) {
+TEST(PipeEdge, UnpolledStagingQueuesThePipe) {
   ManualSource source;
   ProbeSink sink;
   source.AddSubscriber(sink.input());
@@ -124,16 +112,18 @@ TEST(PipeStateMachine, PassiveProducerSkipsRequest) {
   PipeBase* pipe = source.output_pipe();
   pipe->Link(&link);
 
-  // No poll preceded the staging: Idle -> Supply directly.
+  // No poll preceded the staging: the pipe queues itself directly.
   source.Emit(7, 3);
-  EXPECT_EQ(pipe->state(), PipeState::kSupply);
+  EXPECT_TRUE(pipe->in_queue());
+  ASSERT_EQ(link.ready.size(), 1u);
 
   pipe->ClearInQueue();
-  pipe->Deliver();
+  EXPECT_EQ(pipe->Deliver(), 1u);
+  ASSERT_EQ(sink.elements.size(), 1u);
   pipe->Unlink();
 }
 
-TEST(PipeStateMachine, DeliveryPreservesControlInterleaving) {
+TEST(PipeEdge, DeliveryPreservesControlInterleaving) {
   ManualSource source;
   ProbeSink sink;
   source.AddSubscriber(sink.input());
@@ -198,9 +188,9 @@ TEST(PipeExecutorTest, DrivesLinearChainToCompletion) {
 }
 
 // The headline stack-safety property: a 1000-operator chain drains with
-// constant call depth. Under the recursive path every element would nest
-// ~1000 frames of Receive/PortElement/Transfer; under the executor each
-// hop is a separate FIFO-queued delivery, asserted via the nesting metric.
+// constant call depth. Delivered recursively, every run would nest ~1000
+// frames of ReceiveRun/PortRun/TransferRun; under the executor each hop is
+// a separate FIFO-queued delivery, asserted via the nesting metric.
 TEST(PipeExecutorTest, Depth1000ChainRunsWithoutRecursion) {
   constexpr std::size_t kDepth = 1000;
   constexpr int kElements = 50;
@@ -298,7 +288,6 @@ TEST(PipeExecutorTest, UnlinkKeepsStagedContent) {
   EXPECT_FALSE(pipe->linked());
   EXPECT_FALSE(pipe->in_queue());
   source.Emit(2, 6);
-  EXPECT_EQ(pipe->state(), PipeState::kSupply);
   EXPECT_EQ(pipe->staged_units(), 2u);
   EXPECT_EQ(first.ready.size(), 1u);
   EXPECT_TRUE(sink.elements.empty());

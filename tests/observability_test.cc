@@ -385,9 +385,10 @@ TEST(SnapshotExportTest, DotCarriesOverlay) {
   EXPECT_EQ(arrows, 4u);
 
   // Rate mode: with a previous snapshot, edges carry el/s labels.
-  const std::string rate_dot = metadata::ToDot(
-      snap,
-      metadata::SnapshotOptions{.previous = &snap, .elapsed_seconds = 1.0});
+  metadata::SnapshotOptions rate;
+  rate.previous = &snap;
+  rate.elapsed_seconds = 1.0;
+  const std::string rate_dot = metadata::ToDot(snap, rate);
   EXPECT_NE(rate_dot.find("el/s"), std::string::npos);
 }
 

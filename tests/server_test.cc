@@ -299,6 +299,38 @@ TEST_F(ServerTest, HelloIsRequiredAndDisconnectCancelsTenant) {
   EXPECT_EQ(engine_->tenant_counters("ghost").cancelled, 1u);
 }
 
+// Query ids are sequential, so CANCEL must check ownership the way FETCH
+// does: only the connection that registered a query may tear it down.
+TEST_F(ServerTest, CancelIsScopedToTheRegisteringConnection) {
+  auto alice = Client::Connect("127.0.0.1", server_->port(), "alice");
+  auto mallory = Client::Connect("127.0.0.1", server_->port(), "mallory");
+  ASSERT_TRUE(alice.ok() && mallory.ok());
+  auto q = alice->Register("SELECT symbol, price FROM trades");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+
+  const Status foreign = mallory->Cancel(q->query_id);
+  EXPECT_EQ(foreign.code(), StatusCode::kNotFound) << foreign.ToString();
+  EXPECT_EQ(engine_->tenant_counters("alice").live, 1u);
+  EXPECT_EQ(engine_->tenant_counters("alice").cancelled, 0u);
+
+  // The owner's query keeps running and delivering.
+  Feed(5, 0);
+  std::vector<Client::Row> rows;
+  for (int attempt = 0; attempt < 500 && rows.size() < 5; ++attempt) {
+    auto fetched = alice->Fetch(q->query_id, 16);
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+    rows.insert(rows.end(), fetched->begin(), fetched->end());
+    if (rows.size() < 5) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  EXPECT_EQ(rows.size(), 5u);
+
+  EXPECT_TRUE(alice->Cancel(q->query_id).ok());
+  EXPECT_EQ(engine_->tenant_counters("alice").live, 0u);
+  EXPECT_EQ(engine_->tenant_counters("alice").cancelled, 1u);
+}
+
 TEST_F(ServerTest, TenantsAreIsolated) {
   auto alice = Client::Connect("127.0.0.1", server_->port(), "alice");
   auto bob = Client::Connect("127.0.0.1", server_->port(), "bob");

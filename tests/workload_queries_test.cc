@@ -54,8 +54,8 @@ std::vector<StreamElement<std::pair<int, double>>> Segments(
 }
 
 TEST(SustainedCondition, FiresOncePerLongEnoughRun) {
-  // Run size 1 drives PortElement; run size 6 hands the detector's columnar
-  // kernel the whole input as one run.
+  // Run size 1 hands the detector's run kernel one row at a time; run size
+  // 6 hands it the whole input as one run.
   for (std::size_t run_size : {1u, 6u}) {
     SCOPED_TRACE("run_size=" + std::to_string(run_size));
     QueryGraph graph;
