@@ -1,12 +1,13 @@
 #ifndef PIPES_ALGEBRA_AGGREGATE_H_
 #define PIPES_ALGEBRA_AGGREGATE_H_
 
-#include <map>
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "src/algebra/aggregates.h"
 #include "src/common/macros.h"
@@ -26,82 +27,96 @@
 namespace pipes::algebra {
 
 /// The sweep-line core, shared by the scalar and grouped operators (and by
-/// anything else that needs interval-partitioned accumulation).
+/// anything else that needs interval-partitioned accumulation). It holds
+/// only segments; the policy is passed to every call, so a grouped operator
+/// keeps one policy for all its groups.
 template <typename Agg>
 class SweepLineAggregator {
  public:
   using Value = typename Agg::Value;
   using Output = typename Agg::Output;
 
-  /// Policies may carry runtime parameters (e.g. the dynamic tuple
-  /// aggregates of the CQL layer); stateless policies default-construct.
-  explicit SweepLineAggregator(Agg agg = Agg()) : agg_(std::move(agg)) {}
-
   /// Accumulates `v` over [start, end).
-  void Add(Timestamp start, Timestamp end, const Value& v) {
+  void Add(const Agg& agg, Timestamp start, Timestamp end, const Value& v) {
     PIPES_DCHECK(start < end);
-    EnsureBoundary(start);
-    EnsureBoundary(end);
-    for (auto it = boundaries_.lower_bound(start);
-         it != boundaries_.end() && it->first < end; ++it) {
-      if (!it->second.has_value()) {
-        it->second = agg_.Init();
-      }
-      agg_.Add(*it->second, v);
+    const std::size_t first = EnsureBoundary(start);
+    const std::size_t last = EnsureBoundary(end);
+    for (std::size_t i = first; i < last; ++i) {
+      std::optional<typename Agg::State>& state = segments_[i].state;
+      if (!state.has_value()) state = agg.Init();
+      agg.Add(*state, v);
     }
   }
 
   /// Emits every finalized segment with end <= watermark, in start order,
-  /// via `emit(Output, TimeInterval)`. Gap segments produce nothing.
+  /// via `emit(Output, TimeInterval)`, then drops them in one erase. Gap
+  /// segments produce nothing.
   template <typename EmitFn>
-  void EmitUpTo(Timestamp watermark, EmitFn&& emit) {
-    while (boundaries_.size() >= 2) {
-      auto first = boundaries_.begin();
-      auto second = std::next(first);
-      if (second->first > watermark) break;
-      if (first->second.has_value()) {
-        emit(agg_.Result(*first->second),
-             TimeInterval(first->first, second->first));
+  void EmitUpTo(const Agg& agg, Timestamp watermark, EmitFn&& emit) {
+    std::size_t done = 0;
+    while (done + 1 < segments_.size() &&
+           segments_[done + 1].start <= watermark) {
+      const Segment& s = segments_[done];
+      if (s.state.has_value()) {
+        emit(agg.Result(*s.state),
+             TimeInterval(s.start, segments_[done + 1].start));
       }
-      boundaries_.erase(first);
+      ++done;
     }
+    segments_.erase(segments_.begin(),
+                    segments_.begin() + static_cast<std::ptrdiff_t>(done));
     // A trailing gap boundary carries no information once it is the only
     // entry left.
-    if (boundaries_.size() == 1 &&
-        !boundaries_.begin()->second.has_value()) {
-      boundaries_.clear();
+    if (segments_.size() == 1 && !segments_.front().state.has_value()) {
+      segments_.clear();
     }
   }
 
-  bool empty() const { return boundaries_.empty(); }
-  std::size_t num_segments() const { return boundaries_.size(); }
+  bool empty() const { return segments_.empty(); }
+  std::size_t num_segments() const { return segments_.size(); }
 
   /// Smallest segment start still held (kMaxTimestamp when empty); callers
   /// use it to cap heartbeats.
   Timestamp FirstPendingStart() const {
-    return boundaries_.empty() ? kMaxTimestamp : boundaries_.begin()->first;
+    return segments_.empty() ? kMaxTimestamp : segments_.front().start;
+  }
+
+  /// End of the first segment: the smallest watermark at which `EmitUpTo`
+  /// finalizes anything (kMaxTimestamp when empty). After `Add` and
+  /// `EmitUpTo` the aggregator holds either nothing or at least two
+  /// boundaries, so the first segment always has an end.
+  Timestamp FirstSegmentEnd() const {
+    return segments_.size() < 2 ? kMaxTimestamp : segments_[1].start;
   }
 
  private:
+  /// A segment extends from `start` to the next segment's start; the last
+  /// one is always a gap created by some element's end.
+  struct Segment {
+    Timestamp start;
+    std::optional<typename Agg::State> state;  // nullopt = gap: no element
+                                               // covers the segment
+  };
+
   /// Splits the segment covering `t` so that a boundary exists exactly at
-  /// `t`. The new segment inherits the covering segment's partial state.
-  void EnsureBoundary(Timestamp t) {
-    auto it = boundaries_.lower_bound(t);
-    if (it != boundaries_.end() && it->first == t) return;
-    if (it == boundaries_.begin()) {
-      // t lies before every known boundary: opens a new (gap) segment.
-      boundaries_.emplace(t, std::nullopt);
-      return;
-    }
-    auto prev = std::prev(it);
-    boundaries_.emplace_hint(it, t, prev->second);
+  /// `t`, and returns its index. The new segment inherits the covering
+  /// segment's partial state; before every known boundary it is a gap.
+  std::size_t EnsureBoundary(Timestamp t) {
+    const auto it = std::lower_bound(
+        segments_.begin(), segments_.end(), t,
+        [](const Segment& s, Timestamp x) { return s.start < x; });
+    const auto pos = static_cast<std::size_t>(it - segments_.begin());
+    if (it != segments_.end() && it->start == t) return pos;
+    std::optional<typename Agg::State> inherited;
+    if (pos > 0) inherited = segments_[pos - 1].state;
+    segments_.insert(it, Segment{t, std::move(inherited)});
+    return pos;
   }
 
-  Agg agg_;
-  // Key = segment start; value = partial aggregate (nullopt = gap, i.e. no
-  // element covers the segment). A segment extends to the next key; the
-  // last boundary is always a gap created by some element's end.
-  std::map<Timestamp, std::optional<typename Agg::State>> boundaries_;
+  // Sorted by start. An insert shifts the segments after it: an element's
+  // start lands before the segments its Add loop walks anyway, and for
+  // in-order input its end lands at or near the tail.
+  std::vector<Segment> segments_;
 };
 
 /// Scalar (ungrouped) temporal aggregate. `ValueFn` extracts the aggregated
@@ -115,7 +130,7 @@ class TemporalAggregate : public UnaryPipe<In, typename Agg::Output> {
                     Agg agg = Agg())
       : UnaryPipe<In, Output>(std::move(name)),
         value_fn_(std::move(value_fn)),
-        core_(std::move(agg)) {}
+        agg_(std::move(agg)) {}
 
   std::size_t state_segments() const { return core_.num_segments(); }
 
@@ -143,7 +158,7 @@ class TemporalAggregate : public UnaryPipe<In, typename Agg::Output> {
   void PortRun(int /*port_id*/, const ColumnarRun<In>& run) override {
     const std::size_t n = run.size();
     for (std::size_t i = 0; i < n; ++i) {
-      core_.Add(run.starts[i], run.ends[i], value_fn_(run.payloads[i]));
+      core_.Add(agg_, run.starts[i], run.ends[i], value_fn_(run.payloads[i]));
     }
   }
 
@@ -162,42 +177,63 @@ class TemporalAggregate : public UnaryPipe<In, typename Agg::Output> {
   /// (`EmitUpTo` releases in start order, so the run invariant holds).
   void EmitRun(Timestamp watermark) {
     out_run_.clear();
-    core_.EmitUpTo(watermark, [this](Output out, TimeInterval iv) {
+    core_.EmitUpTo(agg_, watermark, [this](Output out, TimeInterval iv) {
       out_run_.Append(std::move(out), iv.start, iv.end);
     });
     this->TransferRun(std::move(out_run_));
   }
 
   ValueFn value_fn_;
+  Agg agg_;
   SweepLineAggregator<Agg> core_;
   ColumnarRun<Output> out_run_;
 };
 
+/// `GroupedAggregate`'s default `Combine`: the (key, aggregate) pair.
+struct KeyAggregatePair {
+  template <typename Key, typename Value>
+  std::pair<Key, Value> operator()(const Key& key, Value value) const {
+    return {key, std::move(value)};
+  }
+};
+
 /// Grouped temporal aggregate (the algebra behind CQL GROUP BY): one
-/// sweep-line per group key; outputs (key, aggregate) pairs. Segments of
-/// different groups interleave, so finalized results are re-ordered through
-/// a staging buffer before transfer.
-template <typename In, typename Agg, typename KeyFn, typename ValueFn>
+/// sweep-line per group key; each finalized segment becomes one row
+/// `combine(key, aggregate)`. Segments of different groups interleave, so
+/// results are re-ordered through a staging buffer before transfer.
+///
+/// Groups live in a dense table found through a hash index. Beside it sits
+/// a clock column — per group, the end of its first segment and its first
+/// pending start — so a watermark advance scans that column and touches
+/// only the groups with a segment due. Emptied groups leave by
+/// swap-and-pop.
+template <typename In, typename Agg, typename KeyFn, typename ValueFn,
+          typename Combine = KeyAggregatePair>
 class GroupedAggregate
     : public UnaryPipe<
-          In, std::pair<std::decay_t<std::invoke_result_t<KeyFn, const In&>>,
-                        typename Agg::Output>> {
+          In, std::decay_t<std::invoke_result_t<
+                  const Combine&,
+                  const std::decay_t<std::invoke_result_t<KeyFn, const In&>>&,
+                  typename Agg::Output>>> {
  public:
   using Key = std::decay_t<std::invoke_result_t<KeyFn, const In&>>;
-  using Output = std::pair<Key, typename Agg::Output>;
+  using Output = std::decay_t<std::invoke_result_t<
+      const Combine&, const Key&, typename Agg::Output>>;
 
   GroupedAggregate(KeyFn key_fn, ValueFn value_fn,
-                   std::string name = "group-aggregate", Agg agg = Agg())
+                   std::string name = "group-aggregate", Agg agg = Agg(),
+                   Combine combine = Combine())
       : UnaryPipe<In, Output>(std::move(name)),
         key_fn_(std::move(key_fn)),
         value_fn_(std::move(value_fn)),
-        agg_(std::move(agg)) {}
+        agg_(std::move(agg)),
+        combine_(std::move(combine)) {}
 
   std::size_t num_groups() const { return groups_.size(); }
 
   std::size_t ApproxMemoryBytes() const override {
     std::size_t segments = 0;
-    for (const auto& [key, core] : groups_) segments += core.num_segments();
+    for (const Group& group : groups_) segments += group.core.num_segments();
     return groups_.size() * (sizeof(Key) + 64) +
            segments * (sizeof(typename Agg::State) + 48);
   }
@@ -221,10 +257,14 @@ class GroupedAggregate
   void PortRun(int /*port_id*/, const ColumnarRun<In>& run) override {
     const std::size_t n = run.size();
     for (std::size_t i = 0; i < n; ++i) {
-      auto [it, inserted] = groups_.try_emplace(
-          key_fn_(run.payloads[i]), SweepLineAggregator<Agg>(agg_));
-      it->second.Add(run.starts[i], run.ends[i],
-                     value_fn_(run.payloads[i]));
+      const std::size_t g = GroupOf(key_fn_(run.payloads[i]));
+      groups_[g].core.Add(agg_, run.starts[i], run.ends[i],
+                          value_fn_(run.payloads[i]));
+      // Adding only splits segments, so both clocks can only move down.
+      const Clock clock = ReadClock(g);
+      clocks_[g] = clock;
+      next_due_ = std::min(next_due_, clock.due);
+      min_pending_ = std::min(min_pending_, clock.pending);
     }
   }
 
@@ -236,50 +276,103 @@ class GroupedAggregate
     Release(kMaxTimestamp);
     out_run_.clear();
     staged_.FlushAll(
-        [this](const StreamElement<Output>& e) { out_run_.Append(e); });
+        [this](StreamElement<Output>&& e) { out_run_.Append(std::move(e)); });
     this->TransferRun(std::move(out_run_));
     this->TransferDone();
   }
 
  private:
+  using Index = std::unordered_map<Key, std::size_t>;
+
+  struct Group {
+    // This group's index entry: its key, and its slot in `groups_`.
+    // `std::unordered_map` never moves a node, so the pointer stays valid
+    // until the entry is erased.
+    typename Index::value_type* entry;
+    SweepLineAggregator<Agg> core;
+  };
+
+  struct Clock {
+    Timestamp due;      // FirstSegmentEnd: a watermark here emits something
+    Timestamp pending;  // FirstPendingStart: caps the release bound
+  };
+
+  Clock ReadClock(std::size_t g) const {
+    const SweepLineAggregator<Agg>& core = groups_[g].core;
+    return Clock{core.FirstSegmentEnd(), core.FirstPendingStart()};
+  }
+
+  /// Slot of `key`'s group, opening an empty one on first sight.
+  std::size_t GroupOf(Key key) {
+    auto [it, inserted] = index_.try_emplace(std::move(key), groups_.size());
+    if (inserted) {
+      groups_.push_back(Group{&*it, SweepLineAggregator<Agg>()});
+      clocks_.push_back(Clock{kMaxTimestamp, kMaxTimestamp});
+    }
+    return it->second;
+  }
+
+  /// Swap-and-pop: the last group takes slot `g`.
+  void RemoveGroup(std::size_t g) {
+    index_.erase(index_.find(groups_[g].entry->first));
+    if (g + 1 != groups_.size()) {
+      groups_[g] = std::move(groups_.back());
+      clocks_[g] = clocks_.back();
+      groups_[g].entry->second = g;
+    }
+    groups_.pop_back();
+    clocks_.pop_back();
+  }
+
   /// Finalizes segments up to `watermark` and releases staged results as
   /// far as global ordering allows: a result may only leave once no group
   /// still holds a pending segment with an earlier start. Returns the safe
   /// progress bound.
   Timestamp Release(Timestamp watermark) {
-    for (auto it = groups_.begin(); it != groups_.end();) {
-      it->second.EmitUpTo(
-          watermark, [&](typename Agg::Output out, TimeInterval iv) {
-            staged_.Push(StreamElement<Output>(
-                Output(it->first, std::move(out)), iv));
-          });
-      if (it->second.empty()) {
-        it = groups_.erase(it);
-      } else {
-        ++it;
+    if (watermark >= next_due_) {
+      // One pass over the clock column: emit from the due groups and
+      // recompute both minima.
+      next_due_ = kMaxTimestamp;
+      min_pending_ = kMaxTimestamp;
+      for (std::size_t g = 0; g < groups_.size();) {
+        if (clocks_[g].due <= watermark) {
+          const Key& key = groups_[g].entry->first;
+          groups_[g].core.EmitUpTo(
+              agg_, watermark, [&](typename Agg::Output out, TimeInterval iv) {
+                staged_.Push(
+                    StreamElement<Output>(combine_(key, std::move(out)), iv));
+              });
+          if (groups_[g].core.empty()) {
+            RemoveGroup(g);  // slot g now holds an unvisited group
+            continue;
+          }
+          clocks_[g] = ReadClock(g);
+        }
+        next_due_ = std::min(next_due_, clocks_[g].due);
+        min_pending_ = std::min(min_pending_, clocks_[g].pending);
+        ++g;
       }
     }
-    const Timestamp bound = std::min(watermark, MinPendingStart());
+    const Timestamp bound = std::min(watermark, min_pending_);
     out_run_.clear();
-    staged_.FlushUpTo(bound, [this](const StreamElement<Output>& e) {
-      out_run_.Append(e);
+    staged_.FlushUpTo(bound, [this](StreamElement<Output>&& e) {
+      out_run_.Append(std::move(e));
     });
     this->TransferRun(std::move(out_run_));
     return bound;
   }
 
-  Timestamp MinPendingStart() const {
-    Timestamp t = kMaxTimestamp;
-    for (const auto& [key, core] : groups_) {
-      t = std::min(t, core.FirstPendingStart());
-    }
-    return t;
-  }
-
   KeyFn key_fn_;
   ValueFn value_fn_;
   Agg agg_;
-  std::unordered_map<Key, SweepLineAggregator<Agg>> groups_;
+  Combine combine_;
+  Index index_;
+  std::vector<Group> groups_;
+  std::vector<Clock> clocks_;  // parallel to groups_
+  // Minima of the clock column's two fields: a watermark below next_due_
+  // finalizes nothing, so Release skips the scan.
+  Timestamp next_due_ = kMaxTimestamp;
+  Timestamp min_pending_ = kMaxTimestamp;
   OrderedOutputBuffer<Output> staged_;
   ColumnarRun<Output> out_run_;
 };

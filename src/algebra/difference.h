@@ -122,14 +122,14 @@ class Difference : public BinaryPipe<T, T, T> {
         ++it;
       }
     }
-    const Timestamp bound = std::min(watermark, MinPendingStart());
+    const Timestamp bound = std::min(watermark, FirstPendingStart());
     staged_.FlushUpTo(bound, [this](const StreamElement<T>& e) {
       this->Transfer(e);
     });
     return bound;
   }
 
-  Timestamp MinPendingStart() const {
+  Timestamp FirstPendingStart() const {
     Timestamp t = kMaxTimestamp;
     for (const auto& [payload, state] : payloads_) {
       if (!state.deltas.empty()) {

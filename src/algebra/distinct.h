@@ -111,14 +111,14 @@ class Distinct : public UnaryPipe<T, T> {
         ++it;
       }
     }
-    const Timestamp bound = std::min(watermark, MinPendingStart());
+    const Timestamp bound = std::min(watermark, FirstPendingStart());
     staged_.FlushUpTo(bound, [this](const StreamElement<T>& e) {
       this->Transfer(e);
     });
     return bound;
   }
 
-  Timestamp MinPendingStart() const {
+  Timestamp FirstPendingStart() const {
     Timestamp t = kMaxTimestamp;
     for (const auto& [payload, intervals] : pending_) {
       if (!intervals.empty()) t = std::min(t, intervals.front().start);

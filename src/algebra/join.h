@@ -204,9 +204,9 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
     // runs they still need.
     if constexpr (kSpillable) {
       if ((left_sa_.HasPendingProbes() &&
-           left_sa_.MinPendingStart() < this->right().watermark()) ||
+           left_sa_.FirstPendingStart() < this->right().watermark()) ||
           (right_sa_.HasPendingProbes() &&
-           right_sa_.MinPendingStart() < this->left().watermark())) {
+           right_sa_.FirstPendingStart() < this->left().watermark())) {
         ServicePending();
       }
     }
@@ -219,8 +219,9 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
     if (this->BothDone()) {
       if constexpr (kSpillable) ServicePending();
       out_run_.clear();
-      staged_.FlushAll(
-          [this](const StreamElement<Out>& e) { out_run_.Append(e); });
+      staged_.FlushAll([this](StreamElement<Out>&& e) {
+        out_run_.Append(std::move(e));
+      });
       this->TransferRun(std::move(out_run_));
       this->TransferDone();
     } else {
@@ -262,11 +263,12 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
       // Output fence: results a pending probe will still produce have
       // start >= its staging start, so nothing may be released past the
       // minimum pending start until those probes are answered.
-      if (combined > MinPendingStart()) ServicePending();
+      if (combined > FirstPendingStart()) ServicePending();
     }
     out_run_.clear();
-    staged_.FlushUpTo(
-        combined, [this](const StreamElement<Out>& e) { out_run_.Append(e); });
+    staged_.FlushUpTo(combined, [this](StreamElement<Out>&& e) {
+      out_run_.Append(std::move(e));
+    });
     this->TransferRun(std::move(out_run_));
     if (combined < kMaxTimestamp) {
       this->TransferHeartbeat(combined);
@@ -318,10 +320,10 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
   }
 
   /// Oldest staged probe across both areas; `kMaxTimestamp` when none.
-  Timestamp MinPendingStart() const {
+  Timestamp FirstPendingStart() const {
     if constexpr (kSpillable) {
-      return std::min(left_sa_.MinPendingStart(),
-                      right_sa_.MinPendingStart());
+      return std::min(left_sa_.FirstPendingStart(),
+                      right_sa_.FirstPendingStart());
     } else {
       return kMaxTimestamp;
     }

@@ -43,8 +43,9 @@ template <typename Op>
 struct KeyPartitionable : std::false_type {};
 
 /// Grouped aggregation: one sweep-line per key; keys never interact.
-template <typename In, typename Agg, typename KeyFn, typename ValueFn>
-struct KeyPartitionable<GroupedAggregate<In, Agg, KeyFn, ValueFn>>
+template <typename In, typename Agg, typename KeyFn, typename ValueFn,
+          typename Combine>
+struct KeyPartitionable<GroupedAggregate<In, Agg, KeyFn, ValueFn, Combine>>
     : std::true_type {};
 
 /// Duplicate elimination: interval coalescing is per distinct payload.

@@ -166,8 +166,8 @@ class Union : public BinaryPipe<T, T, T> {
   void FlushBatched(Timestamp watermark) {
     out_run_.clear();
     if (spilled_) {
-      staged_.FlushUpTo(watermark, [this](const StreamElement<T>& e) {
-        out_run_.Append(e);
+      staged_.FlushUpTo(watermark, [this](StreamElement<T>&& e) {
+        out_run_.Append(std::move(e));
       });
     } else {
       SideQueue& l = queue_[0];

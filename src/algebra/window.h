@@ -120,9 +120,10 @@ class SlideWindow : public UnaryPipe<T, T> {
 
  private:
   Timestamp AlignUp(Timestamp t) const {
-    // Smallest multiple of slide_ that is >= t (timestamps are >= 0 in all
-    // workloads; negative t would align toward zero), or kMaxTimestamp if
-    // that multiple does not fit.
+    // Smallest multiple of slide_ that is >= t, or kMaxTimestamp if that
+    // multiple does not fit. Division truncates toward zero, which rounds a
+    // non-positive t up already.
+    if (t <= 0) return (t / slide_) * slide_;
     if (t > kMaxTimestamp - (slide_ - 1)) return kMaxTimestamp;
     return ((t + slide_ - 1) / slide_) * slide_;
   }

@@ -1,8 +1,8 @@
 #ifndef PIPES_CORE_ORDERED_BUFFER_H_
 #define PIPES_CORE_ORDERED_BUFFER_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -11,7 +11,7 @@
 
 /// \file
 /// Helper for operators whose raw results are not produced in start order
-/// (joins, unions): results are staged in a priority queue and released —
+/// (joins, unions): results are staged in a binary heap and released —
 /// ordered and deterministic — once the operator's input watermark
 /// guarantees that no earlier-starting result can still appear.
 
@@ -23,17 +23,21 @@ template <typename T>
 class OrderedOutputBuffer {
  public:
   void Push(StreamElement<T> element) {
-    heap_.push(Item{std::move(element), seq_++});
+    heap_.push_back(Item{std::move(element), seq_++});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
-  /// Emits (via `emit(const StreamElement<T>&)`) every staged element with
-  /// `start() < watermark`, in order. Returns the number emitted.
+  /// Hands every staged element with `start() < watermark`, in order, to
+  /// `emit` as an rvalue (`emit(StreamElement<T>&&)`; a callback taking a
+  /// const reference copies only if it keeps the element). Returns the
+  /// number emitted.
   template <typename EmitFn>
   std::size_t FlushUpTo(Timestamp watermark, EmitFn&& emit) {
     std::size_t n = 0;
-    while (!heap_.empty() && heap_.top().element.start() < watermark) {
-      emit(heap_.top().element);
-      heap_.pop();
+    while (!heap_.empty() && heap_.front().element.start() < watermark) {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      emit(std::move(heap_.back().element));
+      heap_.pop_back();
       ++n;
     }
     return n;
@@ -62,7 +66,7 @@ class OrderedOutputBuffer {
     }
   };
 
-  std::priority_queue<Item, std::vector<Item>, Later> heap_;
+  std::vector<Item> heap_;  // a heap under Later: front() is the earliest
   std::uint64_t seq_ = 0;
 };
 

@@ -287,8 +287,8 @@ class Merge : public Source<T>, public PortOwner<T> {
   /// run.
   void FlushBatched(Timestamp watermark) {
     out_run_.clear();
-    staged_.FlushUpTo(watermark, [this](const StreamElement<T>& e) {
-      out_run_.Append(e);
+    staged_.FlushUpTo(watermark, [this](StreamElement<T>&& e) {
+      out_run_.Append(std::move(e));
     });
     this->TransferRun(std::move(out_run_));
   }

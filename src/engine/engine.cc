@@ -173,6 +173,14 @@ Status Engine::PushLocked(InletSource* inlet,
     return Status::FailedPrecondition("stream '" + inlet->name() +
                                       "' is closed");
   }
+  // TimeInterval's own start < end check is a DCHECK; a pushed interval is
+  // outside input and must be refused in every build.
+  if (element.end() <= element.start()) {
+    return Status::InvalidArgument(
+        "empty or inverted interval pushed into stream '" + inlet->name() +
+        "': [" + std::to_string(element.start()) + ", " +
+        std::to_string(element.end()) + ")");
+  }
   if (element.start() < inlet->last_start()) {
     return Status::InvalidArgument(
         "out-of-order push into stream '" + inlet->name() +
@@ -191,7 +199,17 @@ Status StreamWriter::Push(const StreamElement<relational::Tuple>& element) {
 }
 
 Status StreamWriter::Push(relational::Tuple tuple, Timestamp t) {
-  return Push(StreamElement<relational::Tuple>::Point(std::move(tuple), t));
+  if (t < kMaxTimestamp) {
+    return Push(StreamElement<relational::Tuple>::Point(std::move(tuple), t));
+  }
+  // The point [t, t + 1) does not exist at the last timestamp.
+  if (engine_ == nullptr) return Status::FailedPrecondition("empty writer");
+  std::lock_guard<std::mutex> lock(engine_->mu_);
+  PIPES_RETURN_IF_ERROR(engine_->InletStatusLocked(inlet_));
+  return Status::InvalidArgument("point push into stream '" + inlet_->name() +
+                                 "' at the last timestamp: [" +
+                                 std::to_string(t) + ", " + std::to_string(t) +
+                                 " + 1) does not fit");
 }
 
 Status StreamWriter::Heartbeat(Timestamp t) {

@@ -159,7 +159,11 @@ class StreamWriter {
  public:
   StreamWriter() = default;
 
+  /// InvalidArgument for an empty or inverted interval (end <= start) or a
+  /// start before the stream's last one; FailedPrecondition once closed.
   Status Push(const StreamElement<relational::Tuple>& element);
+  /// Pushes the point [t, t + 1); InvalidArgument for t == kMaxTimestamp,
+  /// where that interval does not exist.
   Status Push(relational::Tuple tuple, Timestamp t);
   Status Heartbeat(Timestamp t);
   /// Signals end-of-stream (idempotent).

@@ -416,17 +416,13 @@ Result<Source<Tuple>*> PhysicalBuilder::BuildNode(
     }
 
     case LogicalOp::Kind::kGroupAggregate: {
-      using Grouped = algebra::GroupedAggregate<Tuple, TupleAggPolicy,
-                                                FieldsKey, TupleIdentity>;
-      auto& grouped = graph_->Add<Grouped>(
-          FieldsKey{plan->group_fields}, TupleIdentity{}, "group-aggregate",
-          TupleAggPolicy(plan->aggs));
-      subscribe(in[0], grouped.input());
-      created(grouped);
-      unary(&grouped,
-            graph_->Add<algebra::Map<std::pair<Tuple, Tuple>, Tuple,
-                                     PairConcat>>(PairConcat{},
-                                                  "flatten-groups"));
+      using Grouped =
+          algebra::GroupedAggregate<Tuple, TupleAggPolicy, FieldsKey,
+                                    TupleIdentity, TupleConcatCombine>;
+      unary(in[0], graph_->Add<Grouped>(
+                       FieldsKey{plan->group_fields}, TupleIdentity{},
+                       "group-aggregate", TupleAggPolicy(plan->aggs),
+                       TupleConcatCombine{}));
       break;
     }
 

@@ -56,7 +56,8 @@ struct FieldsKey {
   }
 };
 
-/// Join combiner: concatenation.
+/// Concatenation: the join combiner, and the grouped aggregate's `Combine`
+/// (group key ++ aggregate values).
 struct TupleConcatCombine {
   relational::Tuple operator()(const relational::Tuple& l,
                                const relational::Tuple& r) const {
@@ -68,14 +69,6 @@ struct TupleConcatCombine {
 struct TupleIdentity {
   const relational::Tuple& operator()(const relational::Tuple& t) const {
     return t;
-  }
-};
-
-/// (group key, agg results) -> flat output tuple.
-struct PairConcat {
-  relational::Tuple operator()(
-      const std::pair<relational::Tuple, relational::Tuple>& p) const {
-    return p.first.Concat(p.second);
   }
 };
 

@@ -36,7 +36,7 @@
 ///     matched by whichever side arrives second).
 ///   - The owner must drain pending probes (`ServicePendingProbes`) before
 ///     purging past the minimum pending start and before emitting output
-///     beyond it; `MinPendingStart()` is the fence.
+///     beyond it; `FirstPendingStart()` is the fence.
 ///
 /// RAM accounting (`ApproxBytes`) covers the hot portion plus staged
 /// probes; disk accounting (`SpilledBytes`) is separate, so a memory
@@ -111,7 +111,7 @@ class SpillableHashSweepArea {
     std::size_t removed = PurgeHotBefore(t);
     for (auto it = runs_.begin(); it != runs_.end();) {
       if ((*it)->max_end() <= t) {
-        PIPES_DCHECK(pending_.empty() || MinPendingStart() >= t);
+        PIPES_DCHECK(pending_.empty() || FirstPendingStart() >= t);
         spilled_bytes_ -= (*it)->bytes();
         spilled_count_ -= (*it)->size();
         removed += (*it)->size();
@@ -235,7 +235,7 @@ class SpillableHashSweepArea {
   /// Fence for the owner: no output beyond this timestamp may be released
   /// and no purge past it may run until pending probes are serviced.
   /// `kMaxTimestamp` when no probes are staged.
-  Timestamp MinPendingStart() const {
+  Timestamp FirstPendingStart() const {
     // Probes arrive in stream order (non-decreasing start), so the oldest
     // staged probe is the front.
     return pending_.empty() ? kMaxTimestamp : pending_.front().probe.start();

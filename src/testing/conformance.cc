@@ -371,8 +371,11 @@ Result<std::vector<Corpus>> LoadCorpusDir(const std::string& dir) {
 
 namespace {
 
-/// Mirrors SlideWindow::AlignUp.
+/// Mirrors SlideWindow::AlignUp: the smallest multiple of `slide` that is
+/// >= t, saturating at kMaxTimestamp.
 Timestamp AlignUp(Timestamp t, Timestamp slide) {
+  if (t <= 0) return (t / slide) * slide;
+  if (t > kMaxTimestamp - (slide - 1)) return kMaxTimestamp;
   return ((t + slide - 1) / slide) * slide;
 }
 
@@ -413,7 +416,7 @@ std::vector<TupleElement> ApplyWindow(const std::vector<TupleElement>& rows,
       for (const TupleElement& e : rows) {
         const Timestamp first = AlignUp(e.start(), window.slide);
         const Timestamp last =
-            AlignUp(e.start() + window.range, window.slide);
+            AlignUp(SaturatingAdd(e.start(), window.range), window.slide);
         if (first < last) out.emplace_back(e.payload, first, last);
       }
       break;

@@ -28,7 +28,6 @@ using optimizer::ExprPredicate;
 using optimizer::FieldsKey;
 using optimizer::LogicalOp;
 using optimizer::LogicalPlan;
-using optimizer::PairConcat;
 using optimizer::TupleIdentity;
 using optimizer::WindowKind;
 using relational::Tuple;
@@ -246,16 +245,14 @@ class Lowering {
             out, ExprPredicate{op.predicate}, "join-residual");
       }
       case LogicalOp::Kind::kGroupAggregate: {
-        using Grouped =
-            algebra::GroupedAggregate<Tuple, optimizer::TupleAggPolicy,
-                                      FieldsKey, TupleIdentity>;
-        auto* grouped = Keyed<Grouped>(
-            in[0], FieldsKey{op.group_fields}, FieldsKey{op.group_fields},
-            TupleIdentity{}, std::string("group-aggregate"),
-            optimizer::TupleAggPolicy(op.aggs));
-        return Unary<
-            algebra::Map<std::pair<Tuple, Tuple>, Tuple, PairConcat>>(
-            grouped, PairConcat{}, "flatten-groups");
+        using Grouped = algebra::GroupedAggregate<
+            Tuple, optimizer::TupleAggPolicy, FieldsKey, TupleIdentity,
+            optimizer::TupleConcatCombine>;
+        return Keyed<Grouped>(in[0], FieldsKey{op.group_fields},
+                              FieldsKey{op.group_fields}, TupleIdentity{},
+                              std::string("group-aggregate"),
+                              optimizer::TupleAggPolicy(op.aggs),
+                              optimizer::TupleConcatCombine{});
       }
       case LogicalOp::Kind::kDistinct:
         return Keyed<algebra::Distinct<Tuple>>(in[0], TupleIdentity{},

@@ -87,6 +87,27 @@ TEST(Window, SlideWindowAlignsToGrid) {
   EXPECT_EQ(sink.elements()[2].interval, TimeInterval(15, 25));
 }
 
+TEST(Window, SlideWindowAlignsNegativeTimesUp) {
+  QueryGraph graph;
+  // RANGE 10 SLIDE 10 over t = -25, -15, 5: each point is visible at the
+  // one grid instant τ with τ - 10 < t <= τ (window (τ-10, τ]), the
+  // smallest multiple of 10 at or above t — on either side of zero.
+  std::vector<StreamElement<int>> input = {
+      StreamElement<int>::Point(1, -25), StreamElement<int>::Point(2, -15),
+      StreamElement<int>::Point(3, 5)};
+  auto& source = graph.Add<VectorSource<int>>(input);
+  auto& window = graph.Add<SlideWindow<int>>(10, 10);
+  auto& sink = graph.Add<CollectorSink<int>>();
+  source.AddSubscriber(window.input());
+  window.AddSubscriber(sink.input());
+  Drain(graph);
+
+  ASSERT_EQ(sink.elements().size(), 3u);
+  EXPECT_EQ(sink.elements()[0].interval, TimeInterval(-20, -10));
+  EXPECT_EQ(sink.elements()[1].interval, TimeInterval(-10, 0));
+  EXPECT_EQ(sink.elements()[2].interval, TimeInterval(10, 20));
+}
+
 TEST(Window, CountWindowExpiresAfterNSuccessors) {
   QueryGraph graph;
   std::vector<StreamElement<int>> input = {

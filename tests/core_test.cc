@@ -1,7 +1,9 @@
 // Tests for the publish-subscribe core: sources, ports, pipes, buffers,
 // generator sources, graph management, and the watermark/done protocol.
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -361,6 +363,34 @@ TEST(Core, OrderedOutputBufferReleasesInStartOrder) {
   buffer.FlushAll(
       [&](const StreamElement<int>& e) { seen.push_back(e.payload); });
   EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(buffer.empty());
+}
+
+// Release hands each element over as an rvalue: with a move-only payload
+// this compiles only if the buffer never copies.
+TEST(Core, OrderedOutputBufferReleasesByMove) {
+  OrderedOutputBuffer<std::unique_ptr<int>> buffer;
+  const auto push = [&](int v, Timestamp start) {
+    buffer.Push(StreamElement<std::unique_ptr<int>>(
+        std::make_unique<int>(v), start, start + 5));
+  };
+  push(3, 30);
+  push(1, 10);
+  push(4, 10);  // equal start: released after 1, in arrival order
+  push(2, 20);
+  push(5, 40);
+
+  std::vector<std::pair<Timestamp, int>> seen;
+  const auto take = [&](StreamElement<std::unique_ptr<int>>&& e) {
+    std::unique_ptr<int> owned = std::move(e.payload);
+    seen.emplace_back(e.start(), *owned);
+  };
+  EXPECT_EQ(buffer.FlushUpTo(30, take), 3u);  // start < 30 only
+  EXPECT_EQ(seen, (std::vector<std::pair<Timestamp, int>>{
+                      {10, 1}, {10, 4}, {20, 2}}));
+  EXPECT_EQ(buffer.size(), 2u);
+  EXPECT_EQ(buffer.FlushAll(take), 2u);
+  EXPECT_EQ(seen.back(), (std::pair<Timestamp, int>{40, 5}));
   EXPECT_TRUE(buffer.empty());
 }
 

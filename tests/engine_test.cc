@@ -3,8 +3,9 @@
 // correctness against a single-query reference run (multiset-exact),
 // admission control (reject and queue policies), per-tenant isolation of
 // snapshots and counters, concurrent registration (exercised under TSAN in
-// the sanitizer CI job), pushes that wait for Pump, and query text that must
-// fail Register without touching the graph.
+// the sanitizer CI job), pushes that wait for Pump, pushed intervals the
+// algebra cannot hold, and query text that must fail Register without
+// touching the graph.
 
 #include <gtest/gtest.h>
 
@@ -414,6 +415,65 @@ TEST_F(EngineTest, StreamWriterValidatesOrderAndClose) {
 
   // Duplicate stream names are rejected.
   EXPECT_FALSE(engine.AddStream("trades", TradesSchema()).ok());
+}
+
+// TimeInterval checks start < end only where DCHECKs are on; the writer
+// refuses empty and inverted intervals, and the point at the last timestamp
+// (whose end would overflow), in every build. The bad elements get their
+// ends assigned after construction so the test also runs in Debug.
+TEST_F(EngineTest, PushRejectsEmptyAndInvertedIntervals) {
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  auto where = engine.Register("SELECT symbol, price FROM trades WHERE price > 0");
+  ASSERT_TRUE(where.ok()) << where.status().ToString();
+  auto grouped = engine.Register(
+      "SELECT symbol, COUNT(*) AS n FROM trades [NOW] GROUP BY symbol");
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  const std::size_t nodes = engine.stats().graph_nodes;
+
+  StreamElement<Tuple> inverted(Tuple{Value(std::int64_t{1}), Value(6.0)}, 30,
+                                31);
+  inverted.interval.end = 25;
+  StreamElement<Tuple> empty(Tuple{Value(std::int64_t{2}), Value(7.0)}, 40,
+                             41);
+  empty.interval.end = 40;
+  for (const StreamElement<Tuple>* bad : {&inverted, &empty}) {
+    const Status status = writer->Push(*bad);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("'trades'"), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find(
+                  "[" + std::to_string(bad->start()) + ", " +
+                  std::to_string(bad->end()) + ")"),
+              std::string::npos)
+        << status.ToString();
+  }
+  const Status at_end =
+      writer->Push(Tuple{Value(std::int64_t{3}), Value(8.0)}, kMaxTimestamp);
+  EXPECT_EQ(at_end.code(), StatusCode::kInvalidArgument) << at_end.ToString();
+  EXPECT_NE(at_end.message().find("'trades'"), std::string::npos);
+  EXPECT_NE(at_end.message().find(std::to_string(kMaxTimestamp)),
+            std::string::npos);
+
+  ASSERT_TRUE(writer->Push(Tuple{Value(std::int64_t{4}), Value(9.0)}, 50).ok());
+  ASSERT_TRUE(writer->Close().ok());
+  engine.Pump();
+
+  const std::vector<QueryHandle::Element> rows = where->Poll();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].payload.ToString(), (Tuple{Value(std::int64_t{4}),
+                                               Value(9.0)}.ToString()));
+  EXPECT_EQ(rows[0].start(), 50);
+  EXPECT_EQ(rows[0].end(), 51);
+  const std::vector<QueryHandle::Element> counts = grouped->Poll();
+  ASSERT_EQ(counts.size(), 1u);
+  EXPECT_EQ(counts[0].payload.ToString(),
+            (Tuple{Value(std::int64_t{4}), Value(std::int64_t{1})}.ToString()));
+  EXPECT_EQ(counts[0].start(), 50);
+  EXPECT_EQ(counts[0].end(), 51);
+  EXPECT_EQ(engine.stats().graph_nodes, nodes);
 }
 
 // --- One delivery path -------------------------------------------------------

@@ -3,6 +3,7 @@
 // CQL execution against vector-backed tuple streams.
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -353,6 +354,52 @@ TEST(PhysicalBuilder, BuildsDifferenceIntersectAndPartitionedWindow) {
   ExpectBuildsLikeReference(IntersectOp(a, b), KeyedRows(), "intersect");
   ExpectBuildsLikeReference(ScanOp("s", schema, partitioned), KeyedRows(),
                             "partitioned-window");
+}
+
+// GROUP BY lowers to one group-aggregate node directly above its window,
+// which builds the flat `key ++ aggregates` rows itself: no map follows.
+// (The analyzer's SELECT-order projection sits above the grouping; it is
+// left out here.)
+TEST(PhysicalBuilder, GroupByBuildsOneNodeAboveItsWindow) {
+  QueryGraph graph;
+  cql::Catalog catalog;
+  const Schema schema({{"k", ValueType::kInt}, {"v", ValueType::kInt}});
+  auto& source = graph.Add<VectorSource<Tuple>>(KeyedRows(), "s", 3);
+  ASSERT_TRUE(catalog.RegisterStream("s", schema, &source).ok());
+  auto compiled = cql::Compile(
+      "SELECT k, SUM(v) AS total, COUNT(*) AS n FROM s "
+      "[RANGE 4 MILLISECONDS] GROUP BY k",
+      catalog);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ASSERT_EQ(compiled->plan->kind, LogicalOp::Kind::kProject);
+  const LogicalPlan grouping = compiled->plan->children[0];
+  ASSERT_EQ(grouping->kind, LogicalOp::Kind::kGroupAggregate);
+  const std::size_t nodes = graph.size();
+  PhysicalBuilder::BuildStats stats;
+  auto output =
+      PhysicalBuilder(&graph, &catalog).Build(grouping, nullptr, &stats);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+
+  EXPECT_EQ(stats.operators_created, 2u);
+  ASSERT_EQ(graph.size(), nodes + 2);
+  std::multiset<std::string> ops;
+  for (const Node* node : graph.nodes()) {
+    if (node != &source) ops.insert(node->Describe().op);
+  }
+  EXPECT_EQ(ops, (std::multiset<std::string>{"group-aggregate",
+                                             "time-window"}));
+  EXPECT_EQ((*output)->Describe().op, "group-aggregate");
+  EXPECT_EQ(source.num_subscribers(), 1u);
+
+  auto& sink = graph.Add<CollectorSink<Tuple>>();
+  (*output)->AddSubscriber(sink.input());
+  Drain(graph);
+  ASSERT_FALSE(sink.elements().empty());
+  for (const auto& e : sink.elements()) {
+    ASSERT_EQ(e.payload.arity(), 3u) << e.payload.ToString();
+    EXPECT_LT(e.payload.field(0).AsInt(), 3);  // the key comes first
+  }
+  ExpectBuildsLikeReference(grouping, KeyedRows(), "group-aggregate");
 }
 
 TEST(PhysicalBuilder, RejectsPartitionOnMissingField) {

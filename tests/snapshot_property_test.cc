@@ -293,6 +293,50 @@ TEST_P(SnapshotProperty, GroupedCountIsSnapshotEquivalent) {
       });
 }
 
+// Keys that go quiet for longer than any validity lose their group (every
+// segment finalized) and open a new one when they come back. With 24 keys
+// the removals reorder the group table by swap-and-pop.
+TEST_P(SnapshotProperty, GroupedSumSurvivesGroupChurn) {
+  Random rng(GetParam());
+  constexpr int kKeys = 24;
+  std::vector<StreamElement<int>> input;
+  Timestamp t = 0;
+  for (int phase = 0; phase < 8; ++phase) {
+    // A rotating third of the keys sits each phase (~60 ticks) out;
+    // validities last at most 10 ticks.
+    for (int i = 0; i < 40; ++i) {
+      t += rng.UniformInt(0, 3);
+      int key = static_cast<int>(rng.UniformInt(0, kKeys - 1));
+      if ((key + phase) % 3 == 0) key = (key + 1) % kKeys;
+      input.push_back(StreamElement<int>(
+          key * 100 + static_cast<int>(rng.UniformInt(0, 9)), t,
+          t + rng.UniformInt(1, 10)));
+    }
+  }
+
+  QueryGraph graph;
+  auto& source = graph.Add<VectorSource<int>>(input);
+  auto key = [](int v) { return v / 100; };
+  auto value = [](int v) { return v % 100; };
+  auto& agg = graph.Add<
+      GroupedAggregate<int, SumAgg<int>, decltype(key), decltype(value)>>(
+      key, value);
+  auto& sink = graph.Add<CollectorSink<std::pair<int, int>>>();
+  source.AddSubscriber(agg.input());
+  agg.AddSubscriber(sink.input());
+  DrainRandomized(graph, GetParam());
+
+  EXPECT_EQ(agg.num_groups(), 0u);
+  ExpectStartOrdered(sink.elements());
+  auto instants = CriticalInstants(input);
+  ExpectSnapshotsEqual<std::pair<int, int>>(
+      instants, sink.elements(), [&](Timestamp at) {
+        std::map<int, int> sums;
+        for (int v : SnapshotAt(input, at)) sums[key(v)] += value(v);
+        return std::vector<std::pair<int, int>>(sums.begin(), sums.end());
+      });
+}
+
 TEST_P(SnapshotProperty, DistinctIsSnapshotEquivalent) {
   Random rng(GetParam());
   RandomStreamOptions options;

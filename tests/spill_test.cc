@@ -163,7 +163,7 @@ TEST(SpillableHashSweepArea, DeferredProbeFindsSpilledMatches) {
   area.Query(probe, [&](const Elem& s) { hot.push_back(s.payload); });
   EXPECT_EQ(hot, (std::vector<std::int64_t>{4}));
   EXPECT_TRUE(area.HasPendingProbes());
-  EXPECT_EQ(area.MinPendingStart(), 10);
+  EXPECT_EQ(area.FirstPendingStart(), 10);
 
   std::vector<std::int64_t> deferred;
   area.ServicePendingProbes(
