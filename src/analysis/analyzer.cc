@@ -764,10 +764,8 @@ std::vector<Diagnostic> LintAssignment(const QueryGraph& graph,
   return lint.Take();
 }
 
-Result<std::vector<Diagnostic>> LintPlan(const optimizer::LogicalPlan& plan) {
-  if (plan == nullptr) {
-    return Status::InvalidArgument("LintPlan: null plan");
-  }
+Result<std::map<std::string, Node*>> MaterializePlan(
+    const optimizer::LogicalPlan& plan, QueryGraph* graph) {
   // Collect the distinct scanned streams (name -> schema).
   std::map<std::string, relational::Schema> scans;
   {
@@ -783,21 +781,28 @@ Result<std::vector<Diagnostic>> LintPlan(const optimizer::LogicalPlan& plan) {
       for (const auto& child : op->children) stack.push_back(child.get());
     }
   }
-  // Materialize into a scratch graph: synthetic empty sources per scan, the
-  // real lowering for everything else, a collector on the output — the lint
-  // subject is exactly the operator graph the plan would run.
-  QueryGraph graph;
+  std::map<std::string, Node*> sources;
   cql::Catalog catalog;
   for (const auto& [name, schema] : scans) {
-    auto& source = graph.Add<VectorSource<relational::Tuple>>(
+    auto& source = graph->Add<VectorSource<relational::Tuple>>(
         std::vector<StreamElement<relational::Tuple>>{}, name);
     PIPES_RETURN_IF_ERROR(catalog.RegisterStream(name, schema, &source));
+    sources.emplace(name, &source);
   }
-  optimizer::PhysicalBuilder builder(&graph, &catalog);
+  optimizer::PhysicalBuilder builder(graph, &catalog);
   PIPES_ASSIGN_OR_RETURN(Source<relational::Tuple>* output,
                          builder.Build(plan));
-  auto& sink = graph.Add<CollectorSink<relational::Tuple>>("plan-output");
+  auto& sink = graph->Add<CollectorSink<relational::Tuple>>("plan-output");
   output->AddSubscriber(sink.input());
+  return sources;
+}
+
+Result<std::vector<Diagnostic>> LintPlan(const optimizer::LogicalPlan& plan) {
+  if (plan == nullptr) {
+    return Status::InvalidArgument("LintPlan: null plan");
+  }
+  QueryGraph graph;
+  PIPES_RETURN_IF_ERROR(MaterializePlan(plan, &graph).status());
   return Lint(graph);
 }
 

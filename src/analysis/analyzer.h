@@ -2,6 +2,7 @@
 #define PIPES_ANALYSIS_ANALYZER_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -73,10 +74,18 @@ std::vector<Diagnostic> LintAssignment(const QueryGraph& graph,
                                        const std::vector<int>& assignment,
                                        int num_workers);
 
-/// Lints a logical plan by materializing it into a scratch graph (with
-/// synthetic, empty sources per scan and a collector on the output) and
-/// linting that — so plan-level analysis sees exactly the operators the
-/// plan would run. Fails if the plan cannot be instantiated.
+/// Materializes a non-null logical plan into `graph` for static analysis:
+/// an empty `VectorSource` per scanned stream, bound in a scratch catalog,
+/// `optimizer::PhysicalBuilder` for every operator, and a "plan-output"
+/// collector on the output — exactly the operators the plan would run.
+/// Returns the sources by stream name. Fails if the plan cannot be
+/// instantiated.
+Result<std::map<std::string, Node*>> MaterializePlan(
+    const optimizer::LogicalPlan& plan, QueryGraph* graph);
+
+/// Lints a logical plan by materializing it into a scratch graph
+/// (`MaterializePlan`) and linting that. Fails if the plan cannot be
+/// instantiated.
 Result<std::vector<Diagnostic>> LintPlan(const optimizer::LogicalPlan& plan);
 
 /// `FromXml` + `LintPlan`: the CLI path for stored plan documents.

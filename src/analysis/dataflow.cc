@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cmath>
 #include <deque>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -15,12 +14,9 @@
 #include <vector>
 
 #include "src/core/descriptor.h"
-#include "src/core/generator_source.h"
 #include "src/core/node.h"
-#include "src/core/sink.h"
 #include "src/cql/catalog.h"
 #include "src/optimizer/cost.h"
-#include "src/optimizer/physical.h"
 #include "src/relational/tuple.h"
 
 namespace pipes::analysis {
@@ -686,27 +682,9 @@ Result<DataflowResult> AnalyzeDataflowPlan(const optimizer::LogicalPlan& plan,
   if (plan == nullptr) {
     return Status::InvalidArgument("AnalyzeDataflowPlan: null plan");
   }
-  // Collect the distinct scanned streams (name -> schema), as LintPlan does.
-  std::map<std::string, relational::Schema> scans;
-  {
-    std::vector<const optimizer::LogicalOp*> stack{plan.get()};
-    std::unordered_set<const optimizer::LogicalOp*> visited;
-    while (!stack.empty()) {
-      const optimizer::LogicalOp* op = stack.back();
-      stack.pop_back();
-      if (!visited.insert(op).second) continue;
-      if (op->kind == optimizer::LogicalOp::Kind::kStreamScan) {
-        scans.emplace(op->stream_name, op->schema);
-      }
-      for (const auto& child : op->children) stack.push_back(child.get());
-    }
-  }
   QueryGraph graph;
-  cql::Catalog scratch;
-  for (const auto& [name, schema] : scans) {
-    auto& source = graph.Add<VectorSource<relational::Tuple>>(
-        std::vector<StreamElement<relational::Tuple>>{}, name);
-    PIPES_RETURN_IF_ERROR(scratch.RegisterStream(name, schema, &source));
+  PIPES_ASSIGN_OR_RETURN(const auto sources, MaterializePlan(plan, &graph));
+  for (const auto& [name, source] : sources) {
     // The scratch source stands in for an unbounded registered stream: its
     // empty backing vector must not masquerade as a finite feed. Seed the
     // rate contract from the catalog hint (elements/second -> per ms).
@@ -716,14 +694,9 @@ Result<DataflowResult> AnalyzeDataflowPlan(const optimizer::LogicalPlan& plan,
         hint = (*looked)->rate_hint;
       }
     }
-    source.metadata().SetGauge(kGaugeTotalElements, -1);
-    source.metadata().SetGauge(kGaugeRatePerUnit, hint / 1000.0);
+    source->metadata().SetGauge(kGaugeTotalElements, -1);
+    source->metadata().SetGauge(kGaugeRatePerUnit, hint / 1000.0);
   }
-  optimizer::PhysicalBuilder builder(&graph, &scratch);
-  PIPES_ASSIGN_OR_RETURN(Source<relational::Tuple>* output,
-                         builder.Build(plan));
-  auto& sink = graph.Add<CollectorSink<relational::Tuple>>("plan-output");
-  output->AddSubscriber(sink.input());
 
   DataflowResult result = AnalyzeDataflow(graph);
 

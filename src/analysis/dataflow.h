@@ -153,11 +153,12 @@ struct DataflowResult {
 /// metadata gauges named "dataflow.<field>" (value -1 = unknown).
 DataflowResult AnalyzeDataflow(const QueryGraph& graph);
 
-/// Plan-level analysis: materializes the plan into a scratch graph (the
-/// same lowering `LintPlan` uses), seeds the synthetic sources from the
-/// catalog's rate hints (`rate_hint` per second -> elements per ms, total
-/// unknown: registered streams are unbounded feeds), analyzes it, and
-/// cross-checks the root rate bound against `optimizer::CostModel`.
+/// Plan-level analysis: materializes the plan into a scratch graph
+/// (`MaterializePlan`, as `LintPlan` does), seeds the synthetic sources
+/// from the catalog's rate hints (`rate_hint` per second -> elements per
+/// ms, total unknown: registered streams are unbounded feeds), analyzes
+/// it, and cross-checks the root rate bound against
+/// `optimizer::CostModel`.
 /// `catalog` supplies rate hints; nullptr uses the default hint.
 Result<DataflowResult> AnalyzeDataflowPlan(const optimizer::LogicalPlan& plan,
                                            const cql::Catalog* catalog = nullptr);

@@ -1,6 +1,9 @@
 #include "src/optimizer/physical.h"
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "src/algebra/aggregate.h"
@@ -10,6 +13,7 @@
 #include "src/algebra/intersect.h"
 #include "src/algebra/join.h"
 #include "src/algebra/map.h"
+#include "src/algebra/parallel.h"
 #include "src/algebra/relation_to_stream.h"
 #include "src/algebra/union.h"
 #include "src/algebra/window.h"
@@ -18,6 +22,150 @@
 namespace pipes::optimizer {
 
 using relational::Tuple;
+
+namespace {
+
+// --- Runtime parameter functors ---------------------------------------------
+
+/// Truthiness of a compiled expression, as a filter predicate.
+struct ExprPredicate {
+  relational::ExprPtr expr;
+  bool operator()(const Tuple& t) const { return expr->Eval(t).Truthy(); }
+};
+
+/// Evaluates a projection list.
+struct ExprProjector {
+  std::vector<relational::ExprPtr> exprs;
+  Tuple operator()(const Tuple& t) const {
+    std::vector<relational::Value> values;
+    values.reserve(exprs.size());
+    for (const auto& expr : exprs) values.push_back(expr->Eval(t));
+    return Tuple(std::move(values));
+  }
+};
+
+/// Projects the key fields of a tuple (join/grouping keys).
+struct FieldsKey {
+  std::vector<std::size_t> fields;
+  Tuple operator()(const Tuple& t) const { return t.Project(fields); }
+};
+
+/// Concatenation: the join combiner, and the grouped aggregate's `Combine`
+/// (group key ++ aggregate values).
+struct TupleConcatCombine {
+  Tuple operator()(const Tuple& l, const Tuple& r) const { return l.Concat(r); }
+};
+
+/// The whole tuple (aggregate values, distinct keys).
+struct TupleIdentity {
+  const Tuple& operator()(const Tuple& t) const { return t; }
+};
+
+/// Theta-join predicate evaluated over the concatenated pair.
+struct ConcatPredicate {
+  relational::ExprPtr expr;  // null = cross product
+  bool operator()(const Tuple& l, const Tuple& r) const {
+    if (expr == nullptr) return true;
+    return expr->Eval(l.Concat(r)).Truthy();
+  }
+};
+
+// --- Packed rows for spillable joins ----------------------------------------
+
+/// Up to four non-string values in a trivially copyable row: the form a
+/// spillable SweepArea can page to disk (the spill tier writes payloads
+/// raw).
+struct PackedRow {
+  static constexpr std::size_t kMaxFields = 4;
+  std::size_t arity = 0;
+  std::array<relational::ValueType, kMaxFields> types{};
+  std::array<std::uint64_t, kMaxFields> bits{};
+};
+
+bool Packable(const relational::Schema& schema) {
+  if (schema.arity() > PackedRow::kMaxFields) return false;
+  for (const auto& field : schema.fields()) {
+    if (field.type == relational::ValueType::kString) return false;
+  }
+  return true;
+}
+
+struct Pack {
+  PackedRow operator()(const Tuple& t) const {
+    PIPES_CHECK(t.arity() <= PackedRow::kMaxFields);
+    PackedRow row;
+    row.arity = t.arity();
+    for (std::size_t i = 0; i < t.arity(); ++i) {
+      const relational::Value& v = t.field(i);
+      row.types[i] = v.type();
+      if (v.type() == relational::ValueType::kInt) {
+        row.bits[i] = static_cast<std::uint64_t>(v.AsInt());
+      } else if (v.type() == relational::ValueType::kDouble) {
+        const double d = v.AsDouble();
+        std::memcpy(&row.bits[i], &d, sizeof d);
+      } else if (v.type() == relational::ValueType::kBool) {
+        row.bits[i] = v.AsBool() ? 1 : 0;
+      } else {
+        PIPES_CHECK_MSG(v.is_null(), "strings do not pack");
+      }
+    }
+    return row;
+  }
+};
+
+Tuple Unpack(const PackedRow& row) {
+  std::vector<relational::Value> values(row.arity);
+  for (std::size_t i = 0; i < row.arity; ++i) {
+    double d = 0;
+    std::memcpy(&d, &row.bits[i], sizeof d);
+    if (row.types[i] == relational::ValueType::kInt) {
+      values[i] = relational::Value(static_cast<std::int64_t>(row.bits[i]));
+    } else if (row.types[i] == relational::ValueType::kDouble) {
+      values[i] = relational::Value(d);
+    } else if (row.types[i] == relational::ValueType::kBool) {
+      values[i] = relational::Value(row.bits[i] != 0);
+    }
+  }
+  return Tuple(std::move(values));
+}
+
+struct PackedKey {
+  std::vector<std::size_t> fields;
+  Tuple operator()(const PackedRow& row) const {
+    return Unpack(row).Project(fields);
+  }
+};
+
+struct PackedConcat {
+  Tuple operator()(const PackedRow& l, const PackedRow& r) const {
+    return Unpack(l).Concat(Unpack(r));
+  }
+};
+
+/// Stateful tuple operators declare per-element state bytes in terms of
+/// sizeof(Tuple), which misses the heap the schema's values occupy. Stamps
+/// a schema-based estimate on the stateful ones among `nodes` as the
+/// `dataflow.bytes_per_element` gauge, so the abstract interpreter
+/// (src/analysis/dataflow.h) bounds real retention.
+void StampStateBytes(const std::vector<Node*>& nodes,
+                     const relational::Schema& schema) {
+  const std::size_t tuple_bytes =
+      sizeof(Tuple) + schema.fields().size() * (sizeof(relational::Value) + 16);
+  for (Node* node : nodes) {
+    const NodeDescriptor desc = node->Describe();
+    if (desc.dataflow.state_bytes_per_element == 0 && !desc.blocking) {
+      continue;
+    }
+    // Mirror the template formulas' shape conservatively: up to two
+    // retained copies per input element, each with key/boundary overhead.
+    node->metadata().SetGauge(
+        "dataflow.bytes_per_element",
+        static_cast<double>(2 * (tuple_bytes + 64) +
+                            desc.dataflow.state_bytes_per_element));
+  }
+}
+
+}  // namespace
 
 void TupleAggPolicy::Add(State& state, const Tuple& tuple) const {
   PIPES_DCHECK(state.size() == specs_.size());
@@ -110,27 +258,10 @@ Tuple TupleAggPolicy::Result(const State& state) const {
   return Tuple(std::move(values));
 }
 
-void StampStateBytes(const std::vector<Node*>& nodes,
-                     const relational::Schema& schema) {
-  const std::size_t tuple_bytes =
-      sizeof(Tuple) + schema.fields().size() * (sizeof(relational::Value) + 16);
-  for (Node* node : nodes) {
-    const NodeDescriptor desc = node->Describe();
-    if (desc.dataflow.state_bytes_per_element == 0 && !desc.blocking) {
-      continue;
-    }
-    // Mirror the template formulas' shape conservatively: up to two
-    // retained copies per input element, each with key/boundary overhead.
-    node->metadata().SetGauge(
-        "dataflow.bytes_per_element",
-        static_cast<double>(2 * (tuple_bytes + 64) +
-                            desc.dataflow.state_bytes_per_element));
-  }
-}
-
 PhysicalBuilder::PhysicalBuilder(QueryGraph* graph,
-                                 const cql::Catalog* catalog)
-    : graph_(graph), catalog_(catalog) {
+                                 const cql::Catalog* catalog,
+                                 PhysicalOptions options)
+    : graph_(graph), catalog_(catalog), options_(options) {
   PIPES_CHECK(graph != nullptr && catalog != nullptr);
 }
 
@@ -339,6 +470,31 @@ Result<Source<Tuple>*> PhysicalBuilder::BuildNode(
     created(op);
     entry.output = &op;
   };
+  // Records every node of a replicated stage; its merge becomes the output.
+  const auto replicated = [&](const auto& chain) {
+    for (Node* splitter : chain.splitters) created(*splitter);
+    created(*chain.merge);
+    for (std::size_t i = 0; i < chain.replicas.size(); ++i) {
+      for (Node* buffer : chain.replica_inputs[i]) created(*buffer);
+      created(*chain.replicas[i]);
+      created(*chain.replica_outputs[i]);
+    }
+    entry.output = chain.output;
+  };
+  // Wires the key-partitionable operator `Op(args...)` below `from`, or,
+  // with more than one replica, that many replicas of it between a
+  // Partition routed by `key()` and a Merge.
+  const auto keyed = [&]<typename Op>(std::type_identity<Op>, auto* from,
+                                      const auto& key, auto&&... args) {
+    if (options_.replicas <= 1) {
+      unary(from, graph_->Add<Op>(std::forward<decltype(args)>(args)...));
+      return;
+    }
+    auto chain = algebra::MakeKeyedParallel<Op>(*graph_, options_.replicas,
+                                                key(), args...);
+    subscribe(from, *chain.input);
+    replicated(chain);
+  };
 
   switch (plan->kind) {
     case LogicalOp::Kind::kStreamScan: {
@@ -371,12 +527,13 @@ Result<Source<Tuple>*> PhysicalBuilder::BuildNode(
           unary(source, graph_->Add<algebra::UnboundedWindow<Tuple>>(
                             "unbounded-window(" + stream + ")"));
           break;
-        case WindowKind::kPartitionedRows:
-          unary(source,
-                graph_->Add<algebra::PartitionedWindow<Tuple, FieldsKey>>(
-                    FieldsKey{w.partition}, w.rows,
-                    "partitioned-window(" + stream + ")"));
+        case WindowKind::kPartitionedRows: {
+          using Partitioned = algebra::PartitionedWindow<Tuple, FieldsKey>;
+          keyed(std::type_identity<Partitioned>{}, source,
+                [&] { return FieldsKey{w.partition}; }, FieldsKey{w.partition},
+                w.rows, "partitioned-window(" + stream + ")");
           break;
+        }
       }
       break;
     }
@@ -405,8 +562,36 @@ Result<Source<Tuple>*> PhysicalBuilder::BuildNode(
         left_key.fields.push_back(l);
         right_key.fields.push_back(r);
       }
-      binary(graph_->Add(algebra::MakeHashJoin<Tuple, Tuple>(
-          left_key, right_key, TupleConcatCombine{}, "hash-join")));
+      if (options_.replicas > 1) {
+        auto chain = algebra::MakeParallelHashJoin<Tuple, Tuple>(
+            *graph_, options_.replicas, std::move(left_key),
+            std::move(right_key), TupleConcatCombine{}, "hash-join");
+        subscribe(in[0], *chain.left);
+        subscribe(in[1], *chain.right);
+        replicated(chain);
+      } else if (options_.spillable_joins &&
+                 Packable(plan->children[0]->schema) &&
+                 Packable(plan->children[1]->schema)) {
+        using PackMap = algebra::Map<Tuple, PackedRow, Pack>;
+        auto& pack_left = graph_->Add<PackMap>(Pack{}, "pack-left");
+        auto& pack_right = graph_->Add<PackMap>(Pack{}, "pack-right");
+        auto& join = graph_->Add(
+            algebra::MakeSpillableHashJoin<PackedRow, PackedRow>(
+                PackedKey{std::move(left_key.fields)},
+                PackedKey{std::move(right_key.fields)}, PackedConcat{},
+                "spill-hash-join"));
+        subscribe(in[0], pack_left.input());
+        subscribe(in[1], pack_right.input());
+        subscribe(&pack_left, join.left());
+        subscribe(&pack_right, join.right());
+        created(pack_left);
+        created(pack_right);
+        created(join);
+        entry.output = &join;
+      } else {
+        binary(graph_->Add(algebra::MakeHashJoin<Tuple, Tuple>(
+            left_key, right_key, TupleConcatCombine{}, "hash-join")));
+      }
       if (plan->predicate != nullptr) {
         unary(entry.output, graph_->Add<algebra::Filter<Tuple, ExprPredicate>>(
                                 ExprPredicate{plan->predicate},
@@ -419,15 +604,16 @@ Result<Source<Tuple>*> PhysicalBuilder::BuildNode(
       using Grouped =
           algebra::GroupedAggregate<Tuple, TupleAggPolicy, FieldsKey,
                                     TupleIdentity, TupleConcatCombine>;
-      unary(in[0], graph_->Add<Grouped>(
-                       FieldsKey{plan->group_fields}, TupleIdentity{},
-                       "group-aggregate", TupleAggPolicy(plan->aggs),
-                       TupleConcatCombine{}));
+      keyed(std::type_identity<Grouped>{}, in[0],
+            [&] { return FieldsKey{plan->group_fields}; },
+            FieldsKey{plan->group_fields}, TupleIdentity{}, "group-aggregate",
+            TupleAggPolicy(plan->aggs), TupleConcatCombine{});
       break;
     }
 
     case LogicalOp::Kind::kDistinct:
-      unary(in[0], graph_->Add<algebra::Distinct<Tuple>>("distinct"));
+      keyed(std::type_identity<algebra::Distinct<Tuple>>{}, in[0],
+            [] { return TupleIdentity{}; }, "distinct");
       break;
     case LogicalOp::Kind::kUnion:
       binary(graph_->Add<algebra::Union<Tuple>>("union"));

@@ -14,73 +14,20 @@
 #include "src/core/source.h"
 #include "src/cql/catalog.h"
 #include "src/optimizer/logical_plan.h"
-#include "src/relational/expression.h"
 #include "src/relational/tuple.h"
 
 /// \file
-/// Physical plan instantiation: lowers a (normalized) logical plan into
-/// operators of the generic algebra over `Tuple` payloads and subscribes
-/// them into the running query graph. When a subplan-signature registry is
-/// supplied, structurally identical subplans are *shared* — new queries
-/// graft onto the running graph through the publish-subscribe architecture
-/// instead of rebuilding common work (multi-query optimization).
+/// Physical plan instantiation, the one lowering of `LogicalPlan`: lowers a
+/// (normalized) logical plan into operators of the generic algebra over
+/// `Tuple` payloads and subscribes them into the running query graph. When
+/// a subplan-signature registry is supplied, structurally identical
+/// subplans are *shared* — new queries graft onto the running graph through
+/// the publish-subscribe architecture instead of rebuilding common work
+/// (multi-query optimization). `PhysicalOptions` chooses between the plain
+/// physical forms and two others: keyed replicas of the key-partitionable
+/// operators, and equi-joins whose state can spill to disk.
 
 namespace pipes::optimizer {
-
-// --- Runtime parameter functors (also reusable in tests/examples) -----------
-
-/// Truthiness of a compiled expression, as a filter predicate.
-struct ExprPredicate {
-  relational::ExprPtr expr;
-  bool operator()(const relational::Tuple& t) const {
-    return expr->Eval(t).Truthy();
-  }
-};
-
-/// Evaluates a projection list.
-struct ExprProjector {
-  std::vector<relational::ExprPtr> exprs;
-  relational::Tuple operator()(const relational::Tuple& t) const {
-    std::vector<relational::Value> values;
-    values.reserve(exprs.size());
-    for (const auto& expr : exprs) values.push_back(expr->Eval(t));
-    return relational::Tuple(std::move(values));
-  }
-};
-
-/// Projects the key fields of a tuple (join/grouping keys).
-struct FieldsKey {
-  std::vector<std::size_t> fields;
-  relational::Tuple operator()(const relational::Tuple& t) const {
-    return t.Project(fields);
-  }
-};
-
-/// Concatenation: the join combiner, and the grouped aggregate's `Combine`
-/// (group key ++ aggregate values).
-struct TupleConcatCombine {
-  relational::Tuple operator()(const relational::Tuple& l,
-                               const relational::Tuple& r) const {
-    return l.Concat(r);
-  }
-};
-
-/// The whole tuple (aggregate values, distinct keys).
-struct TupleIdentity {
-  const relational::Tuple& operator()(const relational::Tuple& t) const {
-    return t;
-  }
-};
-
-/// Theta-join predicate evaluated over the concatenated pair.
-struct ConcatPredicate {
-  relational::ExprPtr expr;  // null = cross product
-  bool operator()(const relational::Tuple& l,
-                  const relational::Tuple& r) const {
-    if (expr == nullptr) return true;
-    return expr->Eval(l.Concat(r)).Truthy();
-  }
-};
 
 /// Runtime-parameterized aggregation policy over tuples: one accumulator
 /// per `AggSpec`. Plugs into the same sweep-line machinery as the static
@@ -117,15 +64,6 @@ class TupleAggPolicy {
   std::vector<AggSpec> specs_;
 };
 
-/// Stateful tuple operators declare per-element state bytes in terms of
-/// sizeof(Tuple), which misses the heap the schema's values occupy. Stamps
-/// a schema-based estimate on the stateful ones among `nodes` as the
-/// `dataflow.bytes_per_element` gauge, so the abstract interpreter
-/// (src/analysis/dataflow.h) bounds real retention. Every lowering of a
-/// plan node with output `schema` calls it on the nodes it created.
-void StampStateBytes(const std::vector<Node*>& nodes,
-                     const relational::Schema& schema);
-
 /// One instantiated subplan, keyed by its logical signature. Besides the
 /// output to subscribe to, it carries what dynamic *removal* needs: the
 /// nodes created for it, closures that detach them from their upstreams,
@@ -139,6 +77,21 @@ struct SubplanEntry {
 
 using SubplanMap = std::map<std::string, SubplanEntry>;
 
+/// Which physical form the builder gives an operator. Signatures do not
+/// record it, so a registry is shared only among builders with equal
+/// options.
+struct PhysicalOptions {
+  /// Keyed replicas of each grouped aggregate, `DISTINCT`, partitioned-rows
+  /// window and equi-join (`algebra::MakeKeyedParallel` /
+  /// `MakeParallelHashJoin`); 1 builds them unreplicated.
+  std::size_t replicas = 1;
+  /// Build unreplicated equi-joins whose inputs hold at most four
+  /// non-string fields with spillable SweepAreas (`MakeSpillableHashJoin`
+  /// over a trivially copyable packing of the rows), so a memory squeeze
+  /// pages join state to disk instead of shedding it.
+  bool spillable_joins = false;
+};
+
 /// Lowers logical plans into the graph.
 class PhysicalBuilder {
  public:
@@ -148,7 +101,8 @@ class PhysicalBuilder {
   };
 
   /// `graph` receives the operators; `catalog` resolves scan sources.
-  PhysicalBuilder(QueryGraph* graph, const cql::Catalog* catalog);
+  PhysicalBuilder(QueryGraph* graph, const cql::Catalog* catalog,
+                  PhysicalOptions options = {});
 
   /// Instantiates `plan` and returns its output. Subplans whose signature
   /// is present in `registry` are reused; new ones are recorded there.
@@ -168,6 +122,7 @@ class PhysicalBuilder {
 
   QueryGraph* graph_;
   const cql::Catalog* catalog_;
+  PhysicalOptions options_;
 };
 
 }  // namespace pipes::optimizer

@@ -81,6 +81,9 @@ class PlanManager {
   const cql::Catalog* catalog_;
   bool sharing_;
   Optimizer optimizer_;
+  // Default `PhysicalOptions`: the engine builds every operator unreplicated
+  // and without spilling, so `UninstallQuery` never meets a replicated or
+  // packed subplan.
   PhysicalBuilder builder_;
   SubplanMap registry_;
   std::map<std::uint64_t, QueryRecord> queries_;

@@ -26,7 +26,6 @@
 #include "src/optimizer/plan_manager.h"
 #include "src/scheduler/executor.h"
 #include "src/scheduler/strategy.h"
-#include "src/testing/lowering.h"
 
 namespace pipes::testing::conformance {
 
@@ -908,8 +907,10 @@ Result<IntervalTable> RunKeyedParallelArm(const CorpusCase& c,
   // joins into hash joins MakeParallelHashJoin can replicate.
   const optimizer::Optimizer optimizer(&catalog);
   const LogicalPlan plan = optimizer.Optimize(compiled.plan).plan;
-  PIPES_ASSIGN_OR_RETURN(Source<Tuple>* output,
-                         LowerKeyed(graph, catalog, plan));
+  PIPES_ASSIGN_OR_RETURN(
+      Source<Tuple>* output,
+      optimizer::PhysicalBuilder(&graph, &catalog, {.replicas = 2})
+          .Build(plan));
   auto& sink = graph.Add<CollectorSink<Tuple>>("conformance-sink");
   output->AddSubscriber(sink.input());
   scheduler::RoundRobinStrategy strategy;

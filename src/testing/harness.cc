@@ -24,7 +24,6 @@
 #include "src/scheduler/fusion.h"
 #include "src/scheduler/strategy.h"
 #include "src/testing/conformance.h"
-#include "src/testing/lowering.h"
 
 namespace pipes::testing {
 
@@ -105,7 +104,7 @@ bool Monotone(const LogicalPlan& plan) {
   });
 }
 
-/// Operators the keyed lowering replicates.
+/// Operators `PhysicalBuilder` replicates when asked for replicas.
 bool Partitionable(const LogicalPlan& plan) {
   return Any(plan, [](const LogicalOp& op) {
     return (op.kind == LogicalOp::Kind::kJoin && !op.equi_keys.empty()) ||
@@ -232,8 +231,8 @@ struct Arm {
   std::uint64_t buffer_seed = 0;
   double buffer_prob = 0.0;
   std::size_t buffer_capacity = 0;
-  /// Lower through the keyed-parallel lowering instead of PhysicalBuilder.
-  std::optional<KeyedLowering> keyed{};
+  /// The physical forms `PhysicalBuilder` gives the plan's operators.
+  optimizer::PhysicalOptions physical{};
   int strategy_id = 0;
   std::uint64_t strategy_seed = 0;
   std::size_t batch_size = 1;
@@ -301,14 +300,8 @@ Result<std::unique_ptr<Bound>> Bind(const FuzzCase& c, const LogicalPlan& plan,
         b->catalog.RegisterStream(name, StreamSchema(), source));
   }
 
-  Source<Tuple>* tail = nullptr;
-  if (arm.keyed.has_value()) {
-    PIPES_ASSIGN_OR_RETURN(tail,
-                           LowerKeyed(b->graph, b->catalog, plan, *arm.keyed));
-  } else {
-    optimizer::PhysicalBuilder builder(&b->graph, &b->catalog);
-    PIPES_ASSIGN_OR_RETURN(tail, builder.Build(plan));
-  }
+  optimizer::PhysicalBuilder builder(&b->graph, &b->catalog, arm.physical);
+  PIPES_ASSIGN_OR_RETURN(Source<Tuple>* tail, builder.Build(plan));
   if (canary != CanaryKind::kNone) {
     auto& pipe = b->graph.Add<CanaryPipe>(canary);
     tail->AddSubscriber(pipe.input());
@@ -686,7 +679,7 @@ CaseResult RunCaseOn(const FuzzCase& c, std::uint64_t schedule_seed,
   }
   if (options.check_parallel && Partitionable(c.plan)) {
     arms.push_back({.name = "parallel",
-                    .keyed = KeyedLowering{2 + rng.NextBounded(2), false},
+                    .physical = {.replicas = 2 + rng.NextBounded(2)},
                     .batch_size = 8});
   }
   if (FaultEnabled(options.fault_mix, "overflow")) {
@@ -711,7 +704,7 @@ CaseResult RunCaseOn(const FuzzCase& c, std::uint64_t schedule_seed,
     // carry spillable SweepAreas, so pressure resolves to disk runs instead
     // of shedding and the strict comparison still applies (not lossy).
     arms.push_back({.name = "fault-spill",
-                    .keyed = KeyedLowering{1, true},
+                    .physical = {.spillable_joins = true},
                     .batch_size = 4,
                     .squeeze_memory = true});
   }

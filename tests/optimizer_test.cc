@@ -2,8 +2,10 @@
 // physical instantiation, and multi-query sharing — including end-to-end
 // CQL execution against vector-backed tuple streams.
 
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -299,17 +301,18 @@ TEST_F(EndToEnd, InstallFailsForUnknownStream) {
 
 // --- The operators without CQL syntax ---------------------------------------
 
-/// `plan` built by PhysicalBuilder over `rows` bound as stream `s (k, v)`,
-/// drained, and compared with the reference evaluator.
+/// `plan` built by PhysicalBuilder with `options` over `rows` bound as
+/// stream `s (k, v)`, drained, and compared with the reference evaluator.
 void ExpectBuildsLikeReference(
     const LogicalPlan& plan,
-    const std::vector<StreamElement<Tuple>>& rows, const char* op) {
+    const std::vector<StreamElement<Tuple>>& rows, const char* op,
+    const PhysicalOptions& options = {}) {
   QueryGraph graph;
   cql::Catalog catalog;
   const Schema schema({{"k", ValueType::kInt}, {"v", ValueType::kInt}});
   auto& source = graph.Add<VectorSource<Tuple>>(rows, "s", 3);
   ASSERT_TRUE(catalog.RegisterStream("s", schema, &source).ok());
-  auto output = PhysicalBuilder(&graph, &catalog).Build(plan);
+  auto output = PhysicalBuilder(&graph, &catalog, options).Build(plan);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
   auto& sink = graph.Add<CollectorSink<Tuple>>();
   (*output)->AddSubscriber(sink.input());
@@ -419,6 +422,180 @@ TEST(PhysicalBuilder, RejectsPartitionOnMissingField) {
   ASSERT_FALSE(output.ok());
   EXPECT_EQ(output.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(graph.size(), nodes);
+}
+
+
+WindowSpec RangeWindow(Timestamp range) {
+  WindowSpec w;
+  w.kind = WindowKind::kRange;
+  w.range = range;
+  return w;
+}
+
+WindowSpec PartitionedWindow(std::size_t rows, std::size_t field) {
+  WindowSpec w;
+  w.kind = WindowKind::kPartitionedRows;
+  w.rows = rows;
+  w.partition = {field};
+  return w;
+}
+
+// With replicas, each key-partitionable operator becomes that many replicas
+// between one Partition per input and one Merge, and every node of the
+// chains counts as created.
+TEST(PhysicalBuilder, ReplicatesKeyPartitionableOperators) {
+  const Schema schema({{"k", ValueType::kInt}, {"v", ValueType::kInt}});
+  const LogicalPlan join =
+      JoinOp(ScanOp("s", schema, PartitionedWindow(2, 1)),
+             ScanOp("s", schema, RangeWindow(4)), {{0, 0}}, nullptr);
+  const LogicalPlan plan = DistinctOp(GroupAggregateOp(
+      join, {0}, {AggSpec{AggKind::kSum, MakeField(1, "v"), "total"}}));
+
+  QueryGraph graph;
+  cql::Catalog catalog;
+  auto& source = graph.Add<VectorSource<Tuple>>(KeyedRows(), "s", 3);
+  ASSERT_TRUE(catalog.RegisterStream("s", schema, &source).ok());
+  const std::size_t nodes = graph.size();
+  PhysicalBuilder::BuildStats stats;
+  auto output = PhysicalBuilder(&graph, &catalog, {.replicas = 3})
+                    .Build(plan, nullptr, &stats);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  EXPECT_EQ(stats.operators_created, graph.size() - nodes);
+
+  // Per replicated operator: its replicas, and the Partition and Merge
+  // nodes reached through their input and output buffers.
+  struct Stage {
+    std::size_t replicas = 0;
+    std::set<const Node*> partitions;
+    std::set<const Node*> merges;
+  };
+  std::map<std::string, Stage> stages;
+  for (const Node* node : graph.nodes()) {
+    const std::string op = node->Describe().op;
+    if (op != "partitioned-window" && op != "hash-join" &&
+        op != "group-aggregate" && op != "distinct") {
+      continue;
+    }
+    Stage& stage = stages[op];
+    ++stage.replicas;
+    for (const Node* buffer : node->upstream()) {
+      EXPECT_EQ(buffer->Describe().op, "buffer") << node->name();
+      for (const Node* split : buffer->upstream()) {
+        EXPECT_EQ(split->Describe().op, "partition") << node->name();
+        stage.partitions.insert(split);
+      }
+    }
+    for (const Node* buffer : node->downstream()) {
+      EXPECT_EQ(buffer->Describe().op, "buffer") << node->name();
+      for (const Node* merge : buffer->downstream()) {
+        EXPECT_EQ(merge->Describe().op, "merge") << node->name();
+        stage.merges.insert(merge);
+      }
+    }
+  }
+  ASSERT_EQ(stages.size(), 4u);
+  for (const auto& [op, stage] : stages) {
+    EXPECT_EQ(stage.replicas, 3u) << op;
+    EXPECT_EQ(stage.partitions.size(), op == "hash-join" ? 2u : 1u) << op;
+    EXPECT_EQ(stage.merges.size(), 1u) << op;
+  }
+  EXPECT_EQ((*output)->Describe().op, "merge");
+  ExpectBuildsLikeReference(plan, KeyedRows(), "merge", {.replicas = 3});
+}
+
+// With spillable joins, an equi-join whose inputs pack into at most four
+// INT/DOUBLE/BOOL fields keeps its state in spillable SweepAreas; a STRING
+// column, a fifth column or replication keeps the plain hash join.
+TEST(PhysicalBuilder, SpillableJoinsOnlyForPackableRows) {
+  const Schema packable({{"k", ValueType::kInt},
+                         {"x", ValueType::kDouble},
+                         {"b", ValueType::kBool},
+                         {"v", ValueType::kInt}});
+  const Schema with_string({{"k", ValueType::kInt},
+                            {"name", ValueType::kString}});
+  const Schema wide({{"k", ValueType::kInt},
+                     {"a", ValueType::kInt},
+                     {"b", ValueType::kInt},
+                     {"c", ValueType::kInt},
+                     {"d", ValueType::kInt}});
+  QueryGraph graph;
+  cql::Catalog catalog;
+  for (const auto& [name, schema] :
+       {std::pair{"p", packable}, std::pair{"str", with_string},
+        std::pair{"wide", wide}}) {
+    auto& source = graph.Add<VectorSource<Tuple>>(
+        std::vector<StreamElement<Tuple>>{}, name);
+    ASSERT_TRUE(catalog.RegisterStream(name, schema, &source).ok());
+  }
+  // The ops of the nodes built for `p` joined with `right` on `k`.
+  const auto join_ops = [&](const PhysicalOptions& options,
+                            const LogicalPlan& right) {
+    const std::size_t before = graph.size();
+    auto output = PhysicalBuilder(&graph, &catalog, options)
+                      .Build(JoinOp(ScanOp("p", packable, RangeWindow(4)),
+                                    right, {{0, 0}}, nullptr));
+    EXPECT_TRUE(output.ok()) << output.status().ToString();
+    std::multiset<std::string> ops;
+    const std::vector<Node*> nodes = graph.nodes();
+    for (std::size_t i = before; i < nodes.size(); ++i) {
+      ops.insert(nodes[i]->Describe().op);
+    }
+    return ops;
+  };
+  const PhysicalOptions spill{.spillable_joins = true};
+  EXPECT_EQ(join_ops(spill, ScanOp("p", packable, RangeWindow(2))),
+            (std::multiset<std::string>{"time-window", "time-window", "map",
+                                        "map", "spill-hash-join"}));
+  EXPECT_EQ(join_ops(spill, ScanOp("str", with_string, RangeWindow(2))),
+            (std::multiset<std::string>{"time-window", "time-window",
+                                        "hash-join"}));
+  EXPECT_EQ(join_ops(spill, ScanOp("wide", wide, RangeWindow(2))),
+            (std::multiset<std::string>{"time-window", "time-window",
+                                        "hash-join"}));
+  const std::multiset<std::string> replicated =
+      join_ops({.replicas = 2, .spillable_joins = true},
+               ScanOp("p", packable, RangeWindow(2)));
+  EXPECT_EQ(replicated.count("spill-hash-join"), 0u);
+  EXPECT_EQ(replicated.count("hash-join"), 2u);
+
+  const Schema schema({{"k", ValueType::kInt}, {"v", ValueType::kInt}});
+  ExpectBuildsLikeReference(
+      JoinOp(ScanOp("s", schema, RangeWindow(4)),
+             ScanOp("s", schema, RangeWindow(2)), {{0, 0}},
+             MakeBinary(BinaryOp::kLt, MakeField(1, "v"), MakeField(3, "v"))),
+      KeyedRows(), "spill-hash-join", spill);
+}
+
+// A replicated build runs the same window and type checks as the plain
+// one: each bad plan is an error, and nothing joins the graph.
+TEST(PhysicalBuilder, ReplicatedBuildValidatesLikeThePlainOne) {
+  const Schema schema({{"k", ValueType::kInt}, {"v", ValueType::kInt}});
+  QueryGraph graph;
+  cql::Catalog catalog;
+  auto& s = graph.Add<VectorSource<Tuple>>(KeyedRows(), "s");
+  ASSERT_TRUE(catalog.RegisterStream("s", schema, &s).ok());
+  auto& people = graph.Add<VectorSource<Tuple>>(
+      std::vector<StreamElement<Tuple>>{PersonAt(0, 1, "Paris")}, "people");
+  ASSERT_TRUE(
+      catalog.RegisterStream("people", PersonSchema(), &people).ok());
+
+  const std::vector<LogicalPlan> plans = {
+      ScanOp("s", schema, RangeWindow(0)),
+      ScanOp("s", schema, PartitionedWindow(0, 1)),
+      ScanOp("s", schema, PartitionedWindow(2, 3)),
+      GroupAggregateOp(
+          ScanOp("people", PersonSchema(), RangeWindow(4)), {0},
+          {AggSpec{AggKind::kSum, MakeField(1, "city"), "total"}}),
+  };
+  for (const LogicalPlan& plan : plans) {
+    const std::size_t nodes = graph.size();
+    auto output =
+        PhysicalBuilder(&graph, &catalog, {.replicas = 2}).Build(plan);
+    ASSERT_FALSE(output.ok()) << plan->ToString();
+    EXPECT_EQ(output.status().code(), StatusCode::kInvalidArgument)
+        << output.status().ToString();
+    EXPECT_EQ(graph.size(), nodes) << plan->ToString();
+  }
 }
 
 }  // namespace
