@@ -12,6 +12,13 @@
 //     execute; counters verify the enrichment joins and audit counts
 //     actually produce rows.
 //
+//   * BM_EspbenchCqlWriterPump — the same catalog fed through three
+//     `StreamWriter`s by the benchmark thread while a second thread loops
+//     on `Engine::Pump`: the ingest handoff between a producer and the
+//     pump. The feed follows perfbench's espbench-enrich feeder: dimension
+//     rows are pushed when they become due, and both dimensions are
+//     heartbeated whenever event time advances.
+//
 //   * BM_EspbenchTypedDisordered — the typed-fragment face over a
 //     *disordered* feed: the reordering adapter restores start order (slack
 //     = the generator's declared bound), then the sustained threshold
@@ -19,7 +26,10 @@
 //     hand-wired plan fragments. Measures the reorder + multi-query cost;
 //     a counter verifies the injected overload episode raises alarms.
 
+#include <atomic>
 #include <cstdint>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -87,6 +97,84 @@ void BM_EspbenchCqlPipeline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * events);
 }
 
+void BM_EspbenchCqlWriterPump(benchmark::State& state) {
+  const EspbenchOptions options = BenchOptions();
+  const std::vector<StreamElement<Tuple>> events =
+      workloads::EspbenchEventRows(options);
+  // Indexed like the writers below, minus the events stream.
+  const std::vector<std::vector<StreamElement<Tuple>>> dimensions = {
+      workloads::EspbenchMachineRows(workloads::GenerateMachines(options)),
+      workloads::EspbenchOrderRows(workloads::GenerateOrders(options))};
+  const auto check = [](const Status& status) {
+    PIPES_CHECK_MSG(status.ok(), status.ToString().c_str());
+  };
+  std::uint64_t enriched = 0;
+  for (auto _ : state) {
+    engine::Engine engine{engine::EngineOptions{}};
+    std::vector<engine::StreamWriter> writers;
+    for (auto& [name, schema] :
+         {std::pair{"events", workloads::EspbenchEventSchema()},
+          std::pair{"machines", workloads::EspbenchMachineSchema()},
+          std::pair{"orders", workloads::EspbenchOrderSchema()}}) {
+      auto writer = engine.AddStream(name, schema);
+      check(writer.status());
+      writers.push_back(*writer);
+    }
+    std::vector<engine::QueryHandle> handles;
+    for (const workloads::EspbenchCqlQuery& q :
+         workloads::EspbenchCqlCatalog()) {
+      auto handle = engine.Register(q.text);
+      check(handle.status());
+      handles.push_back(std::move(*handle));
+    }
+
+    std::atomic<bool> fed{false};
+    std::thread pump([&] {
+      for (;;) {
+        const bool closed = fed.load(std::memory_order_acquire);
+        if (engine.Pump() > 0) continue;
+        if (closed) return;
+        std::this_thread::yield();
+      }
+    });
+    std::vector<std::size_t> next(dimensions.size(), 0);
+    Timestamp heartbeat = kMinTimestamp;
+    for (const StreamElement<Tuple>& event : events) {
+      const Timestamp t = event.start();
+      for (std::size_t d = 0; d < dimensions.size(); ++d) {
+        while (next[d] < dimensions[d].size() &&
+               dimensions[d][next[d]].start() <= t) {
+          check(writers[d + 1].Push(dimensions[d][next[d]++]));
+        }
+      }
+      if (t > heartbeat) {
+        for (std::size_t d = 1; d < writers.size(); ++d) {
+          check(writers[d].Heartbeat(t));
+        }
+        heartbeat = t;
+      }
+      check(writers[0].Push(event));
+    }
+    for (std::size_t d = 0; d < dimensions.size(); ++d) {
+      while (next[d] < dimensions[d].size()) {
+        check(writers[d + 1].Push(dimensions[d][next[d]++]));
+      }
+    }
+    for (engine::StreamWriter& writer : writers) check(writer.Close());
+    fed.store(true, std::memory_order_release);
+    pump.join();
+
+    enriched = handles[1].Poll().size();  // order enrichment join
+    benchmark::DoNotOptimize(enriched);
+  }
+  state.counters["events"] =
+      benchmark::Counter(static_cast<double>(events.size()));
+  state.counters["enriched_rows"] =
+      benchmark::Counter(static_cast<double>(enriched));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(events.size()));
+}
+
 void BM_EspbenchTypedDisordered(benchmark::State& state) {
   std::uint64_t events = 0;
   std::uint64_t alarms = 0;
@@ -143,4 +231,5 @@ void BM_EspbenchTypedDisordered(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_EspbenchCqlPipeline);
+BENCHMARK(BM_EspbenchCqlWriterPump)->UseRealTime();
 BENCHMARK(BM_EspbenchTypedDisordered);

@@ -1,6 +1,7 @@
 #ifndef PIPES_CORE_BUFFER_H_
 #define PIPES_CORE_BUFFER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -19,7 +20,8 @@
 /// reaches it; a `Buffer` decouples its upstream from its downstream so a
 /// scheduler can drive the downstream portion independently. The fusion layer (scheduler layer 1) inserts
 /// buffers exactly at virtual-node boundaries; `ConcurrentBuffer` is the
-/// thread-safe variant used at thread boundaries (scheduler layer 3).
+/// thread-safe variant used at thread boundaries (scheduler layer 3). The
+/// engine's inlets queue their writers' rows on the same `ChunkQueue`.
 
 namespace pipes {
 
@@ -29,16 +31,198 @@ struct NullMutex {
   void unlock() {}
 };
 
+/// The chunked queue behind `BasicBuffer` and the engine's inlets
+/// (`engine::InletSource`): columnar run chunks of at most
+/// `kMaxChunkElements` rows interleaved with heartbeat and done markers.
+/// Rows enqueue as column appends onto the tail chunk and leave as whole
+/// chunks, moved through `TransferRun`, so the queue's cost is per chunk,
+/// not per row. Consecutive heartbeats merge, and a heartbeat at or below
+/// the last accepted start is dropped, so an idle producer cannot grow the
+/// queue. Not thread-safe: the owner locks around every call.
+template <typename T>
+class ChunkQueue {
+ public:
+  struct Heartbeat {
+    Timestamp t;
+  };
+  struct Done {};
+  using Entry = std::variant<ColumnarRun<T>, Heartbeat, Done>;
+
+  /// Soft cap on one chunk's row count: bounds how much delivered data a
+  /// partially drained front chunk can pin via its consumed offset, and
+  /// keeps any single enqueue/drain step O(cap).
+  static constexpr std::size_t kMaxChunkElements = 4096;
+
+  bool empty() const { return queue_.empty(); }
+
+  /// Queued units: rows (the consumed prefix of the front chunk excluded)
+  /// plus control markers.
+  std::size_t units() const { return elements_ + controls_; }
+
+  std::size_t ApproxMemoryBytes() const {
+    return units() * (sizeof(StreamElement<T>) + 16);
+  }
+
+  /// Largest start accepted so far, by a row or a heartbeat.
+  Timestamp last_start() const { return last_start_; }
+
+  /// True once a done marker was appended.
+  bool done() const { return done_; }
+
+  /// Bulk append: three column appends for the whole run.
+  void AppendRun(const ColumnarRun<T>& run) {
+    if (run.empty()) return;
+    last_start_ = std::max(last_start_, run.starts.back());
+    TailChunk(run.starts.front()).AppendRun(run);
+    elements_ += run.size();
+  }
+
+  void Append(StreamElement<T> element) {
+    last_start_ = std::max(last_start_, element.start());
+    TailChunk(element.start()).Append(std::move(element));
+    ++elements_;
+  }
+
+  void AppendHeartbeat(Timestamp t) {
+    // A queued row already carries its own progress downstream; only
+    // heartbeats beyond everything accepted are worth queueing.
+    if (t <= last_start_) return;
+    last_start_ = t;
+    if (!queue_.empty()) {
+      if (auto* hb = std::get_if<Heartbeat>(&queue_.back())) {
+        hb->t = t;
+        return;
+      }
+    }
+    queue_.push_back(Heartbeat{t});
+    ++controls_;
+  }
+
+  void AppendDone() {
+    done_ = true;
+    queue_.push_back(Done{});
+    ++controls_;
+  }
+
+  /// Detaches queued units onto `train`, in order, until `max_units` are
+  /// taken or the queue is empty. With `whole_chunks` a chunk is never
+  /// split (the one that crosses the bound leaves whole), so rows are only
+  /// ever moved; otherwise an oversized front chunk is split by copying
+  /// out a prefix and advancing the consumed offset.
+  void Take(std::size_t max_units, bool whole_chunks,
+            std::vector<Entry>& train) {
+    std::size_t budget = max_units;
+    while (budget > 0 && !queue_.empty()) {
+      Entry& front = queue_.front();
+      auto* run = std::get_if<ColumnarRun<T>>(&front);
+      if (run == nullptr) {
+        --budget;
+        --controls_;
+        train.push_back(std::move(front));
+        queue_.pop_front();
+        continue;
+      }
+      const std::size_t avail = run->size() - front_offset_;
+      if (front_offset_ == 0 && (avail <= budget || whole_chunks)) {
+        budget -= std::min(avail, budget);
+        elements_ -= avail;
+        train.push_back(std::move(front));
+        queue_.pop_front();
+        continue;
+      }
+      const std::size_t take = std::min(avail, budget);
+      ColumnarRun<T> part;
+      part.reserve(take);
+      part.AppendRange(*run, front_offset_, front_offset_ + take);
+      front_offset_ += take;
+      budget -= take;
+      elements_ -= take;
+      if (front_offset_ == run->size()) {
+        queue_.pop_front();
+        front_offset_ = 0;
+      }
+      train.push_back(Entry(std::move(part)));
+    }
+  }
+
+  /// Drops the oldest queued rows (never control markers) until at most
+  /// `capacity` remain; returns how many were dropped.
+  std::size_t ShedTo(std::size_t capacity) {
+    std::size_t dropped = 0;
+    std::size_t i = 0;
+    while (elements_ > capacity && i < queue_.size()) {
+      auto* run = std::get_if<ColumnarRun<T>>(&queue_[i]);
+      if (run == nullptr) {
+        ++i;
+        continue;
+      }
+      const std::size_t offset = (i == 0) ? front_offset_ : 0;
+      const std::size_t avail = run->size() - offset;
+      const std::size_t drop = std::min(elements_ - capacity, avail);
+      run->EraseFront(offset + drop);
+      if (i == 0) front_offset_ = 0;
+      elements_ -= drop;
+      dropped += drop;
+      if (run->empty()) {
+        queue_.erase(queue_.begin() + i);
+      } else {
+        ++i;
+      }
+    }
+    return dropped;
+  }
+
+  /// Hands a detached train to `out`'s output in order (each chunk moved
+  /// through `TransferRun`, markers through `TransferHeartbeat` /
+  /// `TransferDone`), empties it, and returns the units forwarded. `Out`
+  /// is a `Source<T>` that befriends this class.
+  template <typename Out>
+  static std::size_t Forward(std::vector<Entry>& train, Out& out) {
+    std::size_t units = 0;
+    for (Entry& entry : train) {
+      if (auto* run = std::get_if<ColumnarRun<T>>(&entry)) {
+        units += run->size();
+        out.TransferRun(std::move(*run));
+      } else if (auto* hb = std::get_if<Heartbeat>(&entry)) {
+        ++units;
+        out.TransferHeartbeat(hb->t);
+      } else {
+        ++units;
+        out.TransferDone();
+      }
+    }
+    train.clear();
+    return units;
+  }
+
+ private:
+  /// The run chunk new rows append to. Starts a fresh chunk when the tail
+  /// is a control marker, the tail chunk is full, or `first_start` would
+  /// break the tail chunk's internal start order.
+  ColumnarRun<T>& TailChunk(Timestamp first_start) {
+    if (!queue_.empty()) {
+      if (auto* run = std::get_if<ColumnarRun<T>>(&queue_.back())) {
+        if (run->size() < kMaxChunkElements &&
+            (run->empty() || run->starts.back() <= first_start)) {
+          return *run;
+        }
+      }
+    }
+    queue_.emplace_back(ColumnarRun<T>());
+    return std::get<ColumnarRun<T>>(queue_.back());
+  }
+
+  std::deque<Entry> queue_;
+  std::size_t elements_ = 0;
+  std::size_t controls_ = 0;
+  /// Already-taken prefix of the front run chunk (split takes).
+  std::size_t front_offset_ = 0;
+  Timestamp last_start_ = kMinTimestamp;
+  bool done_ = false;
+};
+
 /// A queueing identity pipe. Incoming elements and control signals are
-/// enqueued; `DoWork` dequeues and forwards them. Consecutive heartbeats
-/// are coalesced so idle upstreams cannot grow the queue.
-///
-/// The queue holds columnar run chunks interleaved with control markers:
-/// elements enqueue as bulk column appends onto the tail chunk and leave as
-/// whole `TransferRun`s, so the buffer's cost is per chunk, not per
-/// element. Chunk size is capped so a partially drained front chunk (its
-/// consumed prefix is tracked by an offset, not erased) never pins more
-/// than a bounded amount of delivered data.
+/// enqueued on a `ChunkQueue`; `DoWork` dequeues and forwards them.
 ///
 /// With a `capacity`, the buffer is *bounded*: when a fluctuating stream
 /// rate outruns the scheduler, the oldest queued element is dropped (and
@@ -85,78 +269,31 @@ class BasicBuffer : public UnaryPipe<T, T> {
 
   bool IsFinished() const override {
     std::lock_guard<Mutex> lock(mu_);
-    return done_received_ && queue_.empty();
+    return queue_.done() && queue_.empty();
   }
 
   std::size_t queue_size() const override {
     std::lock_guard<Mutex> lock(mu_);
-    return elements_ + controls_;
+    return queue_.units();
   }
 
   std::size_t ApproxMemoryBytes() const override {
     std::lock_guard<Mutex> lock(mu_);
-    return (elements_ + controls_) * (sizeof(StreamElement<T>) + 16);
+    return queue_.ApproxMemoryBytes();
   }
 
   /// Drains up to `max_units` queued units (elements + control signals) as
   /// one train: one lock acquisition to detach the train (per-train instead
   /// of per-element — the big win for `ConcurrentBuffer` on cross-thread
   /// scheduler edges), then each run chunk leaves through a single
-  /// `TransferRun` (whole chunks are *moved* out — no copy); interleaved
-  /// control signals are forwarded individually in order. An oversized
-  /// front chunk is split by copying out a prefix and advancing the
-  /// consumed offset.
+  /// `TransferRun`; interleaved control signals are forwarded individually
+  /// in order.
   std::size_t DoWork(std::size_t max_units) override {
-    train_.clear();
     {
       std::lock_guard<Mutex> lock(mu_);
-      std::size_t budget = max_units;
-      while (budget > 0 && !queue_.empty()) {
-        Entry& front = queue_.front();
-        if (auto* run = std::get_if<ColumnarRun<T>>(&front)) {
-          const std::size_t avail = run->size() - front_offset_;
-          if (avail <= budget && front_offset_ == 0) {
-            budget -= avail;
-            elements_ -= avail;
-            train_.push_back(std::move(front));
-            queue_.pop_front();
-          } else {
-            const std::size_t take = std::min(avail, budget);
-            ColumnarRun<T> part;
-            part.reserve(take);
-            part.AppendRange(*run, front_offset_, front_offset_ + take);
-            front_offset_ += take;
-            budget -= take;
-            elements_ -= take;
-            if (front_offset_ == run->size()) {
-              queue_.pop_front();
-              front_offset_ = 0;
-            }
-            train_.push_back(Entry(std::move(part)));
-          }
-        } else {
-          --budget;
-          --controls_;
-          train_.push_back(std::move(front));
-          queue_.pop_front();
-        }
-      }
+      queue_.Take(max_units, /*whole_chunks=*/false, train_);
     }
-    std::size_t drained = 0;
-    for (Entry& entry : train_) {
-      if (auto* run = std::get_if<ColumnarRun<T>>(&entry)) {
-        drained += run->size();
-        this->TransferRun(std::move(*run));
-      } else if (auto* hb = std::get_if<Heartbeat>(&entry)) {
-        ++drained;
-        this->TransferHeartbeat(hb->t);
-      } else {
-        ++drained;
-        this->TransferDone();
-      }
-    }
-    train_.clear();
-    return drained;
+    return ChunkQueue<T>::Forward(train_, *this);
   }
 
  protected:
@@ -166,104 +303,30 @@ class BasicBuffer : public UnaryPipe<T, T> {
   void PortRun(int /*port_id*/, const ColumnarRun<T>& run) override {
     if (run.empty()) return;
     std::lock_guard<Mutex> lock(mu_);
-    last_element_start_ = run.starts.back();
-    TailChunk(run.starts.front()).AppendRun(run);
-    elements_ += run.size();
-    if (capacity_ > 0) {
-      ShedToCapacity();
-    }
+    queue_.AppendRun(run);
+    if (capacity_ > 0) dropped_ += queue_.ShedTo(capacity_);
   }
 
   void PortProgress(int /*port_id*/, Timestamp watermark) override {
     std::lock_guard<Mutex> lock(mu_);
-    // An enqueued element already carries its own progress downstream; only
-    // heartbeats that advance beyond the last element are worth queueing.
-    if (watermark <= last_element_start_) return;
-    if (!queue_.empty()) {
-      if (auto* hb = std::get_if<Heartbeat>(&queue_.back())) {
-        hb->t = watermark;
-        return;
-      }
-    }
-    queue_.push_back(Heartbeat{watermark});
-    ++controls_;
+    queue_.AppendHeartbeat(watermark);
   }
 
   void PortDone(int /*port_id*/) override {
     std::lock_guard<Mutex> lock(mu_);
-    done_received_ = true;
-    queue_.push_back(Done{});
-    ++controls_;
+    queue_.AppendDone();
   }
 
  private:
-  struct Heartbeat {
-    Timestamp t;
-  };
-  struct Done {};
-  using Entry = std::variant<ColumnarRun<T>, Heartbeat, Done>;
-
-  /// Soft cap on one chunk's element count: bounds how much delivered data
-  /// a partially drained front chunk can pin via its consumed offset, and
-  /// keeps any single enqueue/drain step O(cap).
-  static constexpr std::size_t kMaxChunkElements = 4096;
-
-  /// The run chunk new elements append to (mu_ held). Starts a fresh chunk
-  /// when the tail is a control marker, the tail chunk is full, or
-  /// `first_start` would break the tail chunk's internal start order.
-  ColumnarRun<T>& TailChunk(Timestamp first_start) {
-    if (!queue_.empty()) {
-      if (auto* run = std::get_if<ColumnarRun<T>>(&queue_.back())) {
-        if (run->size() < kMaxChunkElements &&
-            (run->empty() || run->starts.back() <= first_start)) {
-          return *run;
-        }
-      }
-    }
-    queue_.emplace_back(ColumnarRun<T>());
-    return std::get<ColumnarRun<T>>(queue_.back());
-  }
-
-  /// Drops the oldest queued *elements* (never control signals) until the
-  /// element count fits the capacity. Requires mu_ held.
-  void ShedToCapacity() {
-    std::size_t i = 0;
-    while (elements_ > capacity_ && i < queue_.size()) {
-      auto* run = std::get_if<ColumnarRun<T>>(&queue_[i]);
-      if (run == nullptr) {
-        ++i;
-        continue;
-      }
-      const std::size_t offset = (i == 0) ? front_offset_ : 0;
-      const std::size_t avail = run->size() - offset;
-      const std::size_t drop = std::min(elements_ - capacity_, avail);
-      run->EraseFront(offset + drop);
-      if (i == 0) front_offset_ = 0;
-      elements_ -= drop;
-      dropped_ += drop;
-      if (run->empty()) {
-        queue_.erase(queue_.begin() + i);
-      } else {
-        ++i;
-      }
-    }
-  }
+  friend class ChunkQueue<T>;
 
   mutable Mutex mu_;
-  std::deque<Entry> queue_;
-  /// Queued element count across all run chunks (the consumed prefix of the
-  /// front chunk excluded) and queued control-signal count.
-  std::size_t elements_ = 0;
-  std::size_t controls_ = 0;
-  /// Already-delivered prefix of the front run chunk (split DoWork drains).
-  std::size_t front_offset_ = 0;
+  ChunkQueue<T> queue_;
   /// DoWork scratch: the detached train. Only touched by the (single)
   /// scheduler thread driving this node.
-  std::vector<Entry> train_;
+  std::vector<typename ChunkQueue<T>::Entry> train_;
   std::size_t capacity_;
   std::uint64_t dropped_ = 0;
-  Timestamp last_element_start_ = kMinTimestamp;
-  bool done_received_ = false;
 };
 
 /// Single-threaded buffer (virtual-node boundary within one thread).

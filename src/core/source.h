@@ -89,13 +89,6 @@ class Source : public Node {
     return ports;
   }
 
-  /// True once TransferDone was called.
-  bool output_done() const { return done_; }
-
-  /// Largest element start transferred so far (the source's implicit
-  /// heartbeat level).
-  Timestamp last_start() const { return last_start_; }
-
   PipeBase* output_pipe() override { return &pipe_; }
 
  protected:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
+#include <mutex>
 #include <set>
 #include <utility>
 
@@ -94,8 +96,9 @@ Engine::Engine(EngineOptions options)
 }
 
 Engine::~Engine() {
-  // Flush staged deliveries and detach before the graph goes away.
-  executor_.reset();
+  // Deliver queued and staged rows and detach before the graph goes away.
+  std::lock_guard<std::mutex> lock(mu_);
+  SuspendExecutorLocked();
 }
 
 std::string Engine::OutputGaugeName(const std::string& tenant) {
@@ -103,9 +106,11 @@ std::string Engine::OutputGaugeName(const std::string& tenant) {
 }
 
 void Engine::SuspendExecutorLocked() {
-  // The destructor drains every ready pipe (staged output only — it never
-  // polls sources), then detaches. This is the whole "mutate a live graph
+  // Rows accepted before this mutation go to the subscribers of now. The
+  // destructor then drains every ready pipe (staged output only — it never
+  // polls sources) and detaches. This is the whole "mutate a live graph
   // without quiescing it" protocol.
+  for (InletSource* inlet : inlets_) StageBacklogLocked(*inlet);
   executor_.reset();
 }
 
@@ -114,6 +119,12 @@ void Engine::EnsureExecutorLocked() {
     executor_ = std::make_unique<scheduler::PipeExecutor>(
         graph_, strategy_, options_.batch_size);
   }
+}
+
+void Engine::StageBacklogLocked(InletSource& inlet) {
+  if (!inlet.HasWork()) return;
+  EnsureExecutorLocked();
+  inlet.Stage(std::numeric_limits<std::size_t>::max());
 }
 
 std::size_t Engine::StateBytesLocked() const {
@@ -159,53 +170,71 @@ Status Engine::BindStream(const std::string& name, relational::Schema schema,
   return catalog_.RegisterStream(name, std::move(schema), &source, rate_hint);
 }
 
-Status Engine::InletStatusLocked(InletSource* inlet) const {
-  if (std::find(inlets_.begin(), inlets_.end(), inlet) == inlets_.end()) {
-    return Status::NotFound("stream writer does not belong to this engine");
-  }
-  return Status::OK();
+namespace {
+
+Status ClosedStream(const InletSource& inlet) {
+  return Status::FailedPrecondition("stream '" + inlet.name() +
+                                    "' is closed");
 }
 
-Status Engine::PushLocked(InletSource* inlet,
-                          const StreamElement<relational::Tuple>& element) {
-  PIPES_RETURN_IF_ERROR(InletStatusLocked(inlet));
-  if (inlet->output_done()) {
-    return Status::FailedPrecondition("stream '" + inlet->name() +
-                                      "' is closed");
-  }
+/// Checks one push against `queue`'s writer-side state and appends it.
+/// `Element` is `StreamElement<Tuple>`, taken by const reference (copied
+/// in) or by rvalue (moved in).
+template <typename Element>
+Status CheckAndAppend(const InletSource& inlet, InletSource::Queue& queue,
+                      Element&& element) {
+  if (queue.done()) return ClosedStream(inlet);
   // TimeInterval's own start < end check is a DCHECK; a pushed interval is
   // outside input and must be refused in every build.
   if (element.end() <= element.start()) {
     return Status::InvalidArgument(
-        "empty or inverted interval pushed into stream '" + inlet->name() +
+        "empty or inverted interval pushed into stream '" + inlet.name() +
         "': [" + std::to_string(element.start()) + ", " +
         std::to_string(element.end()) + ")");
   }
-  if (element.start() < inlet->last_start()) {
+  if (element.start() < queue.last_start()) {
     return Status::InvalidArgument(
-        "out-of-order push into stream '" + inlet->name() +
+        "out-of-order push into stream '" + inlet.name() +
         "': " + std::to_string(element.start()) + " < " +
-        std::to_string(inlet->last_start()));
+        std::to_string(queue.last_start()));
   }
-  EnsureExecutorLocked();
-  inlet->Push(element);
+  queue.Append(std::forward<Element>(element));
+  return Status::OK();
+}
+
+}  // namespace
+
+template <typename Append>
+Status StreamWriter::Write(Append append) {
+  if (engine_ == nullptr) return Status::FailedPrecondition("empty writer");
+  bool over_bound = false;
+  {
+    std::lock_guard<std::mutex> lock(inlet_->mu_);
+    PIPES_RETURN_IF_ERROR(append(inlet_->queue_));
+    over_bound = inlet_->queue_.units() > InletSource::kMaxQueuedUnits;
+  }
+  if (over_bound) {
+    std::lock_guard<std::mutex> lock(engine_->mu_);
+    engine_->StageBacklogLocked(*inlet_);
+  }
   return Status::OK();
 }
 
 Status StreamWriter::Push(const StreamElement<relational::Tuple>& element) {
-  if (engine_ == nullptr) return Status::FailedPrecondition("empty writer");
-  std::lock_guard<std::mutex> lock(engine_->mu_);
-  return engine_->PushLocked(inlet_, element);
+  return Write([&](InletSource::Queue& queue) {
+    return CheckAndAppend(*inlet_, queue, element);
+  });
 }
 
 Status StreamWriter::Push(relational::Tuple tuple, Timestamp t) {
   if (t < kMaxTimestamp) {
-    return Push(StreamElement<relational::Tuple>::Point(std::move(tuple), t));
+    auto point = StreamElement<relational::Tuple>::Point(std::move(tuple), t);
+    return Write([&](InletSource::Queue& queue) {
+      return CheckAndAppend(*inlet_, queue, std::move(point));
+    });
   }
   // The point [t, t + 1) does not exist at the last timestamp.
   if (engine_ == nullptr) return Status::FailedPrecondition("empty writer");
-  std::lock_guard<std::mutex> lock(engine_->mu_);
-  PIPES_RETURN_IF_ERROR(engine_->InletStatusLocked(inlet_));
   return Status::InvalidArgument("point push into stream '" + inlet_->name() +
                                  "' at the last timestamp: [" +
                                  std::to_string(t) + ", " + std::to_string(t) +
@@ -213,25 +242,18 @@ Status StreamWriter::Push(relational::Tuple tuple, Timestamp t) {
 }
 
 Status StreamWriter::Heartbeat(Timestamp t) {
-  if (engine_ == nullptr) return Status::FailedPrecondition("empty writer");
-  std::lock_guard<std::mutex> lock(engine_->mu_);
-  PIPES_RETURN_IF_ERROR(engine_->InletStatusLocked(inlet_));
-  if (inlet_->output_done()) {
-    return Status::FailedPrecondition("stream '" + inlet_->name() +
-                                      "' is closed");
-  }
-  engine_->EnsureExecutorLocked();
-  inlet_->Heartbeat(t);
-  return Status::OK();
+  return Write([&](InletSource::Queue& queue) {
+    if (queue.done()) return ClosedStream(*inlet_);
+    queue.AppendHeartbeat(t);
+    return Status::OK();
+  });
 }
 
 Status StreamWriter::Close() {
-  if (engine_ == nullptr) return Status::FailedPrecondition("empty writer");
-  std::lock_guard<std::mutex> lock(engine_->mu_);
-  PIPES_RETURN_IF_ERROR(engine_->InletStatusLocked(inlet_));
-  engine_->EnsureExecutorLocked();
-  inlet_->Close();
-  return Status::OK();
+  return Write([](InletSource::Queue& queue) {
+    if (!queue.done()) queue.AppendDone();
+    return Status::OK();
+  });
 }
 
 // --- Registration -----------------------------------------------------------

@@ -13,6 +13,7 @@
 
 #include "src/analysis/dataflow.h"
 #include "src/common/status.h"
+#include "src/core/buffer.h"
 #include "src/core/graph.h"
 #include "src/core/sink.h"
 #include "src/core/source.h"
@@ -36,23 +37,30 @@
 /// `QueryHandle` carrying cancellation, result subscription (pull or
 /// callback), and a per-query metrics snapshot.
 ///
-/// Threading: every public entry point serializes on one internal mutex, so
-/// concurrent registration, cancellation, publishing, and pumping from
-/// multiple threads is safe. Result callbacks fire while that lock is held
-/// — do not call back into the engine from inside one.
+/// Threading: every public entry point except the `StreamWriter` calls
+/// serializes on one internal mutex, so concurrent registration,
+/// cancellation, publishing, and pumping from multiple threads is safe.
+/// Writers queue at their inlet under the inlet's own mutex and return; the
+/// engine mutex is only taken by a writer whose inlet queue is past its
+/// bound. Lock order is engine mutex, then inlet mutex. Result callbacks
+/// fire while the engine lock is held — do not call back into the engine
+/// from inside one, writers included.
 ///
 /// Graph mutation protocol: the graph must not change while a
 /// `PipeExecutor` is linked to its pipes, and a subscription change must
 /// find no rows staged in the source's pipe, so the engine suspends
-/// (destroys) the executor around every graft and teardown. Suspension only
-/// flushes *staged* output (the executor destructor drains ready pipes
-/// without polling sources), so registering or cancelling a query never
-/// quiesces the rest of the graph — in-flight elements of other queries
-/// keep flowing on the next pump. What a graft stages while suspended (the
-/// heartbeat and done signals a late subscriber triggers) waits in its pipe
-/// for the next executor. Writers resume the executor before they publish,
-/// so pushes queue for delivery in arrival order and a pushed element is
-/// always delivered by `Pump`, never inside `Push`.
+/// (destroys) the executor around every graft and teardown. Suspension
+/// first stages every inlet's queued rows and delivers them with the
+/// outgoing executor, so a write reaches exactly the queries registered
+/// when it was accepted. Otherwise suspension only flushes *staged* output
+/// (the executor destructor drains ready pipes without polling sources), so
+/// registering or cancelling a query never quiesces the rest of the graph —
+/// in-flight elements of other queries keep flowing on the next pump. What
+/// a graft stages while suspended (the heartbeat and done signals a late
+/// subscriber triggers) waits in its pipe for the next executor. A write is
+/// queued at its inlet and never delivered inside the writer's call: the
+/// executor's poll stages it (as do a graft and, past the queue bound, the
+/// writer), and `Pump` or a graft delivers it.
 
 namespace pipes::engine {
 
@@ -132,29 +140,85 @@ struct EngineStats {
   std::size_t spilled_bytes = 0;      ///< Disk tier: summed Node spill.
 };
 
-/// An externally fed tuple source: host code pushes elements in, the graph
-/// consumes them. Use through `StreamWriter` (which takes the engine lock);
-/// calling Push directly is only safe while nothing else drives the engine.
+/// An externally fed tuple source, and an active node like any other
+/// source: `StreamWriter` checks each write against the writer-side state
+/// kept with the inlet's queue and appends it under the inlet's own mutex;
+/// the executor's poll (`DoWork`) moves whole queued chunks into the inlet's
+/// pipe. The pipe and the `Source` bookkeeping are only touched under the
+/// engine mutex, the queue only under the inlet mutex, taken in that order.
 class InletSource : public Source<relational::Tuple> {
  public:
+  using Queue = ChunkQueue<relational::Tuple>;
+
+  /// Units (rows plus control markers) an inlet queues before its writer
+  /// takes the engine lock and stages the backlog into the pipe itself.
+  static constexpr std::size_t kMaxQueuedUnits = 4 * Queue::kMaxChunkElements;
+
   explicit InletSource(std::string name) : Source(std::move(name)) {}
 
-  void Push(const StreamElement<relational::Tuple>& element) {
-    Transfer(element);
+  bool is_active() const override { return true; }
+
+  bool HasWork() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return !queue_.empty();
   }
-  void Heartbeat(Timestamp t) { TransferHeartbeat(t); }
-  void Close() { TransferDone(); }
+
+  bool IsFinished() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return queue_.done() && queue_.empty();
+  }
+
+  std::size_t queue_size() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return queue_.units();
+  }
+
+  std::size_t ApproxMemoryBytes() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return queue_.ApproxMemoryBytes();
+  }
+
+  /// Stages whole queued chunks, about one chunk's worth of units per
+  /// poll whatever `max_units` says: a chunk is moved into the pipe, never
+  /// split or copied.
+  std::size_t DoWork(std::size_t /*max_units*/) override {
+    return Stage(Queue::kMaxChunkElements);
+  }
 
   NodeDescriptor Describe() const override {
     NodeDescriptor d;
     d.kind = NodeDescriptor::Kind::kSource;
     d.op = "inlet";
+    // Queue occupancy depends on scheduling, not on watermark progress.
+    d.dataflow.transient_state = true;
     return d;
   }
+
+ private:
+  friend class Engine;
+  friend class StreamWriter;
+  friend Queue;
+
+  /// Moves up to `max_units` queued units, in whole chunks, into the pipe.
+  /// Engine mutex held.
+  std::size_t Stage(std::size_t max_units) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      queue_.Take(max_units, /*whole_chunks=*/true, train_);
+    }
+    return Queue::Forward(train_, *this);
+  }
+
+  mutable std::mutex mu_;
+  Queue queue_;  ///< Guarded by mu_.
+  std::vector<Queue::Entry> train_;  ///< Stage scratch, engine mutex held.
 };
 
-/// Locked writer for one engine-owned inlet stream. Copyable; all methods
-/// serialize on the engine mutex.
+/// Writer for one engine-owned inlet stream. Copyable; copies may write
+/// from several threads. Each call checks and queues under the inlet's
+/// mutex and returns without waiting for `Pump`; only a write that finds
+/// the inlet queue past `InletSource::kMaxQueuedUnits` takes the engine
+/// mutex, to stage the backlog into the inlet's pipe.
 class StreamWriter {
  public:
   StreamWriter() = default;
@@ -175,6 +239,11 @@ class StreamWriter {
   friend class Engine;
   StreamWriter(Engine* engine, InletSource* inlet)
       : engine_(engine), inlet_(inlet) {}
+
+  /// Runs `append(queue)` under the inlet mutex; past the queue bound,
+  /// stages the backlog under the engine mutex.
+  template <typename Append>
+  Status Write(Append append);
 
   Engine* engine_ = nullptr;
   InletSource* inlet_ = nullptr;
@@ -211,7 +280,7 @@ class QueryHandle {
 
   /// Switches to push mode: `callback` fires for every result from the
   /// next pump on (with the engine lock held — do not re-enter the
-  /// engine). Pass nullptr to return to pull mode.
+  /// engine, writers included). Pass nullptr to return to pull mode.
   Status OnResult(Callback callback);
 
   /// Total results this query has delivered (either mode).
@@ -377,15 +446,16 @@ class Engine {
       const analysis::StateCertificate* certificate = nullptr) const;
   std::size_t StateBytesLocked() const;
   std::size_t SpilledBytesLocked() const;
+  /// Stages every inlet's queue (the graft boundary), then destroys the
+  /// executor, which delivers what is staged.
   void SuspendExecutorLocked();
   void EnsureExecutorLocked();
+  /// Moves `inlet`'s whole queue into its pipe, with an executor linked to
+  /// deliver it; builds none when nothing is queued.
+  void StageBacklogLocked(InletSource& inlet);
   Result<std::vector<std::uint64_t>> QueryNodeIdsLocked(
       std::uint64_t query_id) const;
   static std::string OutputGaugeName(const std::string& tenant);
-
-  Status PushLocked(InletSource* inlet,
-                    const StreamElement<relational::Tuple>& element);
-  Status InletStatusLocked(InletSource* inlet) const;
 
   mutable std::mutex mu_;
   EngineOptions options_;

@@ -3,15 +3,19 @@
 // correctness against a single-query reference run (multiset-exact),
 // admission control (reject and queue policies), per-tenant isolation of
 // snapshots and counters, concurrent registration (exercised under TSAN in
-// the sanitizer CI job), pushes that wait for Pump, pushed intervals the
-// algebra cannot hold, and query text that must fail Register without
-// touching the graph.
+// the sanitizer CI job), pushes that wait for Pump but never for the
+// engine lock, the graft boundary of queued writes, the inlet's bounded
+// and visible backlog, pushed intervals the algebra cannot hold, and query
+// text that must fail Register without touching the graph.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -497,6 +501,270 @@ TEST_F(EngineTest, PushAfterRegisterWaitsForPump) {
   engine.Pump();
   EXPECT_EQ(callbacks, 1);
   EXPECT_EQ(handle->results_delivered(), 1u);
+}
+
+// --- Ingest off the engine lock ---------------------------------------------
+
+// A pump that holds the engine lock, its result callback blocked on a
+// latch, must not hold up writers: 1 000 pushes (under the inlet's queue
+// bound), heartbeats and Close all return while the callback still blocks.
+// The deadline turns a writer that waits for the lock into a failure
+// instead of a hang.
+TEST_F(EngineTest, WritersDoNotWaitForPump) {
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  auto handle = engine.Register("SELECT symbol, price FROM trades");
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+
+  std::mutex latch_mu;
+  std::condition_variable latch_cv;
+  bool entered = false;
+  bool released = false;
+  std::vector<Timestamp> starts;  // Written by the callback only.
+  ASSERT_TRUE(handle
+                  ->OnResult([&](const QueryHandle::Element& e) {
+                    starts.push_back(e.start());
+                    std::unique_lock<std::mutex> lock(latch_mu);
+                    entered = true;
+                    latch_cv.notify_all();
+                    latch_cv.wait(lock, [&] { return released; });
+                  })
+                  .ok());
+
+  PushTrades(*writer, 1, 0);
+  std::thread pump([&] { engine.Pump(); });
+  {
+    std::unique_lock<std::mutex> lock(latch_mu);
+    latch_cv.wait(lock, [&] { return entered; });
+  }
+
+  constexpr int kRows = 1000;
+  std::atomic<bool> wrote{false};
+  std::atomic<int> failures{0};
+  std::thread feeder([&] {
+    for (int i = 1; i <= kRows; ++i) {
+      if (!writer->Push(Tuple{Value(std::int64_t{i % 3}), Value(1.0 * i)},
+                        i * 10)
+               .ok()) {
+        ++failures;
+      }
+      if (i % 100 == 0 && !writer->Heartbeat(i * 10 + 5).ok()) ++failures;
+    }
+    if (!writer->Close().ok()) ++failures;
+    wrote.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!wrote.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool wrote_while_pump_held_lock = wrote.load();
+  {
+    std::lock_guard<std::mutex> lock(latch_mu);
+    released = true;
+  }
+  latch_cv.notify_all();
+  feeder.join();
+  pump.join();
+  EXPECT_TRUE(wrote_while_pump_held_lock)
+      << "writers waited for the engine lock the pump held";
+  EXPECT_EQ(failures.load(), 0);
+
+  engine.RunToCompletion();
+  ASSERT_EQ(starts.size(), static_cast<std::size_t>(kRows) + 1);
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    EXPECT_EQ(starts[i], static_cast<Timestamp>(i) * 10) << i;
+  }
+}
+
+// Every graft is a boundary for queued writes, with no pump in between: a
+// query sees exactly the rows accepted after its Register, a cancelled
+// query counts the rows accepted before its Cancel, and rows still queued
+// when the engine goes reach a callback subscriber.
+TEST_F(EngineTest, GraftSeesOnlyRowsAcceptedBeforeOrAfterIt) {
+  constexpr int kN = 40;
+  constexpr int kM = 25;
+  constexpr int kK = 15;
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  auto q1 = engine.Register("SELECT symbol, price FROM trades");
+  ASSERT_TRUE(q1.ok()) << q1.status().ToString();
+  PushTrades(*writer, kN, 0);
+  auto q2 =
+      engine.Register("SELECT symbol, price FROM trades WHERE price > 0");
+  ASSERT_TRUE(q2.ok()) << q2.status().ToString();
+  PushTrades(*writer, kM, kN * 100);
+  engine.RunToCompletion();
+  EXPECT_EQ(q1->results_delivered(), static_cast<std::uint64_t>(kN + kM));
+  EXPECT_EQ(q2->results_delivered(), static_cast<std::uint64_t>(kM));
+  const std::vector<QueryHandle::Element> late = q2->Poll();
+  ASSERT_EQ(late.size(), static_cast<std::size_t>(kM));
+  EXPECT_EQ(late.front().start(), kN * 100);
+
+  PushTrades(*writer, kK, (kN + kM) * 100);
+  ASSERT_TRUE(q1->Cancel().ok());
+  EXPECT_EQ(q1->results_delivered(),
+            static_cast<std::uint64_t>(kN + kM + kK));
+  EXPECT_EQ(q2->results_delivered(), static_cast<std::uint64_t>(kM + kK));
+
+  std::vector<Timestamp> delivered;
+  {
+    Engine closing;
+    auto closing_writer = AddTrades(closing);
+    ASSERT_TRUE(closing_writer.ok());
+    auto handle = closing.Register("SELECT symbol, price FROM trades");
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    ASSERT_TRUE(handle
+                    ->OnResult([&](const QueryHandle::Element& e) {
+                      delivered.push_back(e.start());
+                    })
+                    .ok());
+    PushTrades(*closing_writer, kK, 0);
+    EXPECT_TRUE(delivered.empty());
+  }
+  ASSERT_EQ(delivered.size(), static_cast<std::size_t>(kK));
+  EXPECT_EQ(delivered.back(), (kK - 1) * 100);
+}
+
+/// `n` trades at `step` ms spacing, symbols cycling through `symbols`.
+std::vector<StreamElement<Tuple>> TradeRows(int n, Timestamp step,
+                                            int symbols) {
+  std::vector<StreamElement<Tuple>> rows;
+  rows.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    rows.push_back(StreamElement<Tuple>::Point(
+        Tuple{Value(static_cast<std::int64_t>(i % symbols)),
+              Value(static_cast<double>(i % 100))},
+        i * step));
+  }
+  return rows;
+}
+
+/// Registers `queries` on `engine`, runs it to completion, and returns each
+/// query's results in canonical order.
+std::vector<std::vector<std::tuple<Timestamp, Timestamp, std::string>>>
+ReferenceResults(const std::vector<std::string>& queries,
+                 const std::vector<std::pair<std::string,
+                                             std::vector<StreamElement<Tuple>>>>&
+                     streams) {
+  Engine reference;
+  for (const auto& [name, rows] : streams) {
+    auto& source = reference.graph().Add<VectorSource<Tuple>>(rows, name, 64);
+    EXPECT_TRUE(reference.BindStream(name, TradesSchema(), source).ok());
+  }
+  std::vector<QueryHandle> handles;
+  for (const std::string& q : queries) {
+    auto handle = reference.Register(q);
+    EXPECT_TRUE(handle.ok()) << handle.status().ToString();
+    if (handle.ok()) handles.push_back(*handle);
+  }
+  reference.RunToCompletion();
+  std::vector<std::vector<std::tuple<Timestamp, Timestamp, std::string>>> out;
+  for (QueryHandle& handle : handles) out.push_back(Canonical(handle.Poll()));
+  return out;
+}
+
+// 100 000 rows pushed with no pump: each time the inlet queue passes its
+// bound the writer stages the backlog into the pipe itself, so pushing
+// everything before pumping never deadlocks. A snapshot shows the rows
+// still queued at the inlet, bounded, and counted as engine state.
+TEST_F(EngineTest, InletBacklogIsBoundedAndVisible) {
+  constexpr int kRows = 100'000;
+  const std::vector<std::string> queries = {
+      "SELECT symbol, price FROM trades WHERE price > 50", kAvgQuery};
+  const std::vector<StreamElement<Tuple>> rows = TradeRows(kRows, 1, 7);
+
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  std::vector<QueryHandle> handles;
+  for (const std::string& q : queries) {
+    auto handle = engine.Register(q);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    handles.push_back(*handle);
+  }
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(writer->Push(rows[static_cast<std::size_t>(i)]).ok());
+    if (i != kRows / 2) continue;
+    const metadata::MetricsSnapshot snap = engine.Snapshot();
+    const auto inlet =
+        std::find_if(snap.nodes.begin(), snap.nodes.end(),
+                     [](const metadata::NodeSnapshot& n) {
+                       return n.name == "trades";
+                     });
+    ASSERT_NE(inlet, snap.nodes.end());
+    EXPECT_GT(inlet->queue_size, 0u);
+    EXPECT_LE(inlet->queue_size, InletSource::kMaxQueuedUnits);
+    EXPECT_GT(inlet->memory_bytes, 0u);
+    EXPECT_GE(engine.stats().state_bytes, inlet->memory_bytes);
+  }
+  ASSERT_TRUE(writer->Close().ok());
+  engine.RunToCompletion();
+
+  const auto expected = ReferenceResults(queries, {{"trades", rows}});
+  ASSERT_EQ(expected.size(), handles.size());
+  for (std::size_t q = 0; q < handles.size(); ++q) {
+    const auto got = Canonical(handles[q].Poll());
+    EXPECT_FALSE(got.empty()) << queries[q];
+    EXPECT_EQ(got, expected[q]) << queries[q];
+  }
+}
+
+// Two writer threads on two inlets race one pump thread; the results of a
+// join across the inlets and a filter on each are multiset-exact against
+// the same rows fed from VectorSources. Meaningful under TSAN.
+TEST_F(EngineTest, ConcurrentWritersMatchReference) {
+  const std::vector<std::string> queries = {
+      "SELECT trades.symbol, trades.price, quotes.price AS quote "
+      "FROM trades [RANGE 1 SECONDS], quotes [RANGE 1 SECONDS] "
+      "WHERE trades.symbol = quotes.symbol",
+      "SELECT symbol, price FROM trades WHERE price > 90",
+      "SELECT symbol, price FROM quotes WHERE price < 5"};
+  const std::vector<StreamElement<Tuple>> trades = TradeRows(20'000, 10, 10);
+  const std::vector<StreamElement<Tuple>> quotes = TradeRows(2'000, 100, 10);
+
+  Engine engine;
+  auto trades_writer = AddTrades(engine);
+  auto quotes_writer = engine.AddStream("quotes", TradesSchema(), 10.0);
+  ASSERT_TRUE(trades_writer.ok() && quotes_writer.ok());
+  std::vector<QueryHandle> handles;
+  for (const std::string& q : queries) {
+    auto handle = engine.Register(q);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    handles.push_back(*handle);
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::thread pumper([&] {
+    while (!stop.load()) engine.Pump(64);
+  });
+  auto feed = [&](StreamWriter writer,
+                  const std::vector<StreamElement<Tuple>>& rows) {
+    for (const StreamElement<Tuple>& row : rows) {
+      if (!writer.Push(row).ok()) ++failures;
+    }
+    if (!writer.Close().ok()) ++failures;
+  };
+  std::thread trades_feeder(feed, *trades_writer, std::cref(trades));
+  std::thread quotes_feeder(feed, *quotes_writer, std::cref(quotes));
+  trades_feeder.join();
+  quotes_feeder.join();
+  stop.store(true);
+  pumper.join();
+  EXPECT_EQ(failures.load(), 0);
+  engine.RunToCompletion();
+
+  const auto expected =
+      ReferenceResults(queries, {{"trades", trades}, {"quotes", quotes}});
+  ASSERT_EQ(expected.size(), handles.size());
+  for (std::size_t q = 0; q < handles.size(); ++q) {
+    const auto got = Canonical(handles[q].Poll());
+    EXPECT_FALSE(got.empty()) << queries[q];
+    EXPECT_EQ(got, expected[q]) << queries[q];
+  }
 }
 
 // --- Pull mode pages a backlog ----------------------------------------------
