@@ -19,8 +19,17 @@
 //                                 (framing, socket round-trips, tenant
 //                                 bookkeeping included). Skips when the
 //                                 sandbox refuses listeners.
+//   BM_ServerPushToFetch          freshness on an idle server: one row
+//                                 pushed once the pump has gone idle, FETCH
+//                                 spun until it is visible. Manual time, so
+//                                 items/s = 1 / latency; p50_us and p99_us
+//                                 are counters.
 
+#include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -176,6 +185,66 @@ void BM_ServerRegisterStorm(benchmark::State& state) {
   server.Stop();
 }
 
+// The time from a push into an idle server to the FETCH that first returns
+// the row: one filter query, one row per iteration. Before each push the
+// bench sleeps 200 us (untimed), long enough for the pump to find the
+// graph idle.
+void BM_ServerPushToFetch(benchmark::State& state) {
+  engine::Engine engine;
+  auto writer = engine.AddStream("trades", TradesSchema(), 100.0);
+  PIPES_CHECK(writer.ok());
+  server::PipesServer server(engine);
+  if (!server.Start().ok()) {
+    state.SkipWithError("no loopback sockets in this environment");
+    return;
+  }
+  auto client = server::Client::Connect("127.0.0.1", server.port(), "bench");
+  if (!client.ok()) {
+    server.Stop();
+    state.SkipWithError("loopback connect failed");
+    return;
+  }
+  auto query =
+      client->Register("SELECT symbol, price FROM trades WHERE price > 0");
+  PIPES_CHECK_MSG(query.ok(), query.status().ToString().c_str());
+
+  std::vector<double> latencies_us;
+  Timestamp t = 0;
+  for (auto _ : state) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    const auto start = std::chrono::steady_clock::now();
+    PIPES_CHECK(writer
+                    ->Push(Tuple{Value(static_cast<std::int64_t>(t % 4)),
+                                 Value(30.0)},
+                           t)
+                    .ok());
+    std::size_t rows = 0;
+    while (rows == 0) {
+      auto fetched = client->Fetch(query->query_id, 16);
+      PIPES_CHECK(fetched.ok());
+      rows = fetched->size();
+    }
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(took.count());
+    latencies_us.push_back(took.count() * 1e6);
+    benchmark::DoNotOptimize(rows);
+    ++t;
+  }
+  std::sort(latencies_us.begin(), latencies_us.end());
+  const auto quantile = [&](double q) {
+    if (latencies_us.empty()) return 0.0;
+    return latencies_us[static_cast<std::size_t>(
+        q * static_cast<double>(latencies_us.size() - 1))];
+  };
+  state.counters["p50_us"] = benchmark::Counter(quantile(0.50));
+  state.counters["p99_us"] = benchmark::Counter(quantile(0.99));
+  state.SetItemsProcessed(state.iterations());
+
+  client->Close();
+  server.Stop();
+}
+
 }  // namespace
 
 // The shared storm must stay flat out past a thousand live queries; the
@@ -184,3 +253,4 @@ BENCHMARK(BM_RegisterCancelStormShared)->Arg(16)->Arg(256)->Arg(1024);
 BENCHMARK(BM_RegisterCancelStormUnshared)->Arg(16)->Arg(64);
 BENCHMARK(BM_ChurnWhileStreaming)->Arg(16)->Arg(64);
 BENCHMARK(BM_ServerRegisterStorm)->Arg(16)->Arg(256);
+BENCHMARK(BM_ServerPushToFetch)->UseManualTime()->Unit(benchmark::kMicrosecond);

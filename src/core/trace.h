@@ -23,10 +23,14 @@
 /// trace id. Journeys are reconstructed by grouping ring events on
 /// `element_start` and ordering by `steady_ns`.
 ///
-/// The ring is a fixed-size single-writer-per-slot seqlock: writers claim a
-/// slot with one relaxed fetch_add, fill its atomic fields, then publish
-/// with a release store of the sequence number; `Snapshot()` drops slots it
-/// catches mid-write. No fences, so ThreadSanitizer checks the protocol. Tracing is off by default and costs one relaxed load per
+/// The ring is a fixed-size seqlock with one writer per slot at a time:
+/// writers take a ticket with one relaxed fetch_add, claim the ticket's slot
+/// by a compare-exchange of its sequence number from even to odd, fill its
+/// atomic fields, then publish with a release store of the sequence number.
+/// A writer that finds its slot mid-write by another (one that lapped the
+/// ring) or already holding a newer ticket drops its event; `Snapshot()`
+/// drops slots it catches mid-write. No fences, so ThreadSanitizer checks
+/// the protocol. Tracing is off by default and costs one relaxed load per
 /// transfer when off.
 
 namespace pipes::trace {
@@ -60,7 +64,8 @@ class TraceRing {
 
   std::size_t capacity() const { return slots_.size(); }
 
-  /// Total events ever recorded (≥ what the ring still holds).
+  /// Total events ever recorded, dropped ones included (≥ what the ring
+  /// still holds).
   std::uint64_t recorded() const {
     return head_.load(std::memory_order_relaxed);
   }
@@ -68,15 +73,26 @@ class TraceRing {
   void Record(std::uint64_t node_id, Timestamp element_start, Hop hop) {
     const std::uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
     Slot& slot = slots_[ticket & (slots_.size() - 1)];
-    // Mark the slot in-flight (odd), fill, then publish (even = ticket+2).
-    // Each field is a release store, so a reader that acquires a field
-    // this write stored also sees the odd mark and drops the slot.
-    slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
+    // Claim the slot (odd = in flight), fill, then publish (even =
+    // 2 * ticket + 2). A writer that lapped the ring may share the slot;
+    // the claim fails, and the event is dropped, while another write is in
+    // flight or once a newer ticket is published, so two writes never
+    // interleave and a slot's sequence number only grows. The acquire
+    // orders these fields after those of the write they replace; each
+    // field is a release store, so a reader that acquires one also sees
+    // the odd mark and drops the slot.
+    const std::uint64_t in_flight = 2 * ticket + 1;
+    std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+    do {
+      if ((seq & 1) != 0 || seq > in_flight) return;
+    } while (!slot.seq.compare_exchange_weak(seq, in_flight,
+                                             std::memory_order_acquire,
+                                             std::memory_order_relaxed));
     slot.node_id.store(node_id, std::memory_order_release);
     slot.element_start.store(element_start, std::memory_order_release);
     slot.steady_ns.store(obs::SteadyNowNs(), std::memory_order_release);
     slot.hop.store(hop, std::memory_order_release);
-    slot.seq.store(2 * ticket + 2, std::memory_order_release);
+    slot.seq.store(in_flight + 1, std::memory_order_release);
   }
 
   /// Copies out every completely written event still in the ring, oldest

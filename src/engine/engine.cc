@@ -85,6 +85,27 @@ class Engine::ResultSink : public Sink<relational::Tuple> {
 
 // --- Engine -----------------------------------------------------------------
 
+/// Holds the engine mutex for a graft, and for a writer staging its inlet's
+/// backlog. Either may leave work staged in a pipe, where a parked pump's
+/// re-check cannot see it, so releasing the lock marks the next `Pump` due
+/// and then wakes parked pumps.
+class Engine::GraftLock {
+ public:
+  explicit GraftLock(Engine& engine) : engine_(engine), lock_(engine.mu_) {}
+  ~GraftLock() {
+    engine_.pump_due_.store(true, std::memory_order_relaxed);
+    lock_.unlock();
+    engine_.WakePumps();
+  }
+
+  GraftLock(const GraftLock&) = delete;
+  GraftLock& operator=(const GraftLock&) = delete;
+
+ private:
+  Engine& engine_;
+  std::unique_lock<std::mutex> lock_;
+};
+
 Engine::Engine(EngineOptions options)
     : options_(options),
       memory_(options.memory_budget_bytes,
@@ -96,6 +117,7 @@ Engine::Engine(EngineOptions options)
 }
 
 Engine::~Engine() {
+  PIPES_DCHECK(parked_.value.load() == 0);
   // Deliver queued and staged rows and detach before the graph goes away.
   std::lock_guard<std::mutex> lock(mu_);
   SuspendExecutorLocked();
@@ -121,6 +143,19 @@ void Engine::EnsureExecutorLocked() {
   }
 }
 
+void Engine::WakePumps() {
+  // A parking pump holds wake_mu_ from its re-check until it sleeps, so
+  // once we have held it, the pump is asleep or has yet to re-check.
+  { std::lock_guard<std::mutex> lock(wake_mu_); }
+  wake_cv_.notify_all();
+}
+
+bool Engine::PumpHasWorkWakeLocked() const {
+  if (pump_due_.load(std::memory_order_relaxed)) return true;
+  return std::any_of(inlets_.begin(), inlets_.end(),
+                     [](const InletSource* inlet) { return inlet->HasWork(); });
+}
+
 void Engine::StageBacklogLocked(InletSource& inlet) {
   if (!inlet.HasWork()) return;
   EnsureExecutorLocked();
@@ -144,7 +179,7 @@ std::size_t Engine::SpilledBytesLocked() const {
 Result<StreamWriter> Engine::AddStream(const std::string& name,
                                        relational::Schema schema,
                                        double rate_hint) {
-  std::lock_guard<std::mutex> lock(mu_);
+  GraftLock lock(*this);
   SuspendExecutorLocked();
   auto& inlet = graph_.Add<InletSource>(name);
   const Status status =
@@ -153,14 +188,17 @@ Result<StreamWriter> Engine::AddStream(const std::string& name,
     PIPES_CHECK(graph_.Remove(inlet).ok());
     return status;
   }
-  inlets_.push_back(&inlet);
+  {
+    std::lock_guard<std::mutex> wake_lock(wake_mu_);
+    inlets_.push_back(&inlet);
+  }
   return StreamWriter(this, &inlet);
 }
 
 Status Engine::BindStream(const std::string& name, relational::Schema schema,
                           Source<relational::Tuple>& source,
                           double rate_hint) {
-  std::lock_guard<std::mutex> lock(mu_);
+  GraftLock lock(*this);
   if (!graph_.Contains(source)) {
     return Status::InvalidArgument("source '" + source.name() +
                                    "' is not owned by the engine graph; add "
@@ -214,8 +252,12 @@ Status StreamWriter::Write(Append append) {
     over_bound = inlet_->queue_.units() > InletSource::kMaxQueuedUnits;
   }
   if (over_bound) {
-    std::lock_guard<std::mutex> lock(engine_->mu_);
+    Engine::GraftLock lock(*engine_);
     engine_->StageBacklogLocked(*inlet_);
+  } else if (engine_->parked_.value.load() != 0) {
+    // The inlet mutex ordered this append and a parking pump's re-check of
+    // it: if the re-check came first, this load sees the pump counted in.
+    engine_->WakePumps();
   }
   return Status::OK();
 }
@@ -434,7 +476,7 @@ Result<QueryHandle> Engine::RegisterPlanLocked(
 
 Result<QueryHandle> Engine::Register(const std::string& cql_text,
                                      const RegisterOptions& options) {
-  std::lock_guard<std::mutex> lock(mu_);
+  GraftLock lock(*this);
   PIPES_ASSIGN_OR_RETURN(cql::CompiledQuery compiled,
                          cql::Compile(cql_text, catalog_));
   return RegisterPlanLocked(compiled.plan, options);
@@ -442,7 +484,7 @@ Result<QueryHandle> Engine::Register(const std::string& cql_text,
 
 Result<QueryHandle> Engine::Register(const optimizer::LogicalPlan& plan,
                                      const RegisterOptions& options) {
-  std::lock_guard<std::mutex> lock(mu_);
+  GraftLock lock(*this);
   if (plan == nullptr) return Status::InvalidArgument("null plan");
   return RegisterPlanLocked(plan, options);
 }
@@ -450,7 +492,7 @@ Result<QueryHandle> Engine::Register(const optimizer::LogicalPlan& plan,
 Result<QueryHandle> Engine::Register(const PipelineBuilder& builder,
                                      const RegisterOptions& options,
                                      PipelineTeardown teardown) {
-  std::lock_guard<std::mutex> lock(mu_);
+  GraftLock lock(*this);
   // Pipeline registrations cannot be replayed later, so admission failures
   // always reject (the queue only holds plans).
   PIPES_RETURN_IF_ERROR([&] {
@@ -548,12 +590,12 @@ Status Engine::CancelLocked(std::uint64_t query_id) {
 }
 
 Status Engine::Cancel(std::uint64_t query_id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  GraftLock lock(*this);
   return CancelLocked(query_id);
 }
 
 std::size_t Engine::CancelAllForTenant(const std::string& tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
+  GraftLock lock(*this);
   std::vector<std::uint64_t> ids;
   for (const auto& [id, record] : queries_) {
     if (record.tenant == tenant && record.state != QueryState::kCancelled) {
@@ -596,11 +638,17 @@ void Engine::AdmitPendingLocked() {
 // --- Execution --------------------------------------------------------------
 
 std::uint64_t Engine::Pump(std::uint64_t max_steps) {
-  std::lock_guard<std::mutex> lock(mu_);
-  AdmitPendingLocked();
-  EnsureExecutorLocked();
   std::uint64_t steps = 0;
-  while (steps < max_steps && executor_->Step()) ++steps;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    AdmitPendingLocked();
+    EnsureExecutorLocked();
+    while (steps < max_steps && executor_->Step()) ++steps;
+    // A pump stopped by its budget may leave work staged in a pipe, where
+    // a parked pump's re-check cannot see it.
+    pump_due_.store(steps == max_steps, std::memory_order_relaxed);
+  }
+  if (steps == max_steps && parked_.value.load() != 0) WakePumps();
   return steps;
 }
 
@@ -608,7 +656,21 @@ scheduler::RunStats Engine::RunToCompletion() {
   std::lock_guard<std::mutex> lock(mu_);
   AdmitPendingLocked();
   EnsureExecutorLocked();
-  return executor_->RunToCompletion();
+  const scheduler::RunStats stats = executor_->RunToCompletion();
+  pump_due_.store(false, std::memory_order_relaxed);
+  return stats;
+}
+
+bool Engine::WaitForWork(std::stop_token stop) {
+  std::unique_lock<std::mutex> lock(wake_mu_);
+  // Work already queued needs no wake, so writers keep their fast path.
+  if (PumpHasWorkWakeLocked()) return true;
+  // Count in before the re-check (see "Waking a pump" in engine.h).
+  parked_.value.fetch_add(1);
+  const bool work = wake_cv_.wait(lock, std::move(stop),
+                                  [this] { return PumpHasWorkWakeLocked(); });
+  parked_.value.fetch_sub(1);
+  return work;
 }
 
 // --- Observability ----------------------------------------------------------

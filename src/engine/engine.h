@@ -1,12 +1,15 @@
 #ifndef PIPES_ENGINE_ENGINE_H_
 #define PIPES_ENGINE_ENGINE_H_
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stop_token>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,6 +48,22 @@
 /// bound. Lock order is engine mutex, then inlet mutex. Result callbacks
 /// fire while the engine lock is held — do not call back into the engine
 /// from inside one, writers included.
+///
+/// Waking a pump: a thread that pumps on its own (`PipesServer`'s) parks in
+/// `WaitForWork` when a `Pump` finds nothing to do, and the engine wakes it
+/// when there is work again. This is an eventcount. A pump that finds no
+/// work counts itself in as parked, re-checks every inlet's queue under
+/// that inlet's mutex, and only then sleeps. A writer appends under the
+/// inlet mutex and afterwards loads the parked count, so either the
+/// re-check sees its row or the writer sees the parked pump and wakes it.
+/// With no pump parked a writer only loads that count, which sits alone on
+/// its cache line. Every graft, and a writer that stages its backlog, marks
+/// the next `Pump` due and wakes unconditionally once it releases the
+/// engine mutex: what it staged sits in a pipe, where no inlet re-check can
+/// see it. A `Pump` stopped by its step budget does the same (waking only
+/// if a pump is parked); one that finds the graph idle clears the mark.
+/// `WaitForWork` has no timeout; a stop request ends it. It must return
+/// before `~Engine`.
 ///
 /// Graph mutation protocol: the graph must not change while a
 /// `PipeExecutor` is linked to its pipes, and a subscription change must
@@ -218,7 +237,9 @@ class InletSource : public Source<relational::Tuple> {
 /// from several threads. Each call checks and queues under the inlet's
 /// mutex and returns without waiting for `Pump`; only a write that finds
 /// the inlet queue past `InletSource::kMaxQueuedUnits` takes the engine
-/// mutex, to stage the backlog into the inlet's pipe.
+/// mutex, to stage the backlog into the inlet's pipe. After releasing the
+/// inlet mutex, a write wakes a pump parked in `Engine::WaitForWork`, and
+/// only then writes anything the engine shares.
 class StreamWriter {
  public:
   StreamWriter() = default;
@@ -241,7 +262,7 @@ class StreamWriter {
       : engine_(engine), inlet_(inlet) {}
 
   /// Runs `append(queue)` under the inlet mutex; past the queue bound,
-  /// stages the backlog under the engine mutex.
+  /// stages the backlog under the engine mutex. Then wakes a parked pump.
   template <typename Append>
   Status Write(Append append);
 
@@ -373,11 +394,22 @@ class Engine {
 
   /// Runs up to `max_steps` executor steps (pipe deliveries + source
   /// polls); stops early when the graph has no work. Also admits queued
-  /// registrations that now fit. Returns steps actually taken.
+  /// registrations that now fit. Returns steps actually taken. Stopped by
+  /// its budget, it wakes any pump parked in `WaitForWork`.
   std::uint64_t Pump(std::uint64_t max_steps = 1024);
 
   /// Pumps until the graph fully drains (finite workloads: demos, tests).
   scheduler::RunStats RunToCompletion();
+
+  /// Parks the calling thread until a `Pump` may find work: an inlet holds
+  /// queued units, or a graft, an over-bound write or a `Pump` stopped by
+  /// its budget left work staged for the next `Pump`. Returns true then,
+  /// and false when `stop` is requested first. No timeout: writers, grafts
+  /// and the stop request wake it. A bound source that gains work from
+  /// outside the engine wakes nothing. For a thread that loops `Pump` and
+  /// parks whenever a `Pump` stops short of its step budget; must return
+  /// before the engine is destroyed.
+  bool WaitForWork(std::stop_token stop);
 
   // --- Observability --------------------------------------------------------
 
@@ -413,6 +445,8 @@ class Engine {
 
   /// The engine-owned terminal sink of one registered query.
   class ResultSink;
+  /// The engine lock of a graft; releasing it wakes a parked pump.
+  class GraftLock;
 
   struct QueryRecord {
     std::string tenant;
@@ -456,6 +490,11 @@ class Engine {
   Result<std::vector<std::uint64_t>> QueryNodeIdsLocked(
       std::uint64_t query_id) const;
   static std::string OutputGaugeName(const std::string& tenant);
+  /// Wakes every pump parked in `WaitForWork`. mu_ not held.
+  void WakePumps();
+  /// Whether a parked pump has work: `pump_due_` or an inlet with queued
+  /// units. wake_mu_ held.
+  bool PumpHasWorkWakeLocked() const;
 
   mutable std::mutex mu_;
   EngineOptions options_;
@@ -466,13 +505,31 @@ class Engine {
   scheduler::RoundRobinStrategy strategy_;
   std::unique_ptr<scheduler::PipeExecutor> executor_;
 
-  std::vector<InletSource*> inlets_;  ///< Owned by the graph.
+  /// Owned by the graph. Appended under mu_ and wake_mu_; read under either.
+  std::vector<InletSource*> inlets_;
   std::map<std::uint64_t, QueryRecord> queries_;
   std::vector<std::uint64_t> pending_;  ///< Queued ids, FIFO.
   std::map<std::string, TenantCounters> tenants_;
   std::uint64_t next_query_id_ = 1;
   std::uint64_t cancelled_count_ = 0;
   std::uint64_t rejected_count_ = 0;
+
+  // Wake state (see "Waking a pump" in the file comment).
+  /// Whether the last holder of mu_ may have left work staged for the next
+  /// `Pump`: set by a graft, and by a `Pump` stopped by its step budget;
+  /// cleared by a `Pump` that found the graph idle and by
+  /// `RunToCompletion`. Written under mu_, read by a parked pump under
+  /// wake_mu_.
+  std::atomic<bool> pump_due_{false};
+  /// Serializes a parking pump's re-check with the wakes that could race it.
+  std::mutex wake_mu_;
+  std::condition_variable_any wake_cv_;
+  /// Pumps parked in `WaitForWork`. Every write loads it, so it has a cache
+  /// line of its own, which only a parking or waking pump writes.
+  struct alignas(64) ParkedCount {
+    std::atomic<std::uint32_t> value{0};
+  };
+  ParkedCount parked_;
 };
 
 }  // namespace pipes::engine

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <map>
 #include <utility>
@@ -95,8 +94,14 @@ Status PipesServer::Start() {
   // The loop gets the descriptor by value: Stop() resets listen_fd_ while
   // the loop may still be running.
   accept_thread_ = std::thread([this, fd] { AcceptLoop(fd); });
-  pump_thread_ = std::thread([this] { PumpLoop(); });
+  pump_thread_ =
+      std::jthread([this](const std::stop_token& stop) { PumpLoop(stop); });
   return Status::OK();
+}
+
+std::size_t PipesServer::connections() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return conn_fds_.size();
 }
 
 void PipesServer::Wait() {
@@ -121,15 +126,18 @@ void PipesServer::Stop() {
     stopped_cv_.notify_all();
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (pump_thread_.joinable()) pump_thread_.join();
-  std::vector<std::thread> threads;
+  if (pump_thread_.joinable()) {
+    // Wakes the pump if it is parked in Engine::WaitForWork.
+    pump_thread_.request_stop();
+    pump_thread_.join();
+  }
+  std::map<std::thread::id, std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(mu_);
     threads.swap(conn_threads_);
   }
-  for (std::thread& t : threads) {
-    if (!t.joinable()) continue;
-    if (t.get_id() == std::this_thread::get_id()) {
+  for (auto& [id, t] : threads) {
+    if (id == std::this_thread::get_id()) {
       // A SHUTDOWN frame stops the server from inside its own connection
       // thread; that thread cannot join itself.
       t.detach();
@@ -137,6 +145,10 @@ void PipesServer::Stop() {
     }
     t.join();
   }
+  // Only now is every id in finished_ joined; a later Start must not find
+  // one of them reused by a live thread.
+  std::lock_guard<std::mutex> lock(mu_);
+  finished_.clear();
 }
 
 void PipesServer::AcceptLoop(int listen_fd) {
@@ -146,21 +158,41 @@ void PipesServer::AcceptLoop(int listen_fd) {
       if (errno == EINTR) continue;
       break;  // Listener closed (Stop) or fatal error.
     }
+    JoinFinishedConnections();
+    std::lock_guard<std::mutex> lock(mu_);
+    // Checked under mu_: Stop() clears running_ before it shuts down the
+    // sockets in conn_fds_ under mu_, so this one is either among them or
+    // never served.
     if (!running_.load()) {
       ::close(fd);
       break;
     }
-    std::lock_guard<std::mutex> lock(mu_);
     conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    std::thread thread([this, fd] { ServeConnection(fd); });
+    const std::thread::id id = thread.get_id();
+    conn_threads_.emplace(id, std::move(thread));
   }
 }
 
-void PipesServer::PumpLoop() {
-  while (running_.load()) {
-    const std::uint64_t steps = engine_.Pump(options_.pump_steps);
-    if (steps == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+void PipesServer::JoinFinishedConnections() {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::thread::id id : finished_) {
+      if (auto node = conn_threads_.extract(id)) {
+        finished.push_back(std::move(node.mapped()));
+      }
+    }
+    finished_.clear();
+  }
+  for (std::thread& t : finished) t.join();
+}
+
+void PipesServer::PumpLoop(const std::stop_token& stop) {
+  while (!stop.stop_requested()) {
+    // A pump that stops short of its step budget found the graph idle.
+    if (engine_.Pump(options_.pump_steps) < options_.pump_steps) {
+      engine_.WaitForWork(stop);
     }
   }
 }
@@ -199,6 +231,15 @@ void PipesServer::ServeConnection(int fd) {
   // Disconnect semantics: everything this tenant registered dies with the
   // connection.
   if (conn.has_tenant) engine_.CancelAllForTenant(conn.tenant);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::erase(conn_fds_, fd);
+    // A connection that stops the server is left to that Stop(): were the
+    // accept loop to join it, each would wait for the other.
+    if (!conn.shutdown_requested) {
+      finished_.push_back(std::this_thread::get_id());
+    }
+  }
   ::close(fd);
   if (conn.shutdown_requested) Stop();
 }

@@ -3,8 +3,11 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <mutex>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,9 +22,9 @@
 /// a HELLO frame and then registers/cancels/fetches continuous queries;
 /// every tenant's queries multiplex onto the engine's one shared graph, so
 /// overlapping queries from different connections share subplans. A
-/// background pump thread drives the executor; admission control and
-/// per-tenant quotas are the engine's. Dropping a connection cancels
-/// everything its tenant registered.
+/// background pump thread drives the executor and parks while the engine
+/// has no work; admission control and per-tenant quotas are the engine's.
+/// Dropping a connection cancels everything its tenant registered.
 
 namespace pipes::server {
 
@@ -35,8 +38,11 @@ struct ServerOptions {
 };
 
 /// Accepts connections on a listener thread, serves each on its own
-/// thread, and pumps the engine on another. Start/Stop are not
-/// re-entrant; Stop is idempotent and also runs from the destructor.
+/// thread, and pumps the engine on another, which parks in
+/// `Engine::WaitForWork` whenever a pump finds the graph idle and wakes on
+/// the next write or graft. A closed connection's thread is joined at the
+/// next accept. Start/Stop are not re-entrant; Stop is idempotent and also
+/// runs from the destructor.
 class PipesServer {
  public:
   explicit PipesServer(engine::Engine& engine, ServerOptions options = {});
@@ -55,6 +61,9 @@ class PipesServer {
 
   bool running() const { return running_.load(); }
 
+  /// Connections being served: accepted and not yet closed.
+  std::size_t connections() const;
+
   /// Blocks until the server stops (Stop() from another thread, or a
   /// client SHUTDOWN frame).
   void Wait();
@@ -64,8 +73,10 @@ class PipesServer {
 
  private:
   void AcceptLoop(int listen_fd);
-  void PumpLoop();
+  void PumpLoop(const std::stop_token& stop);
   void ServeConnection(int fd);
+  /// Joins the threads of connections that have closed.
+  void JoinFinishedConnections();
 
   /// Per-connection request dispatch state.
   struct Connection;
@@ -79,14 +90,19 @@ class PipesServer {
   int port_ = 0;
 
   std::thread accept_thread_;
-  std::thread pump_thread_;
+  std::jthread pump_thread_;
 
   /// Serializes concurrent Stop() calls (a SHUTDOWN frame's connection
   /// thread can race the owner's Stop); taken before mu_.
   std::mutex stop_mu_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable stopped_cv_;
-  std::vector<std::thread> conn_threads_;
+  /// Connection threads not joined yet, by id.
+  std::map<std::thread::id, std::thread> conn_threads_;
+  /// Ids of the threads in `conn_threads_` whose connection has closed.
+  std::vector<std::thread::id> finished_;
+  /// Sockets of the open connections. A connection drops its own before it
+  /// closes it, so Stop() never shuts down a number the process reused.
   std::vector<int> conn_fds_;
 };
 

@@ -5,8 +5,9 @@
 // snapshots and counters, concurrent registration (exercised under TSAN in
 // the sanitizer CI job), pushes that wait for Pump but never for the
 // engine lock, the graft boundary of queued writes, the inlet's bounded
-// and visible backlog, pushed intervals the algebra cannot hold, and query
-// text that must fail Register without touching the graph.
+// and visible backlog, a parked pump that every write, graft and stop
+// request wakes, pushed intervals the algebra cannot hold, and query text
+// that must fail Register without touching the graph.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +15,12 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
+#include <future>
 #include <limits>
 #include <mutex>
+#include <optional>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -764,6 +769,165 @@ TEST_F(EngineTest, ConcurrentWritersMatchReference) {
     const auto got = Canonical(handles[q].Poll());
     EXPECT_FALSE(got.empty()) << queries[q];
     EXPECT_EQ(got, expected[q]) << queries[q];
+  }
+}
+
+// --- A pump that parks until there is work ----------------------------------
+
+/// Whether query `id`'s result sink has seen the end of its input: its
+/// progress clock reads the last timestamp.
+bool ResultsComplete(const Engine& engine, std::uint64_t id) {
+  const Result<metadata::MetricsSnapshot> snap = engine.QuerySnapshot(id);
+  if (!snap.ok()) return false;
+  const std::string sink = "q" + std::to_string(id) + "-results";
+  return std::any_of(snap->nodes.begin(), snap->nodes.end(),
+                     [&](const metadata::NodeSnapshot& n) {
+                       return n.name == sink && n.has_progress &&
+                              n.progress == kMaxTimestamp;
+                     });
+}
+
+/// Calls `Engine::WaitForWork` on another thread, checks that it is still
+/// parked 50 ms later, runs `wake`, and returns what `WaitForWork` returned;
+/// nullopt when it had not returned 10 s after `wake` (a stop request then
+/// lets the thread go).
+std::optional<bool> ParkThenWake(Engine& engine,
+                                 const std::function<void()>& wake,
+                                 std::stop_source stop = {}) {
+  std::promise<bool> returned;
+  std::future<bool> result = returned.get_future();
+  std::thread parked(
+      [&] { returned.set_value(engine.WaitForWork(stop.get_token())); });
+  EXPECT_EQ(result.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "WaitForWork returned with no work to do";
+  wake();
+  const bool woke = result.wait_for(std::chrono::seconds(10)) ==
+                    std::future_status::ready;
+  if (!woke) stop.request_stop();
+  parked.join();
+  if (!woke) return std::nullopt;
+  return result.get();
+}
+
+// A thread parked in WaitForWork returns on each write (push, heartbeat,
+// close), on a Register after the stream's last write, on a Register that
+// brings its own source, on a Cancel that admits a queued registration,
+// and on a stop request, where it returns false.
+TEST_F(EngineTest, WaitForWorkWakesOnWriteGraftAndStop) {
+  EngineOptions options;
+  options.max_total_queries = 3;
+  options.admission = AdmissionPolicy::kQueue;
+  Engine engine(options);
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  auto first = engine.Register("SELECT symbol, price FROM trades");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  // Delivers everything and takes the due mark each graft leaves.
+  const auto drain = [&] {
+    while (engine.Pump() > 0) {
+    }
+  };
+  drain();
+
+  EXPECT_EQ(ParkThenWake(engine, [&] { PushTrades(*writer, 1, 0); }), true);
+  drain();
+  EXPECT_EQ(first->Poll().size(), 1u);
+  EXPECT_EQ(ParkThenWake(engine,
+                         [&] { EXPECT_TRUE(writer->Heartbeat(500).ok()); }),
+            true);
+  drain();
+  EXPECT_EQ(
+      ParkThenWake(engine, [&] { EXPECT_TRUE(writer->Close().ok()); }), true);
+  drain();
+  EXPECT_TRUE(ResultsComplete(engine, first->id()));
+
+  QueryHandle late;
+  EXPECT_EQ(ParkThenWake(engine,
+                         [&] {
+                           auto handle = engine.Register(
+                               "SELECT symbol, price FROM trades "
+                               "WHERE price > 1");
+                           ASSERT_TRUE(handle.ok())
+                               << handle.status().ToString();
+                           late = *handle;
+                         }),
+            true);
+  drain();
+  EXPECT_TRUE(ResultsComplete(engine, late.id()));
+
+  // A pipeline registration brings its own source, which only a Pump polls.
+  const std::vector<StreamElement<Tuple>> side = TradeRows(3, 100, 3);
+  QueryHandle piped;
+  EXPECT_EQ(ParkThenWake(engine,
+                         [&] {
+                           auto handle = engine.Register(
+                               [&](QueryGraph& graph)
+                                   -> Result<Source<Tuple>*> {
+                                 return &graph.Add<VectorSource<Tuple>>(
+                                     side, "side", 64);
+                               });
+                           ASSERT_TRUE(handle.ok())
+                               << handle.status().ToString();
+                           piped = *handle;
+                         }),
+            true);
+  EXPECT_EQ(piped.results_delivered(), 0u);
+  drain();
+  EXPECT_EQ(piped.results_delivered(), side.size());
+  EXPECT_TRUE(ResultsComplete(engine, piped.id()));
+
+  auto queued =
+      engine.Register("SELECT symbol, price FROM trades WHERE price > 2");
+  ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+  EXPECT_EQ(queued->state(), QueryState::kQueued);
+  drain();
+  EXPECT_EQ(ParkThenWake(engine, [&] { EXPECT_TRUE(first->Cancel().ok()); }),
+            true);
+  EXPECT_EQ(queued->state(), QueryState::kRunning);
+  drain();
+  EXPECT_TRUE(ResultsComplete(engine, queued->id()));
+
+  std::stop_source stop;
+  EXPECT_EQ(ParkThenWake(engine, [&] { stop.request_stop(); }, stop), false);
+  EXPECT_FALSE(engine.WaitForWork(stop.get_token()));
+}
+
+// A pump thread loops Pump -> WaitForWork while a writer pushes rows one
+// at a time and waits until the callback has seen each before the next,
+// so nearly every row finds the pump parked. After every other push the
+// writer also runs Pump(1), which stages the row without delivering it, as
+// a second pumping thread might: the parked pump must still deliver it.
+// The per-row deadline turns a lost wake into a failure instead of a hang.
+TEST_F(EngineTest, ParkedPumpNeverMissesAWrite) {
+  constexpr int kRows = 20'000;
+  Engine engine;
+  auto writer = AddTrades(engine);
+  ASSERT_TRUE(writer.ok());
+  auto handle = engine.Register("SELECT symbol, price FROM trades");
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  std::atomic<int> seen{0};
+  ASSERT_TRUE(
+      handle->OnResult([&](const QueryHandle::Element&) { seen.fetch_add(1); })
+          .ok());
+
+  std::jthread pump([&](std::stop_token stop) {
+    constexpr std::uint64_t kSteps = 64;
+    while (!stop.stop_requested()) {
+      if (engine.Pump(kSteps) < kSteps) engine.WaitForWork(stop);
+    }
+  });
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(
+        writer->Push(Tuple{Value(std::int64_t{i % 3}), Value(1.0 * i)}, i)
+            .ok());
+    if (i % 2 == 1) engine.Pump(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (seen.load() <= i && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(seen.load(), i + 1) << "row " << i << " was never delivered";
   }
 }
 

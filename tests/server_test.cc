@@ -5,7 +5,10 @@
 // listeners; the codec tests always run.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -329,6 +332,36 @@ TEST_F(ServerTest, CancelIsScopedToTheRegisteringConnection) {
   EXPECT_TRUE(alice->Cancel(q->query_id).ok());
   EXPECT_EQ(engine_->tenant_counters("alice").live, 0u);
   EXPECT_EQ(engine_->tenant_counters("alice").cancelled, 1u);
+}
+
+// A closed connection leaves nothing behind: the live count returns to 0,
+// and Stop() shuts down no descriptor number the process has since reused
+// (a socketpair opened afterwards still carries a byte).
+TEST_F(ServerTest, ClosedConnectionsAreReleased) {
+  for (int i = 0; i < 64; ++i) {
+    auto client = Client::Connect("127.0.0.1", server_->port(), "cycler");
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE(client->Ping().ok());
+    client->Close();
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->connections() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server_->connections(), 0u);
+
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  server_->Stop();
+  const char sent = 'x';
+  EXPECT_EQ(::send(pair[0], &sent, 1, MSG_NOSIGNAL), 1);
+  char received = 0;
+  EXPECT_EQ(::recv(pair[1], &received, 1, 0), 1);
+  EXPECT_EQ(received, sent);
+  ::close(pair[0]);
+  ::close(pair[1]);
 }
 
 TEST_F(ServerTest, TenantsAreIsolated) {
