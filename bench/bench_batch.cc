@@ -14,6 +14,10 @@
 // Harnesses:
 //  * filter -> map -> union -> buffer over 100k-element int streams (the
 //    operators with columnar kernels plus the buffer's train drain);
+//  * one filter -> map query over 200k points in runs of 64, twice: as
+//    typed `int` operators, and as CQL through `Engine` with an `OnResult`
+//    callback (the relational row path every CQL query takes; ROADMAP
+//    item 3 asks it to come within 3x of the typed chain);
 //  * the traffic workload: generator source -> HOV filter -> time window,
 //    one simulated hour of loop-detector readings;
 //  * the same int chain across a ConcurrentBuffer under the
@@ -21,6 +25,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -28,10 +33,14 @@
 #include "src/algebra/map.h"
 #include "src/algebra/union.h"
 #include "src/algebra/window.h"
+#include "src/common/macros.h"
 #include "src/core/buffer.h"
 #include "src/core/generator_source.h"
 #include "src/core/graph.h"
 #include "src/core/sink.h"
+#include "src/engine/engine.h"
+#include "src/relational/schema.h"
+#include "src/relational/tuple.h"
 #include "src/scheduler/executor.h"
 #include "src/scheduler/scheduler.h"
 #include "src/workloads/traffic_queries.h"
@@ -120,6 +129,65 @@ void BM_ExecutorFilterMapUnionBufferChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * kElements);
 }
 
+constexpr int kChainPoints = 200'000;
+constexpr std::size_t kChainRun = 64;
+constexpr std::uint64_t kChainResults = kChainPoints / 8 * 7;  // KeepMost drops 1/8
+
+// source -> filter -> map -> sink over `int`, the source emitting runs of
+// 64 points.
+void BM_TypedFilterMapChain(benchmark::State& state) {
+  std::vector<StreamElement<int>> input;
+  input.reserve(kChainPoints);
+  for (int i = 0; i < kChainPoints; ++i) {
+    input.push_back(StreamElement<int>::Point(i, i));
+  }
+  for (auto _ : state) {
+    QueryGraph graph;
+    auto& source = graph.Add<VectorSource<int>>(input, "points", kChainRun);
+    auto& filter = graph.Add<algebra::Filter<int, KeepMost>>(KeepMost{});
+    auto& map = graph.Add<algebra::Map<int, int, AddOne>>(AddOne{});
+    auto& sink = graph.Add<CountingSink<int>>();
+    source.AddSubscriber(filter.input());
+    filter.AddSubscriber(map.input());
+    map.AddSubscriber(sink.input());
+
+    scheduler::RoundRobinStrategy strategy;
+    scheduler::PipeExecutor executor(graph, strategy, /*batch_size=*/1024);
+    executor.RunToCompletion();
+    benchmark::DoNotOptimize(sink.count());
+    PIPES_CHECK(sink.count() == kChainResults);
+  }
+  state.SetItemsProcessed(state.iterations() * kChainPoints);
+}
+
+// The same query as CQL: one-field rows pushed through a `StreamWriter`, a
+// pump every 64 pushes, results counted by an `OnResult` callback.
+void BM_CqlFilterMapChain(benchmark::State& state) {
+  const relational::Schema schema({{"v", relational::ValueType::kInt}});
+  for (auto _ : state) {
+    engine::Engine engine;
+    auto writer = engine.AddStream("points", schema);
+    PIPES_CHECK(writer.ok());
+    auto handle = engine.Register("SELECT v + 1 FROM points WHERE v % 8 <> 0");
+    PIPES_CHECK(handle.ok());
+    std::uint64_t results = 0;
+    PIPES_CHECK(handle->OnResult([&results](const auto&) { ++results; }).ok());
+    for (int i = 0; i < kChainPoints; ++i) {
+      PIPES_CHECK(writer
+                      ->Push(relational::Tuple{relational::Value(
+                                 static_cast<std::int64_t>(i))},
+                             i)
+                      .ok());
+      if ((i + 1) % kChainRun == 0) engine.Pump();
+    }
+    PIPES_CHECK(writer->Close().ok());
+    engine.RunToCompletion();
+    benchmark::DoNotOptimize(results);
+    PIPES_CHECK(results == kChainResults);
+  }
+  state.SetItemsProcessed(state.iterations() * kChainPoints);
+}
+
 // Cross-thread edge: source and sink halves on different workers, the
 // ConcurrentBuffer between them drained train-at-a-time. Batching cuts
 // lock acquisitions from per-element to per-train on both sides.
@@ -154,6 +222,8 @@ BENCHMARK(BM_ExecutorFilterMapUnionBufferChain)
     ->Arg(64)
     ->Arg(512);
 BENCHMARK(BM_TrafficWorkload)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
+BENCHMARK(BM_TypedFilterMapChain);
+BENCHMARK(BM_CqlFilterMapChain);
 // Wall-clock timing: the work happens on the scheduler's worker threads,
 // so the bench thread's CPU time would misstate throughput.
 BENCHMARK(BM_ConcurrentBufferEdge)

@@ -13,6 +13,7 @@
 #include "src/common/macros.h"
 #include "src/core/ordered_buffer.h"
 #include "src/core/pipe.h"
+#include "src/sweeparea/sweep_area.h"
 
 /// \file
 /// Temporal aggregation with the sweep-line algorithm: the time axis is
@@ -231,11 +232,16 @@ class GroupedAggregate
 
   std::size_t num_groups() const { return groups_.size(); }
 
+  /// Per group: its key as `sweeparea::ApproxPayloadBytes` prices it (for
+  /// a `Tuple` key the row with its inline values, any heap block and its
+  /// string bytes), index and table overhead, and its sweep-line segments.
   std::size_t ApproxMemoryBytes() const override {
-    std::size_t segments = 0;
-    for (const Group& group : groups_) segments += group.core.num_segments();
-    return groups_.size() * (sizeof(Key) + 64) +
-           segments * (sizeof(typename Agg::State) + 48);
+    std::size_t bytes = 0;
+    for (const Group& group : groups_) {
+      bytes += sweeparea::ApproxPayloadBytes(group.entry->first) + 64 +
+               group.core.num_segments() * (sizeof(typename Agg::State) + 48);
+    }
+    return bytes;
   }
 
   NodeDescriptor Describe() const override {
@@ -245,6 +251,8 @@ class GroupedAggregate
     d.key_partitionable = true;
     // Per input element: at most one new group entry plus two sweep-line
     // boundaries in that group's aggregator (see ApproxMemoryBytes).
+    // `sizeof(Key)` is a key's inline size; the plan builder stamps what a
+    // tuple key holds beyond it (`dataflow.bytes_per_element`).
     d.dataflow.output_factor = 2.0;
     d.dataflow.state_bytes_per_element =
         (sizeof(Key) + 64) + 2 * (sizeof(typename Agg::State) + 48);

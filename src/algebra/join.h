@@ -231,22 +231,22 @@ class TemporalJoin : public BinaryPipe<L, R, Out>, public memory::MemoryUser {
 
  private:
   /// The shed fallback's per-row step: probe, insert, shed, flush.
-  void ProbeLeft(const StreamElement<L>& e) {
+  void ProbeLeft(StreamElement<L> e) {
     right_sa_.Query(e, [&](const StreamElement<R>& r) {
       staged_.Push(StreamElement<Out>(combine_(e.payload, r.payload),
                                       e.interval.Intersect(r.interval)));
     });
-    left_sa_.Insert(e);
+    left_sa_.Insert(std::move(e));
     EnforceBudget();
     Flush();
   }
 
-  void ProbeRight(const StreamElement<R>& e) {
+  void ProbeRight(StreamElement<R> e) {
     left_sa_.Query(e, [&](const StreamElement<L>& l) {
       staged_.Push(StreamElement<Out>(combine_(l.payload, e.payload),
                                       l.interval.Intersect(e.interval)));
     });
-    right_sa_.Insert(e);
+    right_sa_.Insert(std::move(e));
     EnforceBudget();
     Flush();
   }

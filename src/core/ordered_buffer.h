@@ -11,19 +11,31 @@
 
 /// \file
 /// Helper for operators whose raw results are not produced in start order
-/// (joins, unions): results are staged in a binary heap and released —
+/// (joins, unions): results are staged behind a binary heap and released —
 /// ordered and deterministic — once the operator's input watermark
 /// guarantees that no earlier-starting result can still appear.
 
 namespace pipes {
 
-/// Min-heap of stream elements keyed by (start, insertion sequence). The
-/// sequence number makes release order deterministic among equal starts.
+/// Staging buffer that releases stream elements ordered by (start,
+/// insertion sequence). The sequence number makes release order
+/// deterministic among equal starts. The binary heap orders small
+/// `(start, seq, slot)` keys; the elements themselves wait in a slot vector,
+/// so each staged element is moved in once and out once, never on a sift.
 template <typename T>
 class OrderedOutputBuffer {
  public:
   void Push(StreamElement<T> element) {
-    heap_.push_back(Item{std::move(element), seq_++});
+    const Timestamp start = element.start();
+    std::size_t slot = rows_.size();
+    if (free_.empty()) {
+      rows_.push_back(std::move(element));
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      rows_[slot] = std::move(element);
+    }
+    heap_.push_back(Key{start, seq_++, slot});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
@@ -34,11 +46,18 @@ class OrderedOutputBuffer {
   template <typename EmitFn>
   std::size_t FlushUpTo(Timestamp watermark, EmitFn&& emit) {
     std::size_t n = 0;
-    while (!heap_.empty() && heap_.front().element.start() < watermark) {
+    while (!heap_.empty() && heap_.front().start < watermark) {
       std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      emit(std::move(heap_.back().element));
+      const std::size_t slot = heap_.back().slot;
       heap_.pop_back();
+      emit(std::move(rows_[slot]));
+      free_.push_back(slot);
       ++n;
+    }
+    if (heap_.empty()) {
+      // Every slot holds a moved-from element: drop them all at once.
+      rows_.clear();
+      free_.clear();
     }
     return n;
   }
@@ -53,20 +72,21 @@ class OrderedOutputBuffer {
   std::size_t size() const { return heap_.size(); }
 
  private:
-  struct Item {
-    StreamElement<T> element;
+  struct Key {
+    Timestamp start;
     std::uint64_t seq;
+    std::size_t slot;
   };
   struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      if (a.element.start() != b.element.start()) {
-        return a.element.start() > b.element.start();
-      }
+    bool operator()(const Key& a, const Key& b) const {
+      if (a.start != b.start) return a.start > b.start;
       return a.seq > b.seq;
     }
   };
 
-  std::vector<Item> heap_;  // a heap under Later: front() is the earliest
+  std::vector<Key> heap_;  // a heap under Later: front() is the earliest
+  std::vector<StreamElement<T>> rows_;  // indexed by Key::slot
+  std::vector<std::size_t> free_;       // slots of released elements
   std::uint64_t seq_ = 0;
 };
 

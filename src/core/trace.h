@@ -1,8 +1,10 @@
 #ifndef PIPES_CORE_TRACE_H_
 #define PIPES_CORE_TRACE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/common/macros.h"
@@ -96,11 +98,12 @@ class TraceRing {
   }
 
   /// Copies out every completely written event still in the ring, oldest
-  /// first by slot ticket. Events being overwritten concurrently are
-  /// skipped, never torn.
+  /// first by ticket (a slot published at sequence number `seq` holds ticket
+  /// `seq / 2 - 1`), so a wrapped ring reads in recording order too. Events
+  /// being overwritten concurrently are skipped, never torn.
   std::vector<Event> Snapshot() const {
-    std::vector<Event> out;
-    out.reserve(slots_.size());
+    std::vector<std::pair<std::uint64_t, Event>> published;
+    published.reserve(slots_.size());
     for (const Slot& slot : slots_) {
       const std::uint64_t seq_before = slot.seq.load(std::memory_order_acquire);
       if (seq_before == 0 || (seq_before & 1) != 0) continue;  // empty/in-flight
@@ -110,8 +113,13 @@ class TraceRing {
       copy.steady_ns = slot.steady_ns.load(std::memory_order_acquire);
       copy.hop = slot.hop.load(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) != seq_before) continue;
-      out.push_back(copy);
+      published.emplace_back(seq_before, copy);
     }
+    std::sort(published.begin(), published.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<Event> out;
+    out.reserve(published.size());
+    for (const auto& entry : published) out.push_back(entry.second);
     return out;
   }
 

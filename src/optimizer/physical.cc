@@ -37,10 +37,10 @@ struct ExprPredicate {
 struct ExprProjector {
   std::vector<relational::ExprPtr> exprs;
   Tuple operator()(const Tuple& t) const {
-    std::vector<relational::Value> values;
-    values.reserve(exprs.size());
-    for (const auto& expr : exprs) values.push_back(expr->Eval(t));
-    return Tuple(std::move(values));
+    Tuple out;
+    out.Reserve(exprs.size());
+    for (const auto& expr : exprs) out.Append(expr->Eval(t));
+    return out;
   }
 };
 
@@ -114,19 +114,21 @@ struct Pack {
 };
 
 Tuple Unpack(const PackedRow& row) {
-  std::vector<relational::Value> values(row.arity);
+  Tuple out;
   for (std::size_t i = 0; i < row.arity; ++i) {
     double d = 0;
     std::memcpy(&d, &row.bits[i], sizeof d);
     if (row.types[i] == relational::ValueType::kInt) {
-      values[i] = relational::Value(static_cast<std::int64_t>(row.bits[i]));
+      out.Append(relational::Value(static_cast<std::int64_t>(row.bits[i])));
     } else if (row.types[i] == relational::ValueType::kDouble) {
-      values[i] = relational::Value(d);
+      out.Append(relational::Value(d));
     } else if (row.types[i] == relational::ValueType::kBool) {
-      values[i] = relational::Value(row.bits[i] != 0);
+      out.Append(relational::Value(row.bits[i] != 0));
+    } else {
+      out.Append(relational::Value::Null());
     }
   }
-  return Tuple(std::move(values));
+  return out;
 }
 
 struct PackedKey {
@@ -143,14 +145,22 @@ struct PackedConcat {
 };
 
 /// Stateful tuple operators declare per-element state bytes in terms of
-/// sizeof(Tuple), which misses the heap the schema's values occupy. Stamps
-/// a schema-based estimate on the stateful ones among `nodes` as the
+/// sizeof(Tuple), which holds a row's inline values but misses its heap
+/// block past `Tuple::kInlineFields` and its string bytes. Stamps a
+/// schema-based estimate on the stateful ones among `nodes` as the
 /// `dataflow.bytes_per_element` gauge, so the abstract interpreter
 /// (src/analysis/dataflow.h) bounds real retention.
 void StampStateBytes(const std::vector<Node*>& nodes,
                      const relational::Schema& schema) {
-  const std::size_t tuple_bytes =
-      sizeof(Tuple) + schema.fields().size() * (sizeof(relational::Value) + 16);
+  // A row of `schema` as `sweeparea::ApproxPayloadBytes` prices it, with 16
+  // bytes allowed per string field.
+  std::size_t tuple_bytes = sizeof(Tuple);
+  if (schema.arity() > Tuple::kInlineFields) {
+    tuple_bytes += schema.arity() * sizeof(relational::Value);
+  }
+  for (const auto& field : schema.fields()) {
+    if (field.type == relational::ValueType::kString) tuple_bytes += 16;
+  }
   for (Node* node : nodes) {
     const NodeDescriptor desc = node->Describe();
     if (desc.dataflow.state_bytes_per_element == 0 && !desc.blocking) {
@@ -212,50 +222,48 @@ void TupleAggPolicy::Add(State& state, const Tuple& tuple) const {
 }
 
 Tuple TupleAggPolicy::Result(const State& state) const {
-  std::vector<relational::Value> values;
-  values.reserve(specs_.size());
+  Tuple out;
+  out.Reserve(specs_.size());
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     const SingleState& s = state[i];
     switch (specs_[i].kind) {
       case AggKind::kCount:
-        values.push_back(relational::Value(static_cast<std::int64_t>(s.count)));
+        out.Append(relational::Value(static_cast<std::int64_t>(s.count)));
         break;
       case AggKind::kSum:
-        values.push_back(s.saw_double
-                             ? relational::Value(s.double_sum)
-                             : relational::Value(s.int_sum));
+        out.Append(s.saw_double ? relational::Value(s.double_sum)
+                                : relational::Value(s.int_sum));
         break;
       case AggKind::kAvg:
-        values.push_back(
-            s.value_count == 0
-                ? relational::Value::Null()
-                : relational::Value(s.double_sum /
-                                    static_cast<double>(s.value_count)));
+        out.Append(s.value_count == 0
+                       ? relational::Value::Null()
+                       : relational::Value(s.double_sum /
+                                           static_cast<double>(s.value_count)));
         break;
       case AggKind::kMin:
-        values.push_back(s.set ? s.min : relational::Value::Null());
+        out.Append(s.set ? s.min : relational::Value::Null());
         break;
       case AggKind::kMax:
-        values.push_back(s.set ? s.max : relational::Value::Null());
+        out.Append(s.set ? s.max : relational::Value::Null());
         break;
       case AggKind::kVariance:
       case AggKind::kStddev: {
         if (s.value_count == 0) {
-          values.push_back(relational::Value::Null());
+          out.Append(relational::Value::Null());
           break;
         }
         const double variance =
             s.value_count < 2
                 ? 0.0
                 : s.m2 / static_cast<double>(s.value_count);
-        values.push_back(relational::Value(
+        out.Append(relational::Value(
             specs_[i].kind == AggKind::kStddev ? std::sqrt(variance)
                                                : variance));
         break;
       }
     }
   }
-  return Tuple(std::move(values));
+  return out;
 }
 
 PhysicalBuilder::PhysicalBuilder(QueryGraph* graph,

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <queue>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -42,11 +41,12 @@ class HashSweepArea {
         key_probe_(std::move(key_probe)),
         residual_(std::move(residual)) {}
 
-  void Insert(const StreamElement<Stored>& element) {
+  void Insert(StreamElement<Stored> element) {
     bytes_ += ApproxPayloadBytes(element.payload) + kPerElementOverheadBytes;
     Key key = key_stored_(element.payload);
-    expiry_.push(Expiry{element.end(), key});
-    buckets_[std::move(key)].push_back(element);
+    expiry_.push_back(Expiry{element.end(), key});
+    std::push_heap(expiry_.begin(), expiry_.end(), LaterExpiry{});
+    buckets_[std::move(key)].push_back(std::move(element));
     ++count_;
   }
 
@@ -94,9 +94,10 @@ class HashSweepArea {
   /// the number of expirations, not to the total state.
   std::size_t PurgeBefore(Timestamp t) {
     std::size_t removed = 0;
-    while (!expiry_.empty() && expiry_.top().end <= t) {
-      const Key key = expiry_.top().key;
-      expiry_.pop();
+    while (!expiry_.empty() && expiry_.front().end <= t) {
+      std::pop_heap(expiry_.begin(), expiry_.end(), LaterExpiry{});
+      const Key key = std::move(expiry_.back().key);
+      expiry_.pop_back();
       auto bucket_it = buckets_.find(key);
       if (bucket_it == buckets_.end()) continue;  // evicted by shedding
       auto& bucket = bucket_it->second;
@@ -151,9 +152,10 @@ class HashSweepArea {
   KeyP key_probe_;
   Residual residual_;
   std::unordered_map<Key, std::deque<StreamElement<Stored>>> buckets_;
-  // One entry per inserted element; entries of shed elements go stale and
-  // are skipped when popped.
-  std::priority_queue<Expiry, std::vector<Expiry>, LaterExpiry> expiry_;
+  // A heap under LaterExpiry, one entry per inserted element; entries of
+  // shed elements go stale and are skipped when popped. A plain vector, not
+  // a priority_queue, so a popped key is moved out, not copied.
+  std::vector<Expiry> expiry_;
   std::size_t count_ = 0;
   std::size_t bytes_ = 0;
 };

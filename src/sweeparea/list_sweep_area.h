@@ -29,9 +29,9 @@ class ListSweepArea {
 
   explicit ListSweepArea(Pred pred) : pred_(std::move(pred)) {}
 
-  void Insert(const StreamElement<Stored>& element) {
+  void Insert(StreamElement<Stored> element) {
     bytes_ += ApproxPayloadBytes(element.payload) + kPerElementOverheadBytes;
-    elements_.push_back(element);
+    elements_.push_back(std::move(element));
   }
 
   template <typename Emit>

@@ -76,7 +76,7 @@ class MultiwayJoin : public Source<std::vector<T>>, public PortOwner<T> {
     std::vector<std::size_t> order;
     std::vector<const StreamElement<T>*> partial(areas_.size(), nullptr);
     for (std::size_t r = 0; r < run.size(); ++r) {
-      const StreamElement<T> e = run.ElementAt(r);
+      StreamElement<T> e = run.ElementAt(r);
       // Probe order: remaining inputs by ascending SweepArea size — the
       // cheapest probe first prunes candidate combinations earliest.
       order.clear();
@@ -88,7 +88,7 @@ class MultiwayJoin : public Source<std::vector<T>>, public PortOwner<T> {
                   return areas_[a].size() < areas_[b].size();
                 });
       ExtendProbe(e, origin, order, 0, e.interval, partial);
-      areas_[origin].Insert(e);
+      areas_[origin].Insert(std::move(e));
       Flush();
     }
   }

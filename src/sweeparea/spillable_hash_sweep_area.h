@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <queue>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -65,11 +64,12 @@ class SpillableHashSweepArea {
 
   // --- Hot-path SweepArea interface ----------------------------------------
 
-  void Insert(const StreamElement<Stored>& element) {
+  void Insert(StreamElement<Stored> element) {
     hot_bytes_ += ApproxPayloadBytes(element.payload) + kPerElementOverheadBytes;
     Key key = key_stored_(element.payload);
-    expiry_.push(Expiry{element.end(), key});
-    buckets_[std::move(key)].push_back(element);
+    expiry_.push_back(Expiry{element.end(), key});
+    std::push_heap(expiry_.begin(), expiry_.end(), LaterExpiry{});
+    buckets_[std::move(key)].push_back(std::move(element));
     ++hot_count_;
   }
 
@@ -181,10 +181,12 @@ class SpillableHashSweepArea {
     // Rebuild the hot portion from the survivors.
     const std::size_t before = hot_bytes_;
     buckets_.clear();
-    expiry_ = {};
+    expiry_.clear();
     hot_count_ = 0;
     hot_bytes_ = 0;
-    for (std::size_t i = spill_n; i < all.size(); ++i) Insert(all[i]);
+    for (std::size_t i = spill_n; i < all.size(); ++i) {
+      Insert(std::move(all[i]));
+    }
     return before - hot_bytes_;
   }
 
@@ -296,9 +298,10 @@ class SpillableHashSweepArea {
 
   std::size_t PurgeHotBefore(Timestamp t) {
     std::size_t removed = 0;
-    while (!expiry_.empty() && expiry_.top().end <= t) {
-      const Key key = expiry_.top().key;
-      expiry_.pop();
+    while (!expiry_.empty() && expiry_.front().end <= t) {
+      std::pop_heap(expiry_.begin(), expiry_.end(), LaterExpiry{});
+      const Key key = std::move(expiry_.back().key);
+      expiry_.pop_back();
       auto bucket_it = buckets_.find(key);
       if (bucket_it == buckets_.end()) continue;  // spilled or shed
       auto& bucket = bucket_it->second;
@@ -324,7 +327,7 @@ class SpillableHashSweepArea {
 
   // Hot (resident) portion — mirrors HashSweepArea.
   std::unordered_map<Key, std::deque<StreamElement<Stored>>> buckets_;
-  std::priority_queue<Expiry, std::vector<Expiry>, LaterExpiry> expiry_;
+  std::vector<Expiry> expiry_;  // a heap under LaterExpiry
   std::size_t hot_count_ = 0;
   std::size_t hot_bytes_ = 0;
 

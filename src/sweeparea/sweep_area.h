@@ -16,7 +16,7 @@
 /// over the two SweepArea types (the paper's "join parameterized by
 /// exchangeable SweepAreas"). Every implementation provides:
 ///
-///   void Insert(const StreamElement<Stored>&);
+///   void Insert(StreamElement<Stored>);     // stored by move
 ///   template <typename Emit>
 ///   void Query(const StreamElement<Probe>&, Emit&& emit) const;
 ///       // emit(const StreamElement<Stored>&) for every stored element

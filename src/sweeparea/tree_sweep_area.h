@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <map>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -42,11 +41,12 @@ class TreeSweepArea {
         range_probe_(std::move(range_probe)),
         residual_(std::move(residual)) {}
 
-  void Insert(const StreamElement<Stored>& element) {
+  void Insert(StreamElement<Stored> element) {
     bytes_ += ApproxPayloadBytes(element.payload) + kPerElementOverheadBytes;
     Key key = key_stored_(element.payload);
-    expiry_.push(Expiry{element.end(), key});
-    tree_.emplace(std::move(key), element);
+    expiry_.push_back(Expiry{element.end(), key});
+    std::push_heap(expiry_.begin(), expiry_.end(), LaterExpiry{});
+    tree_.emplace(std::move(key), std::move(element));
   }
 
   template <typename Emit>
@@ -92,9 +92,10 @@ class TreeSweepArea {
   /// expirations (each pop erases one expired entry under its key).
   std::size_t PurgeBefore(Timestamp t) {
     std::size_t removed = 0;
-    while (!expiry_.empty() && expiry_.top().end <= t) {
-      const Key key = expiry_.top().key;
-      expiry_.pop();
+    while (!expiry_.empty() && expiry_.front().end <= t) {
+      std::pop_heap(expiry_.begin(), expiry_.end(), LaterExpiry{});
+      const Key key = std::move(expiry_.back().key);
+      expiry_.pop_back();
       auto [lo, hi] = tree_.equal_range(key);
       for (auto it = lo; it != hi; ++it) {
         if (it->second.end() <= t) {
@@ -137,9 +138,10 @@ class TreeSweepArea {
   RangeP range_probe_;
   Residual residual_;
   std::multimap<Key, StreamElement<Stored>> tree_;
-  // One entry per inserted element; entries of shed elements go stale and
-  // are skipped when popped.
-  std::priority_queue<Expiry, std::vector<Expiry>, LaterExpiry> expiry_;
+  // A heap under LaterExpiry, one entry per inserted element; entries of
+  // shed elements go stale and are skipped when popped. A plain vector, not
+  // a priority_queue, so a popped key is moved out, not copied.
+  std::vector<Expiry> expiry_;
   std::size_t bytes_ = 0;
 };
 

@@ -158,9 +158,9 @@ class CanaryPipe : public UnaryPipe<Tuple, Tuple> {
         break;
       case CanaryKind::kCorruptPayload:
         if (n_ % 19 == 0) {
-          std::vector<relational::Value> values = e.payload.values();
-          values[0] = relational::Value(values[0].AsInt() + 1);
-          this->Transfer(Elem(Tuple(std::move(values)), e.interval));
+          Tuple corrupt = e.payload;
+          corrupt.set_field(0, relational::Value(corrupt.field(0).AsInt() + 1));
+          this->Transfer(Elem(std::move(corrupt), e.interval));
           return;
         }
         break;

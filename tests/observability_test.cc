@@ -221,6 +221,19 @@ TEST(TraceRingTest, WrapsWithoutGrowing) {
   }
 }
 
+// Once the ring wraps mid-lap, slot order is not recording order: tickets
+// 4 and 5 overwrite slots 0 and 1 while 2 and 3 still hold older events.
+// The snapshot still reads oldest first.
+TEST(TraceRingTest, WrappedSnapshotIsOldestFirst) {
+  trace::TraceRing ring(4);
+  for (int i = 0; i < 6; ++i) {
+    ring.Record(static_cast<std::uint64_t>(i), i, trace::Hop::kEmit);
+  }
+  std::vector<std::uint64_t> ids;
+  for (const trace::Event& e : ring.Snapshot()) ids.push_back(e.node_id);
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{2, 3, 4, 5}));
+}
+
 // Two writers race a reader over a small ring. Each event's fields are
 // derived from its node id, so a torn copy shows as a mismatch; under TSAN
 // the publication protocol itself is checked.

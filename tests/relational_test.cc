@@ -1,5 +1,12 @@
 // Tests for the relational layer: values, tuples, schemas, expressions.
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <optional>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,8 +16,29 @@
 #include "src/relational/tuple.h"
 #include "src/relational/value.h"
 
+// This binary counts every global allocation, so a test can assert that a
+// row operation makes none. The replacements stay out of line: inlined into
+// a container's destructor, GCC's -Wmismatched-new-delete misreads the
+// `free` as releasing memory from the standard `operator new`.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) std::abort();
+  return p;
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t /*size*/) noexcept {
+  std::free(p);
+}
+
 namespace pipes::relational {
 namespace {
+
+static_assert(sizeof(Value) == 16);
 
 TEST(Value, TypesAndAccessors) {
   EXPECT_TRUE(Value::Null().is_null());
@@ -69,6 +97,199 @@ TEST(Tuple, HashAndEquality) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.Hash(), b.Hash());
   EXPECT_NE(a, c);
+}
+
+// Rows of `n` distinct int fields, starting at `first`.
+Tuple IntRow(std::size_t n, std::int64_t first = 0) {
+  Tuple t;
+  for (std::size_t i = 0; i < n; ++i) {
+    t.Append(Value(first + static_cast<std::int64_t>(i)));
+  }
+  return t;
+}
+
+TEST(Value, StringCopyMoveAndSelfAssignment) {
+  Value a(std::string("a string longer than the small-string buffer"));
+  Value b = a;  // shares the block
+  EXPECT_EQ(&a.AsString(), &b.AsString());
+  Value c = std::move(b);
+  EXPECT_TRUE(b.is_null());  // NOLINT(bugprone-use-after-move): pinned
+  EXPECT_EQ(&c.AsString(), &a.AsString());
+
+  const Value& alias = a;
+  a = alias;  // self copy-assignment keeps the string alive
+  EXPECT_EQ(a.AsString(), "a string longer than the small-string buffer");
+  Value& self = c;
+  c = std::move(self);  // self move-assignment too
+  EXPECT_EQ(c.AsString(), "a string longer than the small-string buffer");
+
+  Value d(std::int64_t{5});
+  d = a;  // int <- string
+  EXPECT_EQ(d.AsString(), a.AsString());
+  d = Value(2.5);  // string <- double releases one reference
+  EXPECT_DOUBLE_EQ(d.AsDouble(), 2.5);
+  a = c;  // two owners of the same block
+  EXPECT_EQ(&a.AsString(), &c.AsString());
+  EXPECT_EQ(a, c);
+}
+
+TEST(Tuple, SharedStringOutlivesEitherRow) {
+  std::optional<Tuple> first =
+      Tuple{Value(std::string("shared by two rows, longer than SSO")),
+            Value(std::int64_t{1})};
+  std::optional<Tuple> second = *first;
+  const std::string* text = &second->field(0).AsString();
+  EXPECT_EQ(&first->field(0).AsString(), text);
+  first.reset();
+  EXPECT_EQ(second->field(0).AsString(), "shared by two rows, longer than SSO");
+  Tuple third = second->Project({0});
+  second.reset();
+  EXPECT_EQ(&third.field(0).AsString(), text);
+  EXPECT_EQ(third.field(0).AsString(), "shared by two rows, longer than SSO");
+}
+
+TEST(Tuple, CrossesTheInlineBoundBothWays) {
+  constexpr std::size_t kN = Tuple::kInlineFields;
+  // Append past the bound moves the values into a heap block.
+  Tuple grown = IntRow(kN);
+  EXPECT_EQ(grown.HeapBytes(), 0u);
+  grown.Append(Value("tail"));
+  EXPECT_GT(grown.HeapBytes(), 0u);
+  ASSERT_EQ(grown.arity(), kN + 1);
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(grown.field(i).AsInt(), static_cast<std::int64_t>(i));
+  }
+  EXPECT_EQ(grown.field(kN).AsString(), "tail");
+
+  // Concat of two inline rows lands on the heap, in one exact block.
+  const Tuple left = IntRow(kN - 1, 100);
+  const Tuple right = IntRow(2, 200);
+  const Tuple joined = left.Concat(right);
+  ASSERT_EQ(joined.arity(), kN + 1);
+  EXPECT_EQ(joined.HeapBytes(), (kN + 1) * sizeof(Value));
+  EXPECT_EQ(joined.field(kN - 2).AsInt(), 100 + std::int64_t{kN} - 2);
+  EXPECT_EQ(joined.field(kN).AsInt(), 201);
+
+  // Projecting a heap row narrow comes back inline, and wide stays heap.
+  const Tuple narrow = joined.Project({kN, 0});
+  EXPECT_EQ(narrow.HeapBytes(), 0u);
+  EXPECT_EQ(narrow, (Tuple{Value(std::int64_t{201}), Value(std::int64_t{100})}));
+  std::vector<std::size_t> all(kN + 1);
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = all.size() - 1 - i;
+  const Tuple reversed = joined.Project(all);
+  EXPECT_GT(reversed.HeapBytes(), 0u);
+  EXPECT_EQ(reversed.field(0), joined.field(kN));
+
+  // Copies and moves keep either form intact.
+  Tuple copy = joined;
+  EXPECT_EQ(copy, joined);
+  Tuple moved = std::move(copy);
+  EXPECT_EQ(moved, joined);
+  EXPECT_EQ(copy.arity(), 0u);  // NOLINT(bugprone-use-after-move): pinned
+  moved = narrow;  // heap <- inline
+  EXPECT_EQ(moved, narrow);
+  EXPECT_EQ(moved.HeapBytes(), 0u);
+  moved = joined;  // inline <- heap
+  EXPECT_EQ(moved, joined);
+}
+
+TEST(Tuple, InlineAndHeapFormsCompareAndHashAlike) {
+  const Tuple inline_row{Value(std::int64_t{3}), Value("x"), Value(1.5)};
+  Tuple heap_row;
+  heap_row.Reserve(Tuple::kInlineFields + 4);
+  for (const Value& v : inline_row.values()) heap_row.Append(v);
+  ASSERT_EQ(inline_row.HeapBytes(), 0u);
+  ASSERT_GT(heap_row.HeapBytes(), 0u);
+
+  EXPECT_EQ(inline_row, heap_row);
+  EXPECT_EQ(inline_row.Hash(), heap_row.Hash());
+  EXPECT_FALSE(inline_row < heap_row);
+  EXPECT_FALSE(heap_row < inline_row);
+  EXPECT_EQ(inline_row.ToString(), heap_row.ToString());
+
+  const Tuple greater{Value(std::int64_t{3}), Value("y")};
+  EXPECT_EQ(inline_row < greater, heap_row < greater);
+  EXPECT_EQ(greater < inline_row, greater < heap_row);
+  // Numeric promotion holds across the forms as well.
+  Tuple promoted;
+  promoted.Reserve(Tuple::kInlineFields + 1);
+  promoted.Append(Value(3.0));
+  promoted.Append(Value("x"));
+  promoted.Append(Value(1.5));
+  EXPECT_EQ(promoted, inline_row);
+  EXPECT_EQ(promoted.Hash(), inline_row.Hash());
+}
+
+TEST(Tuple, NarrowRowsCopyProjectAndConcatWithoutAllocating) {
+  // A string field is shared, not copied, so it allocates nothing either.
+  const Tuple row{Value(std::int64_t{1}), Value(2.5), Value(true),
+                  Value(std::string("a string longer than the SSO buffer"))};
+  const Tuple key{Value(std::int64_t{7})};
+  const std::vector<std::size_t> fields = {3, 0};
+  const std::size_t before = g_allocations.load();
+  std::size_t arity = 0;
+  {
+    Tuple copy = row;
+    Tuple moved = std::move(copy);
+    Tuple projected = row.Project(fields);
+    Tuple joined = key.Concat(projected);
+    Tuple assigned;
+    assigned = joined;
+    assigned = std::move(moved);
+    arity = assigned.arity() + joined.arity();
+  }
+  const std::size_t narrow = g_allocations.load() - before;
+  EXPECT_EQ(narrow, 0u);
+  EXPECT_EQ(arity, 7u);
+
+  // Past the bound, a row takes exactly one block.
+  const std::size_t wide_before = g_allocations.load();
+  {
+    const Tuple wide = row.Concat(key);
+    arity = wide.arity();
+  }
+  EXPECT_EQ(g_allocations.load() - wide_before, 1u);
+  EXPECT_EQ(arity, 5u);
+}
+
+TEST(Tuple, ApproxPayloadBytesFollowsTheLayout) {
+  // Inline values are counted once, in sizeof(Tuple).
+  static_assert(sizeof(Tuple) == 8 + Tuple::kInlineFields * sizeof(Value));
+  const Tuple inline_row = IntRow(Tuple::kInlineFields);
+  EXPECT_EQ(sweeparea::ApproxPayloadBytes(inline_row), sizeof(Tuple));
+  // A wider row adds its heap block.
+  const Tuple heap_row = IntRow(2).Concat(IntRow(Tuple::kInlineFields));
+  EXPECT_EQ(sweeparea::ApproxPayloadBytes(heap_row),
+            sizeof(Tuple) + (Tuple::kInlineFields + 2) * sizeof(Value));
+  // A string field adds its bytes.
+  const Tuple text_row{Value("hello"), Value(std::int64_t{1})};
+  EXPECT_EQ(sweeparea::ApproxPayloadBytes(text_row), sizeof(Tuple) + 5);
+}
+
+// Two threads copy and destroy rows that share one string block, and each
+// may drop its last reference; under TSAN this checks the count.
+TEST(Tuple, RowsSharingAStringCopyAcrossThreads) {
+  std::optional<Tuple> original =
+      Tuple{Value(std::string("one block, many owners, no copies")),
+            Value(std::int64_t{9})};
+  auto churn = [](Tuple row) {
+    std::size_t chars = 0;
+    for (int i = 0; i < 2000; ++i) {
+      const Tuple copy = row;
+      Tuple key = copy.Project({0});
+      chars += key.field(0).AsString().size();
+    }
+    return chars;
+  };
+  std::size_t chars_a = 0;
+  std::size_t chars_b = 0;
+  std::thread a([&, row = *original] { chars_a = churn(row); });
+  std::thread b([&, row = *original] { chars_b = churn(row); });
+  original.reset();
+  a.join();
+  b.join();
+  EXPECT_EQ(chars_a, 2000u * 33u);
+  EXPECT_EQ(chars_b, chars_a);
 }
 
 TEST(Schema, LookupQualifiedAndAmbiguous) {

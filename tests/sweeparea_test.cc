@@ -16,6 +16,65 @@
 #include "src/sweeparea/tree_sweep_area.h"
 #include "tests/snapshot_reference.h"
 
+// Payload and key types that count their copies, so a test can see how
+// often a SweepArea copies what it stores.
+namespace pipes::sweeparea::copies {
+
+struct Row {
+  static inline int copies = 0;
+  int key = 0;
+  explicit Row(int k) : key(k) {}
+  Row(const Row& other) : key(other.key) { ++copies; }
+  Row(Row&&) noexcept = default;
+  Row& operator=(const Row& other) {
+    key = other.key;
+    ++copies;
+    return *this;
+  }
+  Row& operator=(Row&&) noexcept = default;
+  ~Row() = default;
+};
+
+struct Key {
+  static inline int copies = 0;
+  int value = 0;
+  explicit Key(int v) : value(v) {}
+  Key(const Key& other) : value(other.value) { ++copies; }
+  Key(Key&&) noexcept = default;
+  Key& operator=(const Key& other) {
+    value = other.value;
+    ++copies;
+    return *this;
+  }
+  Key& operator=(Key&&) noexcept = default;
+  ~Key() = default;
+  friend bool operator==(const Key& a, const Key& b) {
+    return a.value == b.value;
+  }
+  friend bool operator<(const Key& a, const Key& b) {
+    return a.value < b.value;
+  }
+};
+
+struct KeyOf {
+  Key operator()(const Row& row) const { return Key(row.key); }
+};
+
+struct RangeOf {
+  std::pair<Key, Key> operator()(const Row& row) const {
+    return {Key(row.key), Key(row.key)};
+  }
+};
+
+}  // namespace pipes::sweeparea::copies
+
+template <>
+struct std::hash<pipes::sweeparea::copies::Key> {
+  std::size_t operator()(const pipes::sweeparea::copies::Key& k) const {
+    return std::hash<int>()(k.value);
+  }
+};
+
 namespace pipes::sweeparea {
 namespace {
 
@@ -222,6 +281,44 @@ TEST(MultiwayJoin, RejectsFewerThanTwoInputsByContract) {
   auto key = [](int v) { return v; };
   using JoinType = MultiwayJoin<int, decltype(key)>;
   EXPECT_DEATH(JoinType(1, key), "at least two");
+}
+
+// A run inserted into a SweepArea is copied once per row, out of the const
+// run, and then moved into place; purging moves each expiry key out of the
+// heap instead of copying it.
+template <typename Area>
+void ExpectOneCopyPerRowAndNoKeyCopyPerPurge(Area& area) {
+  ColumnarRun<copies::Row> run;
+  for (int i = 0; i < 12; ++i) run.Append(copies::Row(i % 4), i, i + 10);
+  copies::Row::copies = 0;
+  area.InsertRun(run);
+  EXPECT_EQ(copies::Row::copies, 12);
+  EXPECT_EQ(area.size(), 12u);
+
+  copies::Row::copies = 0;
+  copies::Key::copies = 0;
+  EXPECT_EQ(area.PurgeBefore(15), 6u);
+  EXPECT_EQ(area.PurgeBefore(100), 6u);
+  EXPECT_EQ(copies::Key::copies, 0);
+  EXPECT_EQ(copies::Row::copies, 0);
+}
+
+TEST(SweepAreaCopies, HashAreaStoresEachRowOnce) {
+  HashSweepArea<copies::Row, copies::Row, copies::KeyOf, copies::KeyOf> area(
+      copies::KeyOf{}, copies::KeyOf{});
+  ExpectOneCopyPerRowAndNoKeyCopyPerPurge(area);
+}
+
+TEST(SweepAreaCopies, TreeAreaStoresEachRowOnce) {
+  TreeSweepArea<copies::Row, copies::Row, copies::KeyOf, copies::RangeOf> area(
+      copies::KeyOf{}, copies::RangeOf{});
+  ExpectOneCopyPerRowAndNoKeyCopyPerPurge(area);
+}
+
+TEST(SweepAreaCopies, ListAreaStoresEachRowOnce) {
+  auto pred = [](const copies::Row&, const copies::Row&) { return true; };
+  ListSweepArea<copies::Row, copies::Row, decltype(pred)> area(pred);
+  ExpectOneCopyPerRowAndNoKeyCopyPerPurge(area);
 }
 
 }  // namespace
